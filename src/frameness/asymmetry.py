@@ -17,12 +17,27 @@ Realized actions:
 * collective SU(2): per spin sector, scramble the irrep factor to the
   maximally mixed state while leaving the multiplicity factor untouched,
   killing cross-sector blocks.
+
+For U(1) and SU(2) the twirl is block diagonal in a known basis U (the
+charge-sorted computational basis, or the Schur basis):
+
+    G(rho) = U (sum_q I_{m_q}/m_q (x) sigma_q) U^dag,
+
+with m_q = 1 for a charge sector and m_q = 2j+1 for a spin sector, and
+sigma_q the sector block of U^dag rho U traced over the m_q factor.  So
+:func:`g_asymmetry` takes S(G(rho)) = sum_q m_q H(eig(sigma_q)/m_q) from the
+small sector blocks and never forms the d x d matrix G(rho).  A
+:class:`~frameness.states.PureState` input goes further: S(psi) = 0, and
+each sigma_q shares its nonzero spectrum with the Gram matrix of the
+m_q x n_q coefficient block of U^dag psi, taken on its smaller side, so no
+d x d array is built at all.  The dense G(rho) is formed only when
+:attr:`AsymmetryResult.twirled_state` is read.  Finite groups keep the
+|G|-term sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +50,7 @@ from .states import (
     ProbabilityDistribution,
     PureState,
     ShapeMismatchError,
+    _entropy_of_spectrum,
     relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
@@ -45,20 +61,31 @@ class ClosedFormInapplicableError(FramenessError):
     """A closed-form asymmetry formula does not cover the given representation."""
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b without promoting a real operand to a complex copy: two real GEMMs instead."""
+    if np.iscomplexobj(a) and not np.iscomplexobj(b):
+        return (a.real @ b) + 1j * (a.imag @ b)
+    if np.iscomplexobj(b) and not np.iscomplexobj(a):
+        return (a @ b.real) + 1j * (a @ b.imag)
+    return a @ b
+
+
 class TwirlOperation:
     """The group-averaging channel for one of the supported group families."""
 
-    __slots__ = ("kind", "rep", "_u1_mask")
+    __slots__ = ("kind", "rep", "_charge_sectors")
 
     def __init__(self, kind: str, rep):
         if kind not in ("finite", "u1", "su2"):
             raise ValueError(f"unknown group kind {kind!r}")
         self.kind = kind
         self.rep = rep
-        self._u1_mask = None
+        self._charge_sectors = None
         if kind == "u1":
-            c = rep.charges
-            self._u1_mask = (c[:, None] == c[None, :]).astype(float)
+            # basis indices of each charge sector, by ascending charge
+            order = np.argsort(rep.charges, kind="stable")
+            breaks = np.flatnonzero(np.diff(rep.charges[order])) + 1
+            self._charge_sectors = tuple(np.split(order, breaks))
 
     @classmethod
     def finite(cls, rep: FiniteGroupRep) -> "TwirlOperation":
@@ -76,6 +103,44 @@ class TwirlOperation:
     def dim(self) -> int:
         return self.rep.dim
 
+    def _sector_blocks(self, x: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(m_q, sigma_q) per sector, so that G(x) = U (sum_q I_{m_q}/m_q (x) sigma_q) U^dag.
+
+        u1: sigma_q = x[idx_q, idx_q].  su2: the sector block of B^dag x B
+        traced over the 2j+1 irrep factor; the built Schur basis B is real,
+        so x B is two real GEMMs.
+        """
+        if self.kind == "u1":
+            return [(1, x[np.ix_(idx, idx)]) for idx in self._charge_sectors]
+        b = self.rep.basis
+        xb = _matmul(x, b)
+        blocks = []
+        for sec in self.rep.sectors:
+            width, mult = 2 * sec.j + 1, sec.multiplicity
+            cols = b[:, sec.start:sec.stop].reshape(self.dim, width, mult)
+            rhs = xb[:, sec.start:sec.stop].reshape(self.dim, width, mult)
+            blocks.append((width, np.tensordot(cols.conj(), rhs, axes=([0, 1], [0, 1]))))
+        return blocks
+
+    def _sector_coefficients(self, psi: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(m_q, C_q) per sector: the m_q x n_q block of U^dag psi, so sigma_q = C_q^T conj(C_q)."""
+        if self.kind == "u1":
+            return [(1, psi[idx].reshape(1, -1)) for idx in self._charge_sectors]
+        c = _matmul(self.rep.basis.conj().T, psi)
+        return [(2 * sec.j + 1, c[sec.start:sec.stop].reshape(2 * sec.j + 1, sec.multiplicity))
+                for sec in self.rep.sectors]
+
+    def _blockwise_entropy(self, state: DensityOperator | PureState) -> float:
+        """S(G(state)) = sum_q m_q H(eig(sigma_q)/m_q), from the sector blocks (u1/su2 only)."""
+        if isinstance(state, PureState):
+            # sigma_q = C^T conj(C) has the nonzero spectrum of C C^dag: take the smaller Gram
+            blocks = [(w, c @ c.conj().T if c.shape[0] <= c.shape[1] else c.T @ c.conj())
+                      for w, c in self._sector_coefficients(state.amplitudes)]
+        else:
+            blocks = self._sector_blocks(state.matrix)
+        return float(sum(w * _entropy_of_spectrum(np.linalg.eigvalsh(sigma) / w)
+                         for w, sigma in blocks))
+
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim, self.dim):
@@ -85,25 +150,16 @@ class TwirlOperation:
             for u in self.rep.unitaries:
                 out += u @ x @ u.conj().T
             return out / self.rep.order
+        out = np.zeros_like(x)
+        blocks = self._sector_blocks(x)
         if self.kind == "u1":
-            return x * self._u1_mask
-        return self._su2_twirl(x)
-
-    def _su2_twirl(self, x: np.ndarray) -> np.ndarray:
-        rep = self.rep
-        b = rep.basis
-        xs = b.conj().T @ x @ b  # Schur coordinates
-        out = np.zeros_like(xs)
-        for sec in rep.sectors:
-            width, mult = 2 * sec.j + 1, sec.multiplicity
-            block = xs[sec.start:sec.stop, sec.start:sec.stop]
-            block = block.reshape(width, mult, width, mult)
-            sigma = np.einsum("mamb->ab", block)
-            filled = np.einsum("mn,ab->manb", np.eye(width) / width, sigma)
-            out[sec.start:sec.stop, sec.start:sec.stop] = filled.reshape(
-                width * mult, width * mult
-            )
-        return b @ out @ b.conj().T
+            for idx, (_, sigma) in zip(self._charge_sectors, blocks):
+                out[np.ix_(idx, idx)] = sigma
+            return out
+        for sec, (width, sigma) in zip(self.rep.sectors, blocks):
+            out[sec.start:sec.stop, sec.start:sec.stop] = np.kron(np.eye(width) / width, sigma)
+        b = self.rep.basis
+        return _matmul(_matmul(b, out), b.conj().T)
 
     def __call__(self, rho: DensityOperator) -> DensityOperator:
         return DensityOperator(self.apply_matrix(rho.matrix))
@@ -126,20 +182,56 @@ class TwirlOperation:
         return KrausChannel(kraus)
 
 
-@dataclass
+def _as_density(state: DensityOperator | PureState) -> DensityOperator:
+    return state.projector() if isinstance(state, PureState) else state
+
+
 class AsymmetryResult:
-    asymmetry: float
-    twirled_state: DensityOperator
-    entropy_in: float
-    entropy_out: float
+    """A_G of one state, both entropies, and G(state), built only when first read."""
+
+    __slots__ = ("asymmetry", "entropy_in", "entropy_out", "_twirl", "_state", "_twirled")
+
+    def __init__(self, asymmetry: float, entropy_in: float, entropy_out: float,
+                 twirl: TwirlOperation, state: DensityOperator | PureState,
+                 twirled: DensityOperator | None = None):
+        self.asymmetry = asymmetry
+        self.entropy_in = entropy_in
+        self.entropy_out = entropy_out
+        self._twirl = twirl
+        self._state = state
+        self._twirled = twirled
+
+    @property
+    def twirled_state(self) -> DensityOperator:
+        """The dense G(state); the first read does the d x d twirl."""
+        if self._twirled is None:
+            self._twirled = self._twirl(_as_density(self._state))
+        return self._twirled
+
+    def __repr__(self):
+        return (f"AsymmetryResult(asymmetry={self.asymmetry!r}, entropy_in={self.entropy_in!r}, "
+                f"entropy_out={self.entropy_out!r})")
 
 
-def g_asymmetry(twirl: TwirlOperation, rho: DensityOperator) -> AsymmetryResult:
-    """A_G(rho) = S(G(rho)) - S(rho), along with both entropies and the twirled state."""
-    s_in = von_neumann_entropy(rho)
-    twirled = twirl(rho)
-    s_out = von_neumann_entropy(twirled)
-    return AsymmetryResult(s_out - s_in, twirled, s_in, s_out)
+def g_asymmetry(twirl: TwirlOperation, state: DensityOperator | PureState) -> AsymmetryResult:
+    """A_G(state) = S(G(state)) - S(state), along with both entropies and the twirled state.
+
+    ``state`` is a density operator or a pure state.  For u1/su2 twirls
+    S(G(state)) comes from the sector blocks (see the module docstring); the
+    finite kind twirls the dense matrix, a pure state's projector included.
+    """
+    if not isinstance(state, (DensityOperator, PureState)):
+        raise TypeError(f"expected a DensityOperator or PureState, got {type(state).__name__}")
+    if state.dim != twirl.dim:
+        raise ShapeMismatchError(f"state dim {state.dim} does not match twirl dim {twirl.dim}")
+    if twirl.kind == "finite":
+        rho = _as_density(state)
+        twirled = twirl(rho)
+        s_in, s_out = von_neumann_entropy(rho), von_neumann_entropy(twirled)
+        return AsymmetryResult(s_out - s_in, s_in, s_out, twirl, state, twirled)
+    s_in = 0.0 if isinstance(state, PureState) else von_neumann_entropy(state)
+    s_out = twirl._blockwise_entropy(state)
+    return AsymmetryResult(s_out - s_in, s_in, s_out, twirl, state)
 
 
 def relative_entropy_of_frameness(twirl: TwirlOperation, rho: DensityOperator) -> float:

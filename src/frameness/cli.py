@@ -154,11 +154,16 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_state(path: str) -> DensityOperator:
+def _read_state(path: str) -> DensityOperator | PureState:
     obj = _load_json(path)
     if "amplitudes" in obj:
-        return pure_state_from_json(obj).projector()
+        return pure_state_from_json(obj)
     return density_from_json(obj)
+
+
+def _load_state(path: str) -> DensityOperator:
+    state = _read_state(path)
+    return state.projector() if isinstance(state, PureState) else state
 
 
 def _load_finite_rep(path: str):
@@ -199,9 +204,9 @@ def _cmd_asymmetry(args) -> int:
     _group_args(p)
     p.add_argument("--state", required=True, help="state JSON (density or pure)")
     ns = p.parse_args(args)
-    rho = _load_state(ns.state)
-    twirl = _build_twirl(ns, dim_hint=rho.dim)
-    res = g_asymmetry(twirl, rho)
+    state = _read_state(ns.state)
+    twirl = _build_twirl(ns, dim_hint=state.dim)
+    res = g_asymmetry(twirl, state)
     result = {
         "asymmetry": res.asymmetry,
         "entropy_in": res.entropy_in,
@@ -219,16 +224,18 @@ def _cmd_twirl(args) -> int:
     _group_args(p)
     p.add_argument("--state", required=True)
     ns = p.parse_args(args)
-    rho = _load_state(ns.state)
-    twirl = _build_twirl(ns, dim_hint=rho.dim)
-    res = g_asymmetry(twirl, rho)
-    result = {"asymmetry": res.asymmetry, "state": density_to_json(res.twirled_state)}
-    rows = [
-        (i, j, float(z.real), float(z.imag))
-        for i, row in enumerate(res.twirled_state.matrix)
-        for j, z in enumerate(row)
-    ]
-    _emit(ns, _meta("twirl", ns), result, ("row", "col", "re", "im"), rows)
+    state = _read_state(ns.state)
+    twirl = _build_twirl(ns, dim_hint=state.dim)
+    res = g_asymmetry(twirl, state)
+    meta = _meta("twirl", ns)
+    if ns.format == "csv":
+        rows = ((i, j, float(z.real), float(z.imag))
+                for i, row in enumerate(res.twirled_state.matrix)
+                for j, z in enumerate(row))
+        _emit_csv(meta, ("row", "col", "re", "im"), rows, ns.out)
+    else:
+        _emit_json(meta, {"asymmetry": res.asymmetry,
+                          "state": density_to_json(res.twirled_state)}, ns.out)
     return 0
 
 
@@ -252,7 +259,7 @@ def _cmd_extremal(args) -> int:
         state = maximal_asymmetry_state("su2", rep=rep)
         twirl = TwirlOperation.su2(rep)
         closed = max_su2_asymmetry_value(ns.qubits // 2)
-    measured = g_asymmetry(twirl, state.projector()).asymmetry
+    measured = g_asymmetry(twirl, state).asymmetry
     result = {"asymmetry": measured, "closed_form": closed, "state": pure_state_to_json(state)}
     _emit(ns, _meta("extremal", ns), result,
           ("asymmetry", "closed_form"), [(measured, closed)])
@@ -309,7 +316,12 @@ def _cmd_scaling(args) -> int:
 
 @_command("bounds")
 def _cmd_bounds(args) -> int:
-    p = _parser("bounds", "finite-group / Lie-group bound reports")
+    p = _parser("bounds", "finite-group / Lie-group bound reports. --group su2 compares "
+                "2 log2(N+1), the symmetric-subspace design bound on the asymmetry of an "
+                "N-copy state rho^(x)N, with the measured asymmetry of the N-qubit "
+                "maximal-asymmetry state.  That state is not an N-copy state, so the bound "
+                "need not hold for it: it exceeds the bound from 8 qubits on (at 10 "
+                "qubits 7.459 > 6.919 bits, ok: false).")
     _group_args(p)
     p.add_argument("--state", help="base state for the finite-group N-copy check")
     p.add_argument("--copies", type=int, default=3)
@@ -334,7 +346,7 @@ def _cmd_bounds(args) -> int:
             raise ValueError("--group su2 needs --qubits")
         rep = build_collective_spin_rep(ns.qubits)
         bound = lie_group_log_bound(ns.qubits, 2)
-        state = maximal_asymmetry_state("su2", rep=rep).projector()
+        state = maximal_asymmetry_state("su2", rep=rep)
         measured = g_asymmetry(TwirlOperation.su2(rep), state).asymmetry
         result = {
             "exact_bits": bound.exact_bits,

@@ -50,7 +50,10 @@ class ResourceLimitError(FramenessError):
 
 
 def max_dim() -> int:
-    """Dense-workspace dimension cap; env var FRAMENESS_MAX_DIM overrides 2**14."""
+    """Dimension cap for tensor powers; env var FRAMENESS_MAX_DIM overrides 2**14.
+
+    A cap, not a working size: one complex 2**14 x 2**14 matrix is 4.3 GB.
+    """
     return int(os.environ.get("FRAMENESS_MAX_DIM", _DEFAULT_MAX_DIM))
 
 
@@ -59,9 +62,12 @@ class DensityOperator:
 
     The matrix is symmetrized, frozen (read-only) and validated on
     construction; instances are immutable and safe to share across threads.
+    The spectrum computed for the PSD check is kept (read-only), so
+    :meth:`eigenvalues` and every entropy of the state cost no further
+    eigensolve.
     """
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "_spectrum")
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
@@ -74,16 +80,19 @@ class DensityOperator:
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace {tr:.12g} differs from 1 beyond tolerance")
         m = 0.5 * (m + m.conj().T)
-        lowest = float(np.linalg.eigvalsh(m)[0])
+        spectrum = np.linalg.eigvalsh(m)
+        lowest = float(spectrum[0])
         if lowest < -PSD_TOL:
             raise InvalidStateError(f"not PSD: smallest eigenvalue {lowest:.3e}")
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         self.dim = int(m.shape[0])
         self.matrix = m
+        self._spectrum = spectrum
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending real spectrum."""
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending real spectrum (read-only; computed once, on construction)."""
+        return self._spectrum
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         return DensityOperator(np.kron(self.matrix, other.matrix))

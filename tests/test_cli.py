@@ -83,6 +83,19 @@ def test_twirl_dumps_state(tmp_path, plus_state_file, z2_rep_file):
     assert np.abs(out.matrix - np.eye(2) / 2).max() < 1e-10
 
 
+def test_twirl_csv_rows(tmp_path, uniform4_state, charges4):
+    out = tmp_path / "twirl.csv"
+    assert cli.run(["twirl", "--group", "u1", "--state", uniform4_state, "--charges", charges4,
+                    "--format", "csv", "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == "row,col,re,im"
+    entries = {(int(r), int(c)): float(re) for r, c, re, _ in
+               (ln.split(",") for ln in lines[1:])}
+    assert len(entries) == 16
+    assert all(entries[i, j] == pytest.approx(0.25 if i == j else 0.0, abs=1e-12)
+               for i in range(4) for j in range(4))
+
+
 def test_extremal(tmp_path):
     payload = run_json(tmp_path, ["extremal", "--group", "su2", "--qubits", "2"])
     assert payload["result"]["asymmetry"] == pytest.approx(2.0, abs=1e-8)
@@ -186,3 +199,15 @@ def test_exit_codes(tmp_path):
     charges = write_json(tmp_path / "c.json", {"dim": 2, "charges": [0, 1]})
     assert cli.run(["asymmetry", "--group", "u1", "--state", bad, "--charges", charges]) == 2
     assert cli.run(["extremal", "--group", "su2", "--qubits", "14"]) == 3
+
+
+def test_bounds_su2_design_bound_holds_only_for_small_registers(tmp_path):
+    # 2 log2(N+1) bounds N-copy states; the maximal-asymmetry state is not
+    # one, and from 8 qubits on its asymmetry exceeds the bound
+    small = run_json(tmp_path, ["bounds", "--group", "su2", "--qubits", "4"])["result"]
+    assert small["ok"] is True
+    assert small["measured_bits"] == pytest.approx(math.log2(15), abs=1e-8)
+    large = run_json(tmp_path, ["bounds", "--group", "su2", "--qubits", "10"])["result"]
+    assert large["ok"] is False
+    assert large["measured_bits"] == pytest.approx(fr.max_su2_asymmetry_value(5), abs=1e-8)
+    assert large["exact_bits"] == pytest.approx(2 * math.log2(11))

@@ -38,6 +38,16 @@ def test_pure_state_norm_is_enforced():
     assert psi.projector().dim == 2
 
 
+def test_eigenvalues_are_the_read_only_validation_spectrum():
+    rho = fr.random_density_operator(6, np.random.default_rng(3))
+    spectrum = rho.eigenvalues()
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 1.0
+    np.testing.assert_array_equal(spectrum, np.linalg.eigvalsh(rho.matrix))
+    assert rho.eigenvalues() is spectrum
+
+
 def test_von_neumann_entropy_examples():
     assert fr.von_neumann_entropy(fr.DensityOperator(np.eye(2) / 2)) == pytest.approx(1.0)
     psi = fr.random_pure_state(5, np.random.default_rng(0))
