@@ -7,6 +7,7 @@ way back) and stay here as oracles for ``TwirlOperation.apply_matrix`` and
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,22 @@ def test_no_dense_twirl_until_twirled_state_is_read(monkeypatch, kind, pure):
     twirled = res.twirled_state
     assert twirl_calls == [1] and twirled.dim == tw.dim
     assert res.twirled_state is twirled
+
+
+@pytest.mark.parametrize("kind", ["u1", "su2"])
+def test_pure_state_path_allocates_no_dense_matrix(kind):
+    if kind == "u1":
+        tw = fr.TwirlOperation.u1(fr.hamming_weight_grading(8))
+    else:
+        tw = fr.TwirlOperation.su2(spin_rep(8))
+    psi = random_state(tw.dim, 11, True, 1)
+    tracemalloc.start()
+    try:
+        fr.g_asymmetry(tw, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * tw.dim**2  # one real d x d array would already be this large
 
 
 def test_finite_twirl_accepts_a_pure_state():
