@@ -41,7 +41,7 @@ print(f"  max |gap - S(rho||E(rho))| over 240 states: {worst_eq:.3e}")
 print(f"  max violation by a random image state:      {worst_gap:.3e}\n")
 
 print("fixed points = commutant of the Kraus set (unital channels)")
-deph = fr.basis_dephasing_channel(3)
+deph = fr.dephasing_channel(np.eye(3))
 diag = np.diag([0.2, 0.5, 0.3])
 off = np.zeros((3, 3))
 off[0, 1] = off[1, 0] = 1.0

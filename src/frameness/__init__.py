@@ -20,17 +20,17 @@ from .asymmetry import (
     max_su2_asymmetry_value,
     max_u1_asymmetry_value,
     maximal_asymmetry_state,
-    relative_entropy_of_frameness,
     su2_pure_asymmetry_closed_form,
     u1_asymmetry_closed_form,
 )
 from .channels import (
+    BlockProjection,
     ChannelPreconditionError,
     ImageFixReport,
     KrausChannel,
-    basis_dephasing_channel,
     commutant_fixed_point_check,
     conditional_expectation_channel,
+    dephasing_channel,
     identity_channel,
     image_fix_equivalence_check,
     kraus_channel_from_json,
@@ -44,7 +44,6 @@ from .entanglement import (
     BipartiteState,
     BoundReport,
     bell_diagonal_state,
-    dephasing_channel,
     dephasing_upper_bound,
     hashing_lower_bound,
     lifted_dephasing_channel,
@@ -72,7 +71,6 @@ from .groups import (
     build_collective_spin_rep,
     charge_grading_from_json,
     charge_grading_to_json,
-    charge_sector_projectors,
     cyclic_phase_rep,
     finite_group_from_unitaries,
     finite_rep_from_json,

@@ -1,25 +1,31 @@
-"""Quantum channels in Kraus form and the unital-idempotent calculus.
+"""Quantum channels and the unital-idempotent calculus.
 
 The central fact used downstream: when a trace-preserving map is unital and
 idempotent, the minimum relative-entropy distance from a state rho to the
 channel's image is the entropy gap S(E(rho)) - S(rho), attained at E(rho)
 itself.  :func:`relative_entropy_to_image` evaluates that gap after checking
-both preconditions; the generators at the bottom produce test channels going
-beyond group twirls (pinchings and conditional expectations onto random
-block algebras).
+both preconditions.  :class:`BlockProjection` is the one conditional-expectation
+type (u1/su2 twirls, block algebras, dephasing), idempotent by its form and
+with its entropy taken from its blocks; pinchings and finite twirls stay
+Kraus-only, their idempotence checked through the superoperator.  The
+generators at the bottom produce test channels going beyond group twirls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import UNITARY_TOL
 from .sampling import haar_unitary, random_density_operator
 from .states import (
     DensityOperator,
     FramenessError,
+    PureState,
     ShapeMismatchError,
+    _entropy_of_spectrum,
     complex_matrix_from_json,
     complex_matrix_to_json,
     von_neumann_entropy,
@@ -70,6 +76,10 @@ class KrausChannel:
     def apply(self, rho: DensityOperator) -> DensityOperator:
         return DensityOperator(self.apply_matrix(rho.matrix))
 
+    def image_entropy(self, rho: DensityOperator) -> float:
+        """S(E(rho)), from the dense image."""
+        return von_neumann_entropy(self.apply(rho))
+
     def adjoint_apply(self, a: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action sum_a E_a^dag A E_a (Hilbert-Schmidt adjoint)."""
         a = np.asarray(a, dtype=complex)
@@ -87,6 +97,10 @@ class KrausChannel:
             m += np.kron(k, k.conj())
         return m
 
+    def kraus_channel(self) -> "KrausChannel":
+        """The channel's Kraus form: itself."""
+        return self
+
     def is_unital(self, tol: float = UNITAL_TOL) -> bool:
         eye = np.eye(self.dim)
         return float(np.abs(self.apply_matrix(eye) - eye).max()) <= tol
@@ -99,12 +113,138 @@ class KrausChannel:
         return f"KrausChannel(dim={self.dim}, n_kraus={len(self.kraus)})"
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b without promoting a real operand to a complex copy: two real GEMMs instead."""
+    if np.iscomplexobj(a) and not np.iscomplexobj(b):
+        return (a.real @ b) + 1j * (a.imag @ b)
+    if np.iscomplexobj(b) and not np.iscomplexobj(a):
+        return (a @ b.real) + 1j * (a @ b.imag)
+    return a @ b
+
+
+def _checked_unitary(u) -> np.ndarray:
+    """``u`` as a square array, after checking u^dag u = I to UNITARY_TOL."""
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ShapeMismatchError(f"basis matrix must be square, got {u.shape}")
+    dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    if dev > UNITARY_TOL:
+        raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
+    return u
+
+
+class BlockProjection:
+    """Conditional expectation onto a block algebra, E(x) = U (sum_q I_{m_q}/m_q (x) sigma_q) U^dag.
+
+    sigma_q = Tr_{m_q} x_q, x_q the q-th diagonal block of U^dag x U with column
+    index r n_q + alpha (r < m_q scrambled, alpha < n_q kept).  ``basis`` is U as
+    a d x d unitary, kept in its dtype, or a permutation p of range(d) (U[:, k] =
+    e_{p[k]}, applied by indexing); ``blocks`` lists the (m_q, n_q).  Unital and
+    idempotent by this form; the Kraus form is built only as a test oracle.
+    """
+
+    __slots__ = ("dim", "basis", "blocks", "_sectors", "_kraus")
+
+    def __init__(self, basis, blocks):
+        b = np.asarray(basis)
+        self._init(b if b.ndim == 1 else _checked_unitary(b), blocks)
+
+    @classmethod
+    def _orthonormal(cls, basis: np.ndarray, blocks) -> "BlockProjection":
+        """A projection on a basis orthonormal by construction: no unitarity check."""
+        proj = cls.__new__(cls)
+        proj._init(basis, blocks)
+        return proj
+
+    def _init(self, b: np.ndarray, blocks):
+        if b.ndim == 1 and (b.dtype.kind not in "iu" or not np.array_equal(np.sort(b), np.arange(b.size))):
+            raise ValueError("a 1-D basis must be a permutation of range(d)")
+        self.blocks = tuple((int(m), int(n)) for m, n in blocks)
+        if not self.blocks or min(min(mn) for mn in self.blocks) < 1:
+            raise ValueError(f"blocks must be a nonempty list of positive (m, n), got {blocks}")
+        ends = np.cumsum([m * n for m, n in self.blocks]).tolist()
+        if ends[-1] != b.shape[0]:
+            raise ShapeMismatchError(f"blocks cover dimension {ends[-1]}, basis has {b.shape[0]}")
+        self.dim, self.basis, self._kraus = int(b.shape[0]), b, None
+        # (m_q, n_q, first column, end column) per block
+        self._sectors = [(m, n, t - m * n, t) for (m, n), t in zip(self.blocks, ends)]
+
+    def _sector_blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """sigma_q per block; with a real U, x U and each U_q^dag (x U)_q are real GEMMs."""
+        b = self.basis
+        if b.ndim == 1:
+            return [sum(x[np.ix_(idx, idx)] for idx in b[s:t].reshape(m, n))
+                    for m, n, s, t in self._sectors]
+        xb = _matmul(x, b)
+        # the sum over rows and over the m factor: one (d m) x n column stack each
+        return [_matmul(b[:, s:t].reshape(-1, n).conj().T, xb[:, s:t].reshape(-1, n))
+                for m, n, s, t in self._sectors]
+
+    def image_entropy(self, state: DensityOperator | PureState) -> float:
+        """S(E(state)) = sum_q m_q H(eig(sigma_q)/m_q), from the sector blocks."""
+        if state.dim != self.dim:
+            raise ShapeMismatchError(f"state dim {state.dim} does not match dim {self.dim}")
+        if isinstance(state, PureState):
+            # sigma_q = C^T conj(C) for the m_q x n_q block C of U^dag psi; it has the
+            # nonzero spectrum of C C^dag, so take the smaller Gram matrix
+            b, psi = self.basis, state.amplitudes
+            c = psi[b] if b.ndim == 1 else _matmul(b.conj().T, psi)
+            cs = [c[s:t].reshape(m, n) for m, n, s, t in self._sectors]
+            sigmas = [c @ c.conj().T if c.shape[0] <= c.shape[1] else c.T @ c.conj() for c in cs]
+        else:
+            sigmas = self._sector_blocks(state.matrix)
+        return float(sum(m * _entropy_of_spectrum(np.linalg.eigvalsh(sigma) / m)
+                         for (m, _), sigma in zip(self.blocks, sigmas)))
+
+    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The dense E(x)."""
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.dim, self.dim):
+            raise ShapeMismatchError(f"operator shape {x.shape} does not match dim {self.dim}")
+        b, out = self.basis, np.zeros_like(x)
+        for (m, n, s, t), sigma in zip(self._sectors, self._sector_blocks(x)):
+            if b.ndim == 1:
+                for idx in b[s:t].reshape(m, n):
+                    out[np.ix_(idx, idx)] = sigma / m
+            else:
+                out[s:t, s:t] = np.kron(np.eye(m) / m, sigma)
+        return out if b.ndim == 1 else _matmul(_matmul(b, out), b.conj().T)
+
+    def apply(self, rho: DensityOperator) -> DensityOperator:
+        return DensityOperator(self.apply_matrix(rho.matrix))
+
+    def adjoint_apply(self, a: np.ndarray) -> np.ndarray:
+        """Heisenberg-picture action: E is self-adjoint in the Hilbert-Schmidt product."""
+        return self.apply_matrix(a)
+
+    def is_unital(self) -> bool:
+        """Structural: E(I) = I for a unitary U."""
+        return True
+
+    def is_idempotent(self) -> bool:
+        """Structural: E fixes each I_{m_q}/m_q (x) sigma_q it produces."""
+        return True
+
+    def kraus_channel(self) -> KrausChannel:
+        """Kraus form {U_{q,r} U_{q,s}^dag / sqrt(m_q)} (U_{q,r}: factor r's columns), built once."""
+        if self._kraus is None:
+            u = np.eye(self.dim)[:, self.basis] if self.basis.ndim == 1 else self.basis
+            kraus = []
+            for m, n, s, t in self._sectors:
+                cols = u[:, s:t].reshape(self.dim, m, n)
+                kraus += [cols[:, r] @ cols[:, r2].conj().T / math.sqrt(m)
+                          for r in range(m) for r2 in range(m)]
+            self._kraus = KrausChannel(kraus)
+        return self._kraus
+
+
 def identity_channel(dim: int) -> KrausChannel:
     return KrausChannel([np.eye(dim)])
 
 
-def kraus_channel_to_json(ch: KrausChannel) -> dict:
-    return {"dim": ch.dim, "kraus": [complex_matrix_to_json(k) for k in ch.kraus]}
+def kraus_channel_to_json(ch: KrausChannel | BlockProjection) -> dict:
+    ops = ch.kraus_channel().kraus
+    return {"dim": ch.dim, "kraus": [complex_matrix_to_json(k) for k in ops]}
 
 
 def kraus_channel_from_json(obj: dict) -> KrausChannel:
@@ -114,7 +254,8 @@ def kraus_channel_from_json(obj: dict) -> KrausChannel:
     return ch
 
 
-def commutant_fixed_point_check(ch: KrausChannel, tau: np.ndarray, tol: float = COMMUTANT_TOL) -> bool:
+def commutant_fixed_point_check(ch: KrausChannel | BlockProjection, tau: np.ndarray,
+                                tol: float = COMMUTANT_TOL) -> bool:
     """True iff tau commutes with every Kraus operator and its adjoint.
 
     For unital channels the commutant of {E_a, E_a^dag} is exactly the fixed
@@ -124,7 +265,7 @@ def commutant_fixed_point_check(ch: KrausChannel, tau: np.ndarray, tol: float = 
     if not ch.is_unital():
         raise ChannelPreconditionError("commutant fixed-point test needs a unital channel")
     tau = np.asarray(tau, dtype=complex)
-    for k in ch.kraus:
+    for k in ch.kraus_channel().kraus:
         for e in (k, k.conj().T):
             if float(np.abs(tau @ e - e @ tau).max()) > tol:
                 return False
@@ -153,9 +294,9 @@ class ImageFixReport:
         return self.idempotent == self.all_image_states_fixed
 
 
-def image_fix_equivalence_check(ch: KrausChannel, samples: int = 50, seed: int = 0,
-                                tol: float = 1e-8) -> ImageFixReport:
-    """Check Image(E) = Fix(E) against idempotence of the superoperator.
+def image_fix_equivalence_check(ch: KrausChannel | BlockProjection, samples: int = 50,
+                                seed: int = 0, tol: float = 1e-8) -> ImageFixReport:
+    """Check Image(E) = Fix(E) against the channel's idempotence verdict.
 
     For ``samples`` random states rho the report records whether E(E(rho))
     equals E(rho); by the idempotence criterion both verdicts must agree.
@@ -174,17 +315,18 @@ def image_fix_equivalence_check(ch: KrausChannel, samples: int = 50, seed: int =
     )
 
 
-def relative_entropy_to_image(ch: KrausChannel, rho: DensityOperator) -> float:
+def relative_entropy_to_image(ch: KrausChannel | BlockProjection, rho: DensityOperator) -> float:
     """min over sigma in Image(E) of S(rho || sigma), as the entropy gap.
 
     Requires E unital and idempotent; then the minimum equals
-    S(E(rho)) - S(rho) and is attained at sigma = E(rho).
+    S(E(rho)) - S(rho) and is attained at sigma = E(rho).  A block projection
+    meets both by its form and gives S(E(rho)) from its blocks.
     """
     if not ch.is_unital():
         raise ChannelPreconditionError("channel is not unital")
     if not ch.is_idempotent():
         raise ChannelPreconditionError("channel is not idempotent")
-    return von_neumann_entropy(ch.apply(rho)) - von_neumann_entropy(rho)
+    return ch.image_entropy(rho) - von_neumann_entropy(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +338,12 @@ def pinching_channel(projectors) -> KrausChannel:
     return KrausChannel([np.asarray(p, dtype=complex) for p in projectors])
 
 
-def basis_dephasing_channel(dim: int, unitary: np.ndarray | None = None) -> KrausChannel:
-    """Rank-1 pinching along the columns of ``unitary`` (computational basis if None)."""
-    u = np.eye(dim, dtype=complex) if unitary is None else np.asarray(unitary, dtype=complex)
-    return KrausChannel([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
+def dephasing_channel(basis_unitary) -> BlockProjection:
+    """Measure-and-forget along the basis {U|k>}: the block projection with blocks (1, 1)."""
+    return BlockProjection(basis_unitary, [(1, 1)] * len(basis_unitary))
 
 
-def conditional_expectation_channel(block_dims, unitary: np.ndarray | None = None) -> KrausChannel:
+def conditional_expectation_channel(block_dims, unitary: np.ndarray | None = None) -> BlockProjection:
     """Projection onto a block algebra: sectors (m_q x n_q) with the m factor scrambled.
 
     ``block_dims`` is a list of (m_q, n_q) pairs with sum m_q * n_q equal to
@@ -211,19 +352,7 @@ def conditional_expectation_channel(block_dims, unitary: np.ndarray | None = Non
     optional unitary conjugates the whole block structure.
     """
     dim = sum(m * n for m, n in block_dims)
-    u = np.eye(dim, dtype=complex) if unitary is None else np.asarray(unitary, dtype=complex)
-    kraus = []
-    offset = 0
-    for m, n in block_dims:
-        for r in range(m):
-            for s in range(m):
-                op = np.zeros((dim, dim), dtype=complex)
-                rows = offset + r * n + np.arange(n)
-                cols = offset + s * n + np.arange(n)
-                op[rows, cols] = 1.0 / np.sqrt(m)
-                kraus.append(u @ op @ u.conj().T)
-        offset += m * n
-    return KrausChannel(kraus)
+    return BlockProjection(np.arange(dim) if unitary is None else unitary, block_dims)
 
 
 def twirl_channel(unitaries) -> KrausChannel:
@@ -249,7 +378,7 @@ def _random_block_dims(dim: int, rng: np.random.Generator, with_multiplicity: bo
     return blocks
 
 
-def random_unital_idempotent_channel(dim: int, rng: np.random.Generator) -> KrausChannel:
+def random_unital_idempotent_channel(dim: int, rng: np.random.Generator) -> KrausChannel | BlockProjection:
     """Sample one unital idempotent channel: pinching, finite twirl, or block projection.
 
     The twirl branch averages over a random cyclic phase group (order <= 8)

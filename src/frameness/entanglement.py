@@ -3,6 +3,8 @@
 Dephasing one subsystem along any orthonormal basis is entanglement breaking,
 unital and idempotent, so the relative-entropy distance from rho to the
 channel's (separable) image is exactly the entropy gap of the lifted channel.
+The lifted channel is a :class:`~frameness.channels.BlockProjection` (idempotent
+by its form, no Kraus operators), so the gap comes from one block per outcome.
 Minimizing that gap over the dephasing basis bounds the relative entropy of
 entanglement from above; the coherent information S(rho_A) - S(rho_AB) bounds
 it from below.  For two qubits the basis unitary is parameterized by two
@@ -18,18 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .channels import KrausChannel
+from .channels import BlockProjection, _checked_unitary, relative_entropy_to_image
 from .sampling import haar_unitary
 from .states import (
     DensityOperator,
     ShapeMismatchError,
+    _entropy_of_spectrum,
     partial_trace,
     von_neumann_entropy,
 )
 
-EIG_CUTOFF = 1e-12
 TIGHT_TOL = 1e-4  # certificate threshold |upper - lower| for the tight flag
-_UNITARY_TOL = 1e-10
 
 
 @dataclass
@@ -62,45 +63,28 @@ def bell_diagonal_state(p: float) -> BipartiteState:
     return BipartiteState(2, 2, DensityOperator(m))
 
 
-def _check_unitary(u: np.ndarray):
-    dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-    if dev > _UNITARY_TOL:
-        raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
+def lifted_dephasing_channel(rho: BipartiteState, basis_unitary, side: str = "B") -> BlockProjection:
+    """The dephasing lifted to the joint space: I (x) D_U (side B) or D_U (x) I.
 
-
-def dephasing_channel(basis_unitary) -> KrausChannel:
-    """Measure-and-forget along the basis {U|k>}: Kraus set {U|k><k|U^dag}.
-
-    Rank-1 projective pinching; entanglement breaking by construction, and
-    idempotent because projecting twice is projecting once.
+    Its basis is I (x) U with columns ordered by outcome and blocks (1, d_A), or U (x) I.
     """
-    u = np.asarray(basis_unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ShapeMismatchError(f"basis matrix must be square, got {u.shape}")
-    _check_unitary(u)
-    return KrausChannel([np.outer(u[:, k], u[:, k].conj()) for k in range(u.shape[0])])
-
-
-def lifted_dephasing_channel(rho: BipartiteState, basis_unitary, side: str = "B") -> KrausChannel:
-    """The dephasing lifted to the joint space: I (x) D_U (side B) or D_U (x) I."""
-    local = dephasing_channel(basis_unitary)
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    u = _checked_unitary(basis_unitary)
+    d_kept, d_measured = (rho.dim_a, rho.dim_b) if side == "B" else (rho.dim_b, rho.dim_a)
+    if u.shape[0] != d_measured:
+        raise ShapeMismatchError(f"unitary dim {u.shape[0]} vs {side} dim {d_measured}")
+    eye = np.eye(d_kept)
     if side == "B":
-        if local.dim != rho.dim_b:
-            raise ShapeMismatchError(f"unitary dim {local.dim} vs B dim {rho.dim_b}")
-        eye = np.eye(rho.dim_a)
-        return KrausChannel([np.kron(eye, k) for k in local.kraus])
-    if side == "A":
-        if local.dim != rho.dim_a:
-            raise ShapeMismatchError(f"unitary dim {local.dim} vs A dim {rho.dim_a}")
-        eye = np.eye(rho.dim_b)
-        return KrausChannel([np.kron(k, eye) for k in local.kraus])
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+        basis = np.einsum("ij,bk->ibkj", eye, u)  # I (x) U, column k d_A + a
+    else:
+        basis = np.einsum("ak,bj->abkj", u, eye)  # U (x) I
+    return BlockProjection._orthonormal(basis.reshape(rho.state.dim, -1), [(1, d_kept)] * d_measured)
 
 
 def dephasing_upper_bound(rho: BipartiteState, basis_unitary, side: str = "B") -> float:
     """S((I (x) D_U)(rho)) - S(rho): an upper bound on the relative entropy of entanglement."""
-    ch = lifted_dephasing_channel(rho, basis_unitary, side)
-    return von_neumann_entropy(ch.apply(rho.state)) - von_neumann_entropy(rho.state)
+    return relative_entropy_to_image(lifted_dephasing_channel(rho, basis_unitary, side), rho.state)
 
 
 def two_qubit_parameterized_unitary(theta: float, gamma: float) -> np.ndarray:
@@ -148,28 +132,14 @@ def _grid_upper_bounds(rho: BipartiteState, grid: int,
     """Vectorized S(E_{theta,gamma}(rho)) - S(rho) over the full angle grid."""
     thetas = np.arange(grid) * math.pi / grid
     gammas = np.arange(grid) * 2.0 * math.pi / grid
-    t = np.broadcast_to(np.cos(thetas)[:, None], (grid, grid))
-    s = np.broadcast_to(np.sin(thetas)[:, None], (grid, grid))
-    phase = np.broadcast_to(np.exp(1j * gammas)[None, :], (grid, grid))
-    u = np.zeros((grid, grid, 2, 2), dtype=complex)
-    u[..., 0, 0] = t
-    u[..., 1, 1] = -t
-    u[..., 0, 1] = s * phase
-    u[..., 1, 0] = s * phase.conj()
-    eye = np.eye(2)
-    rho_m = rho.state.matrix
-    out = np.zeros((grid, grid, 4, 4), dtype=complex)
-    for k in range(2):
-        col = u[..., :, k]
-        proj = col[..., :, None] * col.conj()[..., None, :]
-        if side == "B":
-            lifted = np.einsum("ij,...kl->...ikjl", eye, proj).reshape(grid, grid, 4, 4)
-        else:
-            lifted = np.einsum("...kl,ij->...kilj", proj, eye).reshape(grid, grid, 4, 4)
-        out += lifted @ rho_m @ np.conj(np.swapaxes(lifted, -1, -2))
-    evals = np.linalg.eigvalsh(out)
-    safe = np.where(evals > EIG_CUTOFF, evals, 1.0)
-    entropies = -(safe * np.log2(safe)).sum(axis=-1)
+    # cols[..., k, :] is column k of two_qubit_parameterized_unitary(theta, gamma)
+    c = np.broadcast_to(np.cos(thetas)[:, None], (grid, grid))
+    e = np.sin(thetas)[:, None] * np.exp(1j * gammas)[None, :]
+    cols = np.stack([np.stack([c, e.conj()], -1), np.stack([e, -c], -1)], -2)
+    # the dephased blocks sigma_k = <u_k| rho |u_k>, partial on the measured qubit
+    spec = "...kb,abAB,...kB->...kaA" if side == "B" else "...ka,abAB,...kA->...kbB"
+    blocks = np.einsum(spec, cols.conj(), rho.state.matrix.reshape(2, 2, 2, 2), cols)
+    entropies = _entropy_of_spectrum(np.linalg.eigvalsh(blocks)).sum(axis=-1)
     return thetas, gammas, entropies - von_neumann_entropy(rho.state)
 
 

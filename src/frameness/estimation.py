@@ -17,11 +17,10 @@ import numpy as np
 
 from .asymmetry import TwirlOperation, g_asymmetry
 from .groups import FiniteGroupRep
-from .states import DensityOperator, FramenessError, ShapeMismatchError
+from .states import EIG_CUTOFF, DensityOperator, FramenessError, ShapeMismatchError
 
 EFFECT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
-_SUPPORT_CUTOFF = 1e-12
 
 
 @dataclass
@@ -99,7 +98,7 @@ def mutual_information(ens: OrbitEnsemble, povm: DiscretePOVM) -> float:
     total = 0.0
     for i in range(joint.shape[0]):
         for j in range(joint.shape[1]):
-            if joint[i, j] > _SUPPORT_CUTOFF:
+            if joint[i, j] > EIG_CUTOFF:
                 total += joint[i, j] * math.log2(joint[i, j] / (pg[i] * pgp[j]))
     return float(max(0.0, total))
 
@@ -112,7 +111,7 @@ def square_root_measurement(ens: OrbitEnsemble) -> DiscretePOVM:
     """
     s = ens.average().matrix
     lams, vecs = np.linalg.eigh(s)
-    keep = lams > _SUPPORT_CUTOFF
+    keep = lams > EIG_CUTOFF
     inv_sqrt = (vecs[:, keep] / np.sqrt(lams[keep])) @ vecs[:, keep].conj().T
     null = vecs[:, ~keep] @ vecs[:, ~keep].conj().T
     effects = []

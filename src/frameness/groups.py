@@ -253,10 +253,6 @@ class ChargeGrading:
         return np.diag(self.charges.astype(float))
 
 
-def charge_sector_projectors(grading: ChargeGrading) -> list[np.ndarray]:
-    return grading.sector_projectors()
-
-
 def hamming_weight_grading(n_qubits: int) -> ChargeGrading:
     """Charge of a computational basis string = its number of 1 bits."""
     idx = np.arange(1 << n_qubits)

@@ -4,7 +4,7 @@ All entropies are in bits.  The single spectral primitive is the Hermitian
 eigendecomposition (``numpy.linalg.eigvalsh``/``eigh``); every entropy routes
 through it so that tolerances compose predictably.  Eigenvalues at or below
 ``EIG_CUTOFF`` count as exact zeros, both for ``0 log 0 = 0`` and for support
-detection in the relative entropy.
+detection in the relative entropy; the other modules use this one cutoff.
 """
 
 from __future__ import annotations
@@ -163,7 +163,11 @@ def _as_weights(p) -> np.ndarray:
     return ProbabilityDistribution(p).weights
 
 
-def _entropy_of_spectrum(lams: np.ndarray) -> float:
+def _entropy_of_spectrum(lams: np.ndarray):
+    """-sum lam log2 lam over the last axis; a stack of spectra gives an array of entropies."""
+    if lams.ndim > 1:
+        safe = np.where(lams > EIG_CUTOFF, lams, 1.0)
+        return -(safe * np.log2(safe)).sum(axis=-1)
     lams = lams[lams > EIG_CUTOFF]
     return float(-(lams * np.log2(lams)).sum()) if lams.size else 0.0
 

@@ -26,8 +26,9 @@ def test_bell_diagonal_state():
 
 def test_dephasing_channel_structure():
     ch = fr.dephasing_channel(np.eye(2))
-    assert_allclose(ch.kraus[0], np.diag([1.0, 0.0]), atol=1e-15)
-    assert_allclose(ch.kraus[1], np.diag([0.0, 1.0]), atol=1e-15)
+    kraus = ch.kraus_channel().kraus
+    assert_allclose(kraus[0], np.diag([1.0, 0.0]), atol=1e-15)
+    assert_allclose(kraus[1], np.diag([0.0, 1.0]), atol=1e-15)
     with pytest.raises(ValueError):
         fr.dephasing_channel(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
@@ -189,3 +190,15 @@ def test_bound_report_json_dict():
     payload = report.to_json_dict()
     assert set(payload) == {"upper", "lower", "tight", "theta", "gamma"}
     assert payload["tight"] is True
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_grid_blocks_match_the_pointwise_bound(side):
+    from frameness.entanglement import _grid_upper_bounds
+
+    bip = random_two_qubit_state(np.random.default_rng(6))
+    thetas, gammas, values = _grid_upper_bounds(bip, 6, side)
+    for i, theta in enumerate(thetas):
+        for j, gamma in enumerate(gammas):
+            u = fr.two_qubit_parameterized_unitary(theta, gamma)
+            assert values[i, j] == pytest.approx(fr.dephasing_upper_bound(bip, u, side), abs=1e-12)
