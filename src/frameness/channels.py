@@ -18,9 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import UNITARY_TOL
 from .sampling import haar_unitary, random_density_operator
 from .states import (
+    COMPOSED_TOL,
+    EIG_CUTOFF,
+    IDENTITY_TOL,
+    INPUT_TOL,
     DensityOperator,
     FramenessError,
     PureState,
@@ -30,14 +33,6 @@ from .states import (
     complex_matrix_to_json,
     von_neumann_entropy,
 )
-
-KRAUS_TOL = 1e-10
-UNITAL_TOL = 1e-9
-# Composition squares rounding error, so the superoperator check is looser
-# than the state-level tolerances.
-IDEMPOTENT_TOL = 1e-8
-COMMUTANT_TOL = 1e-9
-
 
 class ChannelPreconditionError(FramenessError):
     """An operation requires a unital and/or idempotent channel."""
@@ -57,7 +52,7 @@ class KrausChannel:
             raise ShapeMismatchError("Kraus operators must share one square shape")
         total = sum(k.conj().T @ k for k in ops)
         dev = float(np.abs(total - np.eye(d)).max())
-        if dev > KRAUS_TOL:
+        if dev > INPUT_TOL:
             raise FramenessError(f"sum E^dag E deviates from identity by {dev:.3e}")
         for k in ops:
             k.setflags(write=False)
@@ -101,13 +96,13 @@ class KrausChannel:
         """The channel's Kraus form: itself."""
         return self
 
-    def is_unital(self, tol: float = UNITAL_TOL) -> bool:
+    def is_unital(self) -> bool:
         eye = np.eye(self.dim)
-        return float(np.abs(self.apply_matrix(eye) - eye).max()) <= tol
+        return float(np.abs(self.apply_matrix(eye) - eye).max()) <= IDENTITY_TOL
 
-    def is_idempotent(self, tol: float = IDEMPOTENT_TOL) -> bool:
+    def is_idempotent(self) -> bool:
         m = self.superoperator()
-        return float(np.abs(m @ m - m).max()) <= tol
+        return float(np.abs(m @ m - m).max()) <= COMPOSED_TOL
 
     def __repr__(self):
         return f"KrausChannel(dim={self.dim}, n_kraus={len(self.kraus)})"
@@ -123,12 +118,12 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _checked_unitary(u) -> np.ndarray:
-    """``u`` as a square array, after checking u^dag u = I to UNITARY_TOL."""
+    """``u`` as a square array, after checking u^dag u = I to INPUT_TOL."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ShapeMismatchError(f"basis matrix must be square, got {u.shape}")
     dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-    if dev > UNITARY_TOL:
+    if dev > INPUT_TOL:
         raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
     return u
 
@@ -254,8 +249,7 @@ def kraus_channel_from_json(obj: dict) -> KrausChannel:
     return ch
 
 
-def commutant_fixed_point_check(ch: KrausChannel | BlockProjection, tau: np.ndarray,
-                                tol: float = COMMUTANT_TOL) -> bool:
+def commutant_fixed_point_check(ch: KrausChannel | BlockProjection, tau: np.ndarray) -> bool:
     """True iff tau commutes with every Kraus operator and its adjoint.
 
     For unital channels the commutant of {E_a, E_a^dag} is exactly the fixed
@@ -267,13 +261,13 @@ def commutant_fixed_point_check(ch: KrausChannel | BlockProjection, tau: np.ndar
     tau = np.asarray(tau, dtype=complex)
     for k in ch.kraus_channel().kraus:
         for e in (k, k.conj().T):
-            if float(np.abs(tau @ e - e @ tau).max()) > tol:
+            if float(np.abs(tau @ e - e @ tau).max()) > IDENTITY_TOL:
                 return False
     tr = complex(np.trace(tau))
-    if abs(tr) > 1e-12:
+    if abs(tr) > EIG_CUTOFF:
         state = tau / tr
         dev = float(np.abs(ch.apply_matrix(state) - state).max())
-        if dev > tol:
+        if dev > IDENTITY_TOL:
             raise FramenessError(
                 f"commuting operator not fixed by the channel (dev {dev:.3e}); tolerances inconsistent"
             )
@@ -295,7 +289,7 @@ class ImageFixReport:
 
 
 def image_fix_equivalence_check(ch: KrausChannel | BlockProjection, samples: int = 50,
-                                seed: int = 0, tol: float = 1e-8) -> ImageFixReport:
+                                seed: int = 0) -> ImageFixReport:
     """Check Image(E) = Fix(E) against the channel's idempotence verdict.
 
     For ``samples`` random states rho the report records whether E(E(rho))
@@ -309,7 +303,7 @@ def image_fix_equivalence_check(ch: KrausChannel | BlockProjection, samples: int
         worst = max(worst, float(np.abs(ch.apply_matrix(image) - image).max()))
     return ImageFixReport(
         idempotent=ch.is_idempotent(),
-        all_image_states_fixed=worst <= tol,
+        all_image_states_fixed=worst <= COMPOSED_TOL,
         max_refix_deviation=worst,
         samples=samples,
     )

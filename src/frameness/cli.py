@@ -50,18 +50,25 @@ from .scaling import (
     GAUSSIAN_CONSTANT_BITS,
     GAUSSIAN_CONSTANT_HALF,
     finite_group_bound_check,
-    lie_group_log_bound,
     regularized_asymmetry_table,
     relinearized_monotone,
+    su2_bound_check,
     u1_ncopy_asymmetry,
     variance_discontinuity_witness,
 )
 from .states import (
+    BOUND_TOL,
+    COMPOSED_TOL,
+    IDENTITY_TOL,
+    KLEIN_TOL,
+    TIGHT_TOL,
+    VERIFY_TOL,
     DensityOperator,
     FramenessError,
     ProbabilityDistribution,
     PureState,
     ResourceLimitError,
+    binary_entropy,
     density_from_json,
     density_to_json,
     pure_state_from_json,
@@ -332,31 +339,20 @@ def _cmd_bounds(args) -> int:
         rho = _load_state(ns.state) if ns.state else random_density_operator(
             rep.dim, np.random.default_rng(ns.seed))
         report = finite_group_bound_check(rep, rho, ns.copies)
-        result = {
-            "group_order": report.group_order,
-            "ok": report.ok,
-            "rows": [{"N": r.copies, "A_bits": r.asymmetry, "bound_bits": r.bound, "ok": r.ok}
-                     for r in report.rows],
-        }
+        header = ("N", "A_bits", "bound_bits", "ok")
         rows = [(r.copies, r.asymmetry, r.bound, r.ok) for r in report.rows]
-        _emit(ns, meta, result, ("N", "A_bits", "bound_bits", "ok"), rows)
+        result = {"group_order": report.group_order, "ok": report.ok,
+                  "rows": [dict(zip(header, row)) for row in rows]}
+        _emit(ns, meta, result, header, rows)
         return 0
     if ns.group == "su2":
         if ns.qubits is None:
             raise ValueError("--group su2 needs --qubits")
         rep = build_collective_spin_rep(ns.qubits)
-        bound = lie_group_log_bound(ns.qubits, 2)
-        state = maximal_asymmetry_state("su2", rep=rep)
-        measured = g_asymmetry(TwirlOperation.su2(rep), state).asymmetry
-        result = {
-            "exact_bits": bound.exact_bits,
-            "asymptotic_bits": bound.asymptotic_bits,
-            "measured_bits": measured,
-            "ok": measured <= bound.exact_bits + 1e-8,
-        }
-        _emit(ns, meta, result,
-              ("exact_bits", "asymptotic_bits", "measured_bits", "ok"),
-              [(bound.exact_bits, bound.asymptotic_bits, measured, result["ok"])])
+        report = su2_bound_check(rep, [maximal_asymmetry_state("su2", rep=rep)])
+        header = ("exact_bits", "asymptotic_bits", "measured_bits", "ok")
+        row = (report.bound.exact_bits, report.bound.asymptotic_bits, report.measured[0], report.ok)
+        _emit(ns, meta, dict(zip(header, row)), header, [row])
         return 0
     raise ValueError("bounds supports --group finite or --group su2")
 
@@ -382,11 +378,8 @@ def _cmd_ree(args) -> int:
         for pv in (float(x) for x in ns.sweep.split(",")):
             rep = optimize_two_qubit_bound(bell_diagonal_state(pv), grid=ns.grid, side=ns.side)
             rows.append((pv, rep.upper, rep.lower, rep.theta, rep.gamma, rep.tight))
-        result = [
-            {"p": r[0], "upper": r[1], "lower": r[2], "theta": r[3], "gamma": r[4], "tight": r[5]}
-            for r in rows
-        ]
-        _emit(ns, meta, result, ("p", "upper", "lower", "theta", "gamma", "tight"), rows)
+        header = ("p", "upper", "lower", "theta", "gamma", "tight")
+        _emit(ns, meta, [dict(zip(header, r)) for r in rows], header, rows)
         return 0
 
     if ns.state:
@@ -454,7 +447,7 @@ def _verify_checks(seed: int):
             a = random_density_operator(4, rng)
             b = random_density_operator(4, rng)
             worst = min(worst, relative_entropy(a, b))
-        return worst >= -1e-9, f"min sampled relative entropy {worst:.2e}"
+        return worst >= -KLEIN_TOL, f"min sampled relative entropy {worst:.2e} (floor -{KLEIN_TOL:.0e})"
 
     def twirl_channels():
         reps = [TwirlOperation.finite(z2_phase_flip_rep()),
@@ -465,7 +458,8 @@ def _verify_checks(seed: int):
             ch = tw.kraus_channel()
             if not (ch.is_unital() and ch.is_idempotent()):
                 return False, f"{tw.kind} twirl failed unital/idempotent"
-        return True, "finite/u1/su2 twirls unital and idempotent"
+        return True, (f"finite/u1/su2 twirls unital and idempotent "
+                      f"(tol {IDENTITY_TOL:.0e}, {COMPOSED_TOL:.0e})")
 
     def minimizer_identity():
         gradings = TwirlOperation.u1(ChargeGrading([0, 1, 2]))
@@ -474,7 +468,7 @@ def _verify_checks(seed: int):
             rho = random_density_operator(3, rng)
             res = g_asymmetry(gradings, rho)
             worst = max(worst, abs(res.asymmetry - relative_entropy(rho, res.twirled_state)))
-        return worst <= 1e-8, f"max |A - S(rho||G(rho))| = {worst:.2e}"
+        return worst <= VERIFY_TOL, f"max |A - S(rho||G(rho))| = {worst:.2e} (tol {VERIFY_TOL:.0e})"
 
     def channel_identity():
         worst = 0.0
@@ -483,25 +477,29 @@ def _verify_checks(seed: int):
             rho = random_density_operator(5, rng)
             gap = relative_entropy_to_image(ch, rho)
             worst = max(worst, abs(gap - relative_entropy(rho, ch.apply(rho))))
-        return worst <= 1e-8, f"max identity deviation {worst:.2e}"
+        return worst <= VERIFY_TOL, f"max identity deviation {worst:.2e} (tol {VERIFY_TOL:.0e})"
 
     def holevo():
         plus = PureState(np.array([1, 1]) / math.sqrt(2)).projector()
         report = holevo_bound_check(z2_phase_flip_rep(), plus,
                                     povms=[random_povm(2, 2, rng) for _ in range(3)])
-        return report.ok and abs(report.best_info - 1.0) <= 1e-8, \
-            f"best info {report.best_info:.6f} vs cap {report.asymmetry:.6f}"
+        dev = abs(report.best_info - 1.0)
+        return report.ok and dev <= VERIFY_TOL, \
+            (f"best info {report.best_info:.6f} vs cap {report.asymmetry:.6f} (slack {BOUND_TOL:.0e}), "
+             f"|info - 1| {dev:.2e} (tol {VERIFY_TOL:.0e})")
 
     def finite_bound():
         rho = random_density_operator(2, rng)
-        rep_ok = finite_group_bound_check(quaternion_rep(), rho, 2).ok
-        return rep_ok, "A_G(rho^N) <= log2|G| for Q8, N <= 2"
+        report = finite_group_bound_check(quaternion_rep(), rho, 2)
+        return report.ok, (f"max A_G(rho^N) {max(r.asymmetry for r in report.rows):.6f} <= log2|G| = 3 "
+                           f"(slack {BOUND_TOL:.0e}) for Q8, N <= 2")
 
     def gaussian_law():
         a200 = u1_ncopy_asymmetry([0.5, 0.5], 200)
         model = 0.5 * math.log2(2 * math.pi * 200 * 0.25) + GAUSSIAN_CONSTANT_BITS
         return abs(a200 - model) <= 0.02 and a200 / 200 <= 0.05, \
-            f"A(200) = {a200:.5f}, model {model:.5f}"
+            (f"A(200) = {a200:.5f}, model {model:.5f}, |A - model| {abs(a200 - model):.2e} "
+             f"(tol 0.02), A/N {a200 / 200:.2e} (tol 0.05)")
 
     def witness():
         report = variance_discontinuity_witness([8, 16, 64, 256])
@@ -511,13 +509,15 @@ def _verify_checks(seed: int):
     def relinearized():
         report = relinearized_monotone([0.5, 0.5], [100, 200])
         return report.relative_change(100, 200) < 0.02, \
-            f"L(A)/N change {report.relative_change(100, 200):.2e}"
+            f"L(A)/N change {report.relative_change(100, 200):.2e} (tol 0.02)"
 
     def ree_family():
         report = optimize_two_qubit_bound(bell_diagonal_state(0.75))
-        target = 1.0 - (-(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)))
-        return report.tight and abs(report.upper - target) <= 1e-4, \
-            f"upper {report.upper:.6f}, lower {report.lower:.6f}"
+        target = 1.0 - binary_entropy(0.75)
+        gap, dev = abs(report.upper - report.lower), abs(report.upper - target)
+        return report.tight and dev <= TIGHT_TOL, \
+            (f"upper {report.upper:.6f}, lower {report.lower:.6f}, |upper - lower| {gap:.2e} "
+             f"and |upper - target| {dev:.2e} (tol {TIGHT_TOL:.0e})")
 
     return [
         ("klein_nonnegativity", klein),

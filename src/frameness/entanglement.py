@@ -23,15 +23,13 @@ import scipy.optimize
 from .channels import BlockProjection, _checked_unitary, relative_entropy_to_image
 from .sampling import haar_unitary
 from .states import (
+    TIGHT_TOL,
     DensityOperator,
     ShapeMismatchError,
     _entropy_of_spectrum,
     partial_trace,
     von_neumann_entropy,
 )
-
-TIGHT_TOL = 1e-4  # certificate threshold |upper - lower| for the tight flag
-
 
 @dataclass
 class BipartiteState:
@@ -143,12 +141,21 @@ def _grid_upper_bounds(rho: BipartiteState, grid: int,
     return thetas, gammas, entropies - von_neumann_entropy(rho.state)
 
 
+def _reduced_angles(theta: float, gamma: float) -> tuple[float, float]:
+    """Reduce to theta in [0, pi/4], gamma in [0, 2 pi) ([0, pi) at theta 0 or pi/4): the twins
+    (theta + pi/2, gamma), (pi - theta, gamma + pi), (pi/2 - theta, gamma + pi) give the same basis."""
+    theta %= math.pi / 2
+    if theta > math.pi / 4:
+        theta, gamma = math.pi / 2 - theta, gamma + math.pi
+    return theta, gamma % (math.pi if theta in (0.0, math.pi / 4) else 2.0 * math.pi)
+
+
 def optimize_two_qubit_bound(rho: BipartiteState, grid: int = 64, side: str = "B") -> BoundReport:
     """Minimize the dephasing bound over the two-angle family on two qubits.
 
     Deterministic: a grid x grid scan of [0, pi) x [0, 2 pi) followed by
     Nelder-Mead refinement started from the three best grid points.  The
-    returned angles are reduced to the canonical window.
+    returned angles are reduced by :func:`_reduced_angles`.
     """
     if rho.dim_a != 2 or rho.dim_b != 2:
         raise ShapeMismatchError("two-angle optimization needs a 2 x 2 qubit pair")
@@ -171,8 +178,7 @@ def optimize_two_qubit_bound(rho: BipartiteState, grid: int = 64, side: str = "B
         )
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x
-    theta = float(best_x[0]) % math.pi
-    gamma = float(best_x[1]) % (2.0 * math.pi)
+    theta, gamma = _reduced_angles(float(best_x[0]), float(best_x[1]))
     return BoundReport(
         upper=best_val,
         lower=hashing_lower_bound(rho),

@@ -10,17 +10,22 @@ that cap is achievable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymmetry import TwirlOperation, g_asymmetry
 from .groups import FiniteGroupRep
-from .states import EIG_CUTOFF, DensityOperator, FramenessError, ShapeMismatchError
-
-EFFECT_PSD_TOL = 1e-10
-COMPLETENESS_TOL = 1e-9
+from .states import (
+    EIG_CUTOFF,
+    IDENTITY_TOL,
+    INPUT_TOL,
+    DensityOperator,
+    FramenessError,
+    ShapeMismatchError,
+    _entropy_of_spectrum,
+    within_bound,
+)
 
 
 @dataclass
@@ -70,10 +75,10 @@ class DiscretePOVM:
         for i, e in enumerate(ops):
             herm = float(np.abs(e - e.conj().T).max())
             low = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T))[0])
-            if herm > EFFECT_PSD_TOL or low < -EFFECT_PSD_TOL:
+            if herm > INPUT_TOL or low < -INPUT_TOL:
                 raise FramenessError(f"effect {i} is not PSD (herm {herm:.2e}, min eig {low:.2e})")
         dev = float(np.abs(sum(ops) - np.eye(d)).max())
-        if dev > COMPLETENESS_TOL:
+        if dev > IDENTITY_TOL:
             raise FramenessError(f"effects sum deviates from identity by {dev:.3e}")
         for e in ops:
             e.setflags(write=False)
@@ -85,21 +90,13 @@ class DiscretePOVM:
 
 
 def mutual_information(ens: OrbitEnsemble, povm: DiscretePOVM) -> float:
-    """H(g' : g) in bits for the uniform prior over the orbit."""
+    """H(g' : g) = H(g) + H(g') - H(g, g') in bits, for the uniform prior over the orbit."""
     if povm.dim != ens.dim:
         raise ShapeMismatchError(f"POVM dim {povm.dim} does not match ensemble dim {ens.dim}")
-    cond = np.array(
-        [[float(np.real(np.trace(s.matrix @ e))) for e in povm.effects] for s in ens.states]
-    )
-    cond = np.clip(cond, 0.0, None)
-    joint = cond / ens.size
-    pg = joint.sum(axis=1)   # = 1/|G| up to rounding
-    pgp = joint.sum(axis=0)
-    total = 0.0
-    for i in range(joint.shape[0]):
-        for j in range(joint.shape[1]):
-            if joint[i, j] > EIG_CUTOFF:
-                total += joint[i, j] * math.log2(joint[i, j] / (pg[i] * pgp[j]))
+    cond = [[float(np.real(np.trace(s.matrix @ e))) for e in povm.effects] for s in ens.states]
+    joint = np.clip(cond, 0.0, None) / ens.size
+    total = (_entropy_of_spectrum(joint.sum(axis=1)) + _entropy_of_spectrum(joint.sum(axis=0))
+             - _entropy_of_spectrum(joint.ravel()))
     return float(max(0.0, total))
 
 
@@ -152,26 +149,20 @@ class HolevoReport:
 
     @property
     def ok(self) -> bool:
-        return bool(self.best_info <= self.asymmetry + 1e-8)
+        return within_bound(self.best_info, self.asymmetry)
 
     @property
     def ratio(self) -> float | None:
-        if self.asymmetry <= 1e-12:
+        if self.asymmetry <= EIG_CUTOFF:
             return None
         return float(self.best_info / self.asymmetry)
 
 
-def holevo_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
-                       povms=None, include_srm: bool = True) -> HolevoReport:
-    """Compare mutual informations of supplied POVMs against the asymmetry cap."""
+def holevo_bound_check(rep: FiniteGroupRep, rho: DensityOperator, povms=None) -> HolevoReport:
+    """Compare the mutual informations of the SRM and the supplied POVMs against the asymmetry cap."""
     ens = orbit_ensemble(rep, rho)
     asym = g_asymmetry(TwirlOperation.finite(rep), rho).asymmetry
-    tried: list[tuple[str, float]] = []
-    if include_srm:
-        tried.append(("srm", mutual_information(ens, square_root_measurement(ens))))
-    for k, povm in enumerate(povms or []):
-        tried.append((f"povm{k}", mutual_information(ens, povm)))
-    if not tried:
-        raise ValueError("no measurements to try")
+    tried = [("srm", mutual_information(ens, square_root_measurement(ens)))]
+    tried += [(f"povm{k}", mutual_information(ens, povm)) for k, povm in enumerate(povms or [])]
     best_label, best = max(tried, key=lambda kv: kv[1])
     return HolevoReport(asym, best, best_label, tried)

@@ -24,6 +24,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .states import (
+    COMPOSED_TOL,
+    INPUT_TOL,
     FramenessError,
     ResourceLimitError,
     complex_matrix_from_json,
@@ -32,9 +34,6 @@ from .states import (
 
 MAX_GROUP_ORDER = 64
 MAX_QUBITS = 12
-UNITARY_TOL = 1e-10
-HOMOMORPHISM_TOL = 1e-10
-SCHUR_TOL = 1e-8
 
 
 class RepresentationError(FramenessError):
@@ -141,7 +140,7 @@ def validate_finite_rep(rep: FiniteGroupRep) -> ValidationReport:
     eye = np.eye(rep.dim)
     for i, u in enumerate(rep.unitaries):
         dev = float(np.abs(u.conj().T @ u - eye).max())
-        if dev > UNITARY_TOL:
+        if dev > INPUT_TOL:
             report.add("unitarity", f"T(g{i}) is not unitary", dev)
 
     worst = 0.0
@@ -151,17 +150,17 @@ def validate_finite_rep(rep: FiniteGroupRep) -> ValidationReport:
             dev = float(np.abs(rep.unitaries[i] @ rep.unitaries[j] - rep.unitaries[t[i, j]]).max())
             if dev > worst:
                 worst, first = dev, (i, j)
-    if worst > HOMOMORPHISM_TOL:
+    if worst > INPUT_TOL:
         i, j = first
         report.add("homomorphism", f"T(g{i})T(g{j}) != T(g{i} g{j})", worst)
     return report
 
 
-def finite_group_from_unitaries(unitaries, tol: float = 1e-8) -> FiniteGroupRep:
+def finite_group_from_unitaries(unitaries) -> FiniteGroupRep:
     """Build the multiplication table by matching matrix products to elements.
 
     Raises if the supplied set is not closed under multiplication (within
-    ``tol``, entrywise).
+    COMPOSED_TOL, entrywise).
     """
     us = [np.asarray(u, dtype=complex) for u in unitaries]
     n = len(us)
@@ -169,7 +168,7 @@ def finite_group_from_unitaries(unitaries, tol: float = 1e-8) -> FiniteGroupRep:
     for i in range(n):
         for j in range(n):
             prod = us[i] @ us[j]
-            hits = [k for k, u in enumerate(us) if np.abs(prod - u).max() <= tol]
+            hits = [k for k, u in enumerate(us) if np.abs(prod - u).max() <= COMPOSED_TOL]
             if len(hits) != 1:
                 raise RepresentationError(
                     f"product T(g{i})T(g{j}) matches {len(hits)} elements; set not closed"
@@ -412,7 +411,7 @@ def _highest_weight_space(jp, n_qubits: int, j: int) -> np.ndarray:
         for u in chosen:
             v -= (u @ v) * u
         norm = np.linalg.norm(v)
-        if norm > 1e-8:
+        if norm > COMPOSED_TOL:
             chosen.append(v / norm)
         if len(chosen) == want:
             break

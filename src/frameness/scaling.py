@@ -24,6 +24,7 @@ import numpy as np
 from .asymmetry import TwirlOperation, g_asymmetry
 from .groups import ChargeGrading, CollectiveSpinRep, FiniteGroupRep, symmetric_subspace_dimension
 from .states import (
+    ZERO_VARIANCE_CUTOFF,
     DensityOperator,
     ProbabilityDistribution,
     PureState,
@@ -31,6 +32,7 @@ from .states import (
     max_dim,
     shannon_entropy,
     trace_distance,
+    within_bound,
 )
 
 GAUSSIAN_CONSTANT_BITS = 0.5 * math.log2(math.e)
@@ -141,7 +143,7 @@ def regularized_asymmetry_table(per_copy, n_list,
     rows = []
     for n in ns:
         a = u1_ncopy_asymmetry(p, n)
-        model = gaussian_entropy_model(v1, n, constant) if v1 > 1e-15 else 0.0
+        model = gaussian_entropy_model(v1, n, constant) if v1 > ZERO_VARIANCE_CUTOFF else 0.0
         rows.append(ScalingRow(n, a, model, a - model))
     label = f"0.5*log2(2*pi*N*V) + {constant:.6f}"
     return ScalingReport(model=label, variance=v1, rows=rows)
@@ -159,7 +161,7 @@ class BoundRow:
 
     @property
     def ok(self) -> bool:
-        return self.asymmetry <= self.bound + 1e-8
+        return within_bound(self.asymmetry, self.bound)
 
 
 @dataclass
@@ -226,7 +228,7 @@ class Su2BoundReport:
 
     @property
     def ok(self) -> bool:
-        return all(a <= self.bound.exact_bits + 1e-8 for a in self.measured)
+        return all(within_bound(a, self.bound.exact_bits) for a in self.measured)
 
 
 def su2_bound_check(rep: CollectiveSpinRep, states) -> Su2BoundReport:

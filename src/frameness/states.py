@@ -1,10 +1,9 @@
-"""Dense state objects and the entropic functionals everything else consumes.
+"""Dense state objects, the entropic functionals, and the tolerance table.
 
 All entropies are in bits.  The single spectral primitive is the Hermitian
 eigendecomposition (``numpy.linalg.eigvalsh``/``eigh``); every entropy routes
-through it so that tolerances compose predictably.  Eigenvalues at or below
-``EIG_CUTOFF`` count as exact zeros, both for ``0 log 0 = 0`` and for support
-detection in the relative entropy; the other modules use this one cutoff.
+through :func:`_entropy_of_spectrum`.  Every numerical threshold of the toolkit
+is defined once, in the table below, so that tolerances compose predictably.
 """
 
 from __future__ import annotations
@@ -14,17 +13,19 @@ import os
 
 import numpy as np
 
-LOG2E = math.log2(math.e)
-
-# Effective support: eigenvalues <= EIG_CUTOFF are treated as exact zeros.
-# Chosen well above double-precision eigensolver noise at desk-scale dims.
-EIG_CUTOFF = 1e-12
-
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-PURE_NORM_TOL = 1e-12
-DIST_TOL = 1e-10
+# Tolerance table: every numerical threshold, grouped by what it guards.
+EIG_CUTOFF = 1e-12   # treated as zero: eigenvalue, probability, trace, asymmetry; above eigensolver noise
+INPUT_TOL = 1e-10    # an input's defining identity, entrywise: states, weights, Kraus, unitaries, effects
+IDENTITY_TOL = 1e-9  # a channel or POVM identity: E(I) = I, the commutant test, effects summing to I
+COMPOSED_TOL = 1e-8  # a product of checked inputs: E(E(x)) = E(x), group closure, Gram-Schmidt residual
+BOUND_TOL = 1e-8     # the slack in "measured <= bound" (within_bound)
+TIGHT_TOL = 1e-4     # |upper - lower| of a tight entanglement sandwich
+# Own meanings.
+PURE_NORM_TOL = 1e-12         # | ||psi|| - 1 | of a state vector
+NULL_WEIGHT_TOL = 1e-10       # weight rho may put outside supp(sigma) before S(rho||sigma) = inf
+ZERO_VARIANCE_CUTOFF = 1e-15  # a per-copy charge law with a smaller variance is a point mass
+VERIFY_TOL = 1e-8             # verify: an identity between two computed values
+KLEIN_TOL = 1e-9              # verify: how far below 0 a sampled S(rho||sigma) may read
 
 _DEFAULT_MAX_DIM = 2**14
 
@@ -74,15 +75,15 @@ class DensityOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
         herm_dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        if herm_dev > HERM_TOL:
+        if herm_dev > INPUT_TOL:
             raise InvalidStateError(f"not Hermitian: max deviation {herm_dev:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > INPUT_TOL:
             raise InvalidStateError(f"trace {tr:.12g} differs from 1 beyond tolerance")
         m = 0.5 * (m + m.conj().T)
         spectrum = np.linalg.eigvalsh(m)
         lowest = float(spectrum[0])
-        if lowest < -PSD_TOL:
+        if lowest < -INPUT_TOL:
             raise InvalidStateError(f"not PSD: smallest eigenvalue {lowest:.3e}")
         m.setflags(write=False)
         spectrum.setflags(write=False)
@@ -112,7 +113,7 @@ class PureState:
             raise InvalidStateError("empty amplitude vector")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > PURE_NORM_TOL:
-            raise InvalidStateError(f"norm {norm:.15f} differs from 1 beyond 1e-12")
+            raise InvalidStateError(f"norm {norm:.15f} differs from 1 beyond {PURE_NORM_TOL:g}")
         v.setflags(write=False)
         self.dim = int(v.size)
         self.amplitudes = v
@@ -130,7 +131,7 @@ class PureState:
 
 
 class ProbabilityDistribution:
-    """Finite sequence of nonnegative weights summing to one (tolerance 1e-10)."""
+    """Finite sequence of nonnegative weights summing to one (to INPUT_TOL)."""
 
     __slots__ = ("weights",)
 
@@ -138,10 +139,10 @@ class ProbabilityDistribution:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.size == 0:
             raise InvalidDistributionError("empty distribution")
-        if float(w.min()) < -DIST_TOL:
+        if float(w.min()) < -INPUT_TOL:
             raise InvalidDistributionError(f"negative weight {w.min():.3e}")
         total = float(w.sum())
-        if abs(total - 1.0) > DIST_TOL:
+        if abs(total - 1.0) > INPUT_TOL:
             raise InvalidDistributionError(f"weights sum to {total:.12g}, expected 1")
         w = np.clip(w, 0.0, None)
         w.setflags(write=False)
@@ -163,13 +164,16 @@ def _as_weights(p) -> np.ndarray:
     return ProbabilityDistribution(p).weights
 
 
+def within_bound(measured: float, bound: float) -> bool:
+    """measured <= bound, up to BOUND_TOL: the one rule for every bound check."""
+    return bool(measured <= bound + BOUND_TOL)
+
+
 def _entropy_of_spectrum(lams: np.ndarray):
-    """-sum lam log2 lam over the last axis; a stack of spectra gives an array of entropies."""
-    if lams.ndim > 1:
-        safe = np.where(lams > EIG_CUTOFF, lams, 1.0)
-        return -(safe * np.log2(safe)).sum(axis=-1)
-    lams = lams[lams > EIG_CUTOFF]
-    return float(-(lams * np.log2(lams)).sum()) if lams.size else 0.0
+    """-sum lam log2 lam over the last axis, lam <= EIG_CUTOFF as 0; a stack gives an array."""
+    safe = np.where(lams > EIG_CUTOFF, lams, 1.0)  # 1 log2 1 = 0
+    h = -(safe * np.log2(safe)).sum(axis=-1)
+    return float(h) if np.ndim(h) == 0 else h
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -203,7 +207,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     # diagonal of V^dag rho V: weight of rho along each eigenvector of sigma
     w = np.einsum("ij,jk,ki->i", vecs.conj().T, rho.matrix, vecs).real
     null = s <= EIG_CUTOFF
-    if float(w[null].sum()) > 1e-10:
+    if float(w[null].sum()) > NULL_WEIGHT_TOL:
         return math.inf
     keep = ~null
     cross = float((w[keep] * np.log2(s[keep])).sum())

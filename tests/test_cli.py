@@ -188,6 +188,10 @@ def test_verify_passes_and_prints(capsys):
     assert cli.run(["verify", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    # every check but the witness (two monotonicity flags) prints its threshold
+    lines = out.splitlines()
+    assert len(lines) == 10
+    assert sum(any(k in line for k in ("(tol ", "(floor ", "(slack ")) for line in lines) == 9
 
 
 def test_exit_codes(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import frameness as fr
+from frameness.entanglement import _reduced_angles
 
 
 def partial_transpose_b(matrix):
@@ -107,6 +108,24 @@ def test_bound_is_invariant_under_theta_shift_by_pi():
     a = fr.dephasing_upper_bound(bip, fr.two_qubit_parameterized_unitary(theta, gamma))
     b = fr.dephasing_upper_bound(bip, fr.two_qubit_parameterized_unitary(theta + math.pi, gamma))
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_twin_angles_reduce_to_one_pair_with_the_same_bound():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        bip = random_two_qubit_state(rng)
+        theta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        twins = [(theta, gamma), (theta + math.pi / 2, gamma),
+                 (math.pi - theta, gamma + math.pi), (math.pi / 2 - theta, gamma + math.pi)]
+        reduced = [_reduced_angles(t, g) for t, g in twins]
+        for t, g in reduced:
+            assert 0.0 <= t <= math.pi / 4 and 0.0 <= g < 2 * math.pi
+            assert_allclose((t, g), reduced[0], atol=1e-12)
+        bounds = [fr.dephasing_upper_bound(bip, fr.two_qubit_parameterized_unitary(t, g))
+                  for t, g in twins + reduced]
+        assert_allclose(bounds, bounds[0], atol=1e-12)
+    report = fr.optimize_two_qubit_bound(random_two_qubit_state(rng), grid=16)
+    assert (report.theta, report.gamma) == _reduced_angles(report.theta, report.gamma)
 
 
 def test_bound_equals_relative_entropy_to_image():
