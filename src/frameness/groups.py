@@ -248,9 +248,6 @@ class ChargeGrading:
         diag = np.real(np.diagonal(rho.matrix if hasattr(rho, "matrix") else rho))
         return np.array([diag[self.charges == n].sum() for n in self.distinct_charges()])
 
-    def number_operator(self) -> np.ndarray:
-        return np.diag(self.charges.astype(float))
-
 
 def hamming_weight_grading(n_qubits: int) -> ChargeGrading:
     """Charge of a computational basis string = its number of 1 bits."""

@@ -172,7 +172,9 @@ def within_bound(measured: float, bound: float) -> bool:
 def _entropy_of_spectrum(lams: np.ndarray):
     """-sum lam log2 lam over the last axis, lam <= EIG_CUTOFF as 0; a stack gives an array."""
     safe = np.where(lams > EIG_CUTOFF, lams, 1.0)  # 1 log2 1 = 0
-    h = -(safe * np.log2(safe)).sum(axis=-1)
+    terms = np.log2(safe)
+    terms *= safe
+    h = 0.0 - terms.sum(axis=-1)  # not -sum: a zero entropy is +0.0, never -0.0
     return float(h) if np.ndim(h) == 0 else h
 
 

@@ -76,6 +76,19 @@ def test_asymmetry_invariant_state_is_zero(tmp_path, z2_rep_file):
     assert payload["result"]["asymmetry"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_zero_entropies_are_written_as_positive_zero(tmp_path):
+    state = write_json(tmp_path / "basis.json",
+                       fr.density_to_json(fr.DensityOperator(np.diag([1.0, 0.0]))))
+    charges = write_json(tmp_path / "c.json", {"dim": 2, "charges": [0, 1]})
+    out = tmp_path / "out.json"
+    assert cli.run(["asymmetry", "--group", "u1", "--state", state, "--charges", charges,
+                    "--out", str(out)]) == 0
+    assert "-0.0" not in out.read_text()
+    result = json.loads(out.read_text())["result"]
+    for key in ("entropy_in", "entropy_out", "asymmetry"):
+        assert math.copysign(1.0, result[key]) == 1.0, key
+
+
 def test_twirl_dumps_state(tmp_path, plus_state_file, z2_rep_file):
     payload = run_json(tmp_path, ["twirl", "--group", "finite",
                                   "--state", plus_state_file, "--rep", z2_rep_file])

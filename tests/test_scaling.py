@@ -2,15 +2,84 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frameness as fr
+from frameness.states import EIG_CUTOFF
 
 
 def binomial_entropy_oracle(n):
     """Direct sum over binomial coefficients, independent of the convolution code."""
     weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float) / 2.0**n
     return float(-(weights * np.log2(weights)).sum())
+
+
+def convolve_copies_oracle(weights, n):
+    """The direct loop: N - 1 linear convolutions with the per-copy law."""
+    acc = weights
+    for _ in range(n - 1):
+        acc = np.convolve(acc, weights)
+    return acc
+
+
+def lgamma_binomial_entropy(n, p):
+    """Binomial(n, p) entropy in bits from lgamma log-weights.
+
+    Only the window of 40 standard deviations around the mean is summed:
+    outside it every weight is below exp(-800), which underflows to 0.
+    """
+    lp, lq, lf = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    half = int(40 * math.sqrt(n * p * (1 - p))) + 1
+    total = 0.0
+    for k in range(max(0, int(n * p) - half), min(n, int(n * p) + half) + 1):
+        log_b = lf - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq
+        total -= math.exp(log_b) * log_b
+    return total / math.log(2)
+
+
+def _charge_law(levels, shape, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(levels))
+    if shape == "zero-ends":  # a 2-level law keeps one nonzero end
+        w[0] = 0.0
+        w[-1] = 0.0 if levels > 2 else w[-1]
+    elif shape == "skewed":
+        w = rng.dirichlet(np.full(levels, 0.05))
+    elif shape == "subnormal":  # tails of the loop's products fall below 2^-1022
+        w[0] = 0.0
+        w *= 10.0 ** -rng.uniform(3, 8) / w.sum()
+        w[0] = 1.0 - w.sum()
+    return w / w.sum()
+
+
+@given(st.integers(2, 8), st.sampled_from(["flat", "zero-ends", "skewed", "subnormal"]),
+       st.integers(0, 10**6), st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_fft_powering_matches_the_convolution_loop(levels, shape, seed, n):
+    per_copy = fr.ProbabilityDistribution(_charge_law(levels, shape, seed))
+    oracle = convolve_copies_oracle(per_copy.weights, n)
+    profile = fr.convolve_copies(per_copy, n)
+    assert profile.convolved.weights.shape == oracle.shape
+    # An N-fold convolution has condition number ~N: rounding the law's weights
+    # alone moves the result by ~N eps, and both the loop and the powering
+    # round that much (measured worst 1.9 N eps, for a skewed law).
+    weight_tol = 4 * n * np.finfo(float).eps
+    assert_allclose(profile.convolved.weights, oracle, rtol=0, atol=weight_tol)
+    # The entropy drops weights at or below EIG_CUTOFF, which is a jump of up to
+    # EIG_CUTOFF log2(1 / EIG_CUTOFF) = 4e-11 bits for a weight on that edge.
+    edge = np.count_nonzero(np.abs(oracle - EIG_CUTOFF) <= weight_tol)
+    assert fr.u1_ncopy_asymmetry(per_copy, n) == pytest.approx(
+        fr.shannon_entropy(oracle), abs=1e-11 + edge * EIG_CUTOFF * math.log2(1 / EIG_CUTOFF))
+
+
+def test_million_copies_match_the_binomial_entropy():
+    n, p = 10**6, 0.3
+    profile = fr.convolve_copies([1.0 - p, p], n)  # constructing it passed the INPUT_TOL sum check
+    assert profile.convolved.weights.size == n + 1
+    assert fr.shannon_entropy(profile.convolved) == pytest.approx(
+        lgamma_binomial_entropy(n, p), abs=1e-8)
 
 
 def test_number_variance_examples():
@@ -35,6 +104,10 @@ def test_convolution_examples():
 
     point = fr.convolve_copies([0.0, 1.0], 7)
     assert_allclose(point.convolved.weights, np.eye(8)[7], atol=1e-15)
+    # zero end weights shift the powered law, so a point mass stays exact at any N
+    far = fr.convolve_copies([0.0, 1.0, 0.0], 20000).convolved.weights
+    assert far.size == 40001 and far[20000] == 1.0 and np.count_nonzero(far) == 1
+    assert fr.u1_ncopy_asymmetry([0.0, 1.0, 0.0], 20000) == 0.0
 
 
 def test_convolution_moment_additivity():

@@ -123,6 +123,27 @@ def test_shannon_entropy_examples():
         fr.shannon_entropy([0.7, 0.7])
 
 
+def test_entropy_matches_the_full_temporaries_formula_bit_for_bit():
+    from frameness.states import EIG_CUTOFF, _entropy_of_spectrum
+
+    def oracle(lams):
+        safe = np.where(lams > EIG_CUTOFF, lams, 1.0)
+        return -(safe * np.log2(safe)).sum(axis=-1)
+
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 7, 64, 4097):
+        lams = rng.dirichlet(np.full(size, 0.3))
+        lams[rng.random(size) < 0.3] = 0.0  # exact zeros and sub-cutoff weights
+        lams[rng.random(size) < 0.1] = 1e-14
+        assert _entropy_of_spectrum(lams) == float(oracle(lams))
+    stack = rng.dirichlet(np.ones(5), size=(3, 4))
+    stack[0, 0] = [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(_entropy_of_spectrum(stack), oracle(stack))
+    # a pure spectrum has entropy +0.0, where -sum gives -0.0
+    assert math.copysign(1.0, _entropy_of_spectrum(np.array([1.0, 0.0]))) == 1.0
+    assert math.copysign(1.0, fr.shannon_entropy([0.0, 1.0, 0.0])) == 1.0
+
+
 def test_binary_entropy_examples():
     assert fr.binary_entropy(0.5) == pytest.approx(1.0)
     assert fr.binary_entropy(0.0) == 0.0
