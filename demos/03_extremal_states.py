@@ -12,8 +12,9 @@ weight (2j+1) d_j, d_j = min(2j+1, dim N_j), and its asymmetry hits
 
     log2( (4/3) j_max^3 + (5/3) j_max + 1 ).
 
-This demo builds the Schur bases explicitly, constructs the extremal states,
-and checks the measured asymmetries against the closed forms.
+This demo builds the Schur bases (one real orthogonal block per Hamming
+weight), constructs the extremal states, and checks the measured asymmetries
+against the closed forms.
 """
 
 import math
@@ -49,7 +50,10 @@ rep = fr.build_collective_spin_rep(4)
 rng = np.random.default_rng(3)
 psi = fr.random_pure_state(16, rng)
 
-coords = rep.basis.T @ psi.amplitudes
+# Schur coordinates, one Hamming-weight block at a time: coords[cols] = u^T psi[rows]
+coords = np.zeros(rep.dim, dtype=complex)
+for rows, cols, u in rep.weight_blocks:
+    coords[cols] = u.T @ psi.amplitudes[rows]
 p = np.zeros(rep.j_max + 1)
 q = [None] * rep.j_max
 for sec in rep.sectors:

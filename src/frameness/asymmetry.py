@@ -20,12 +20,13 @@ Realized actions:
   killing cross-sector blocks.
 
 The U(1) and SU(2) twirls are each a :class:`~frameness.channels.BlockProjection`,
-the one conditional-expectation type, idempotent by its form: the
-charge-sorted permutation with blocks (1, n_c), and the Schur basis with
-blocks (2j+1, mult_j).  So :func:`g_asymmetry` takes S(G(rho)) from the small
-sector blocks, or for a :class:`~frameness.states.PureState` (S(psi) = 0) from
-its sector coefficients, and never forms the d x d matrix G(rho); that is
-formed only when :attr:`AsymmetryResult.twirled_state` is read.
+the one conditional-expectation type, idempotent by its form: identity basis
+blocks on the charge sectors with sectors (1, n_c), and the Schur basis's
+Hamming-weight blocks with sectors (2j+1, mult_j).  So :func:`g_asymmetry`
+takes S(G(rho)) from the small sector blocks, or for a
+:class:`~frameness.states.PureState` (S(psi) = 0) from its sector
+coefficients, and never forms the d x d matrix G(rho); that is formed only
+when :attr:`AsymmetryResult.twirled_state` is read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 
 import numpy as np
 
-from .channels import BlockProjection, KrausChannel, twirl_channel
+from .channels import BlockProjection, KrausChannel, _identity_blocks, twirl_channel
 from .groups import ChargeGrading, CollectiveSpinRep, FiniteGroupRep, multiplicity_dimension
 from .sampling import random_density_operator, random_pure_state
 from .states import (
@@ -70,14 +71,15 @@ class TwirlOperation:
     @classmethod
     def u1(cls, grading: ChargeGrading) -> "TwirlOperation":
         order = np.argsort(grading.charges, kind="stable")
-        _, counts = np.unique(grading.charges, return_counts=True)
-        return cls("u1", grading, BlockProjection(order, [(1, n) for n in counts]))
+        counts = np.unique(grading.charges, return_counts=True)[1].tolist()
+        proj = BlockProjection(_identity_blocks(order, counts), [(1, n) for n in counts])
+        return cls("u1", grading, proj)
 
     @classmethod
     def su2(cls, rep: CollectiveSpinRep) -> "TwirlOperation":
-        # the Schur basis is orthonormal by construction, and real: it stays uncopied
+        # the real weight blocks of the Schur basis stay uncopied
         blocks = [(2 * sec.j + 1, sec.multiplicity) for sec in rep.sectors]
-        return cls("su2", rep, BlockProjection._orthonormal(rep.basis, blocks))
+        return cls("su2", rep, BlockProjection(rep.weight_blocks, blocks))
 
     @property
     def dim(self) -> int:
@@ -248,12 +250,14 @@ def maximal_asymmetry_state(family: str, *, n_max: int | None = None,
             raise ValueError("su2 maximal state needs a CollectiveSpinRep")
         weights = {s.j: (2 * s.j + 1) * min(2 * s.j + 1, s.multiplicity) for s in rep.sectors}
         d_star = sum(weights.values())
-        amps = np.zeros(rep.dim)
+        coords = np.zeros(rep.dim)  # in the Schur basis
         for sec in rep.sectors:
             d_j = min(2 * sec.j + 1, sec.multiplicity)
             coeff = math.sqrt(weights[sec.j] / (d_star * d_j))
-            for k in range(d_j):
-                # pair the k-th m level with the k-th multiplicity label
-                amps += coeff * rep.basis[:, sec.start + k * sec.multiplicity + k]
+            # pair the k-th m level with the k-th multiplicity label, k < d_j
+            coords[sec.start + np.arange(d_j) * (sec.multiplicity + 1)] = coeff
+        amps = np.zeros(rep.dim)
+        for rows, cols, u in rep.weight_blocks:
+            amps[rows] = u @ coords[cols]
         return PureState(amps / np.linalg.norm(amps))
     raise ValueError(f"no maximal-asymmetry construction for group family {family!r}")

@@ -5,10 +5,11 @@ idempotent, the minimum relative-entropy distance from a state rho to the
 channel's image is the entropy gap S(E(rho)) - S(rho), attained at E(rho)
 itself.  :func:`relative_entropy_to_image` evaluates that gap after checking
 both preconditions.  :class:`BlockProjection` is the one conditional-expectation
-type (u1/su2 twirls, block algebras, dephasing), idempotent by its form and
-with its entropy taken from its blocks; pinchings and finite twirls stay
-Kraus-only, their idempotence checked through the superoperator.  The
-generators at the bottom produce test channels going beyond group twirls.
+type (u1/su2 twirls, block algebras, dephasing): its basis is a direct sum of
+unitary blocks, it is idempotent by its form and its entropy comes block by
+block.  Pinchings and finite twirls stay Kraus-only, their idempotence checked
+through the superoperator; the generators at the bottom produce test channels
+going beyond group twirls.
 """
 
 from __future__ import annotations
@@ -128,52 +129,60 @@ def _checked_unitary(u) -> np.ndarray:
     return u
 
 
+def _identity_blocks(rows: np.ndarray, sizes) -> list:
+    """Identity basis blocks on consecutive runs of ``rows``: U[:, c] = e_{rows[c]}."""
+    ends = np.cumsum(sizes).tolist()
+    return [(rows[t - n:t], np.arange(t - n, t), np.eye(n)) for n, t in zip(sizes, ends)]
+
+
 class BlockProjection:
     """Conditional expectation onto a block algebra, E(x) = U (sum_q I_{m_q}/m_q (x) sigma_q) U^dag.
 
     sigma_q = Tr_{m_q} x_q, x_q the q-th diagonal block of U^dag x U with column
-    index r n_q + alpha (r < m_q scrambled, alpha < n_q kept).  ``basis`` is U as
-    a d x d unitary, kept in its dtype, or a permutation p of range(d) (U[:, k] =
-    e_{p[k]}, applied by indexing); ``blocks`` lists the (m_q, n_q).  Unital and
-    idempotent by this form; the Kraus form is built only as a test oracle.
+    index r n_q + alpha (r < m_q scrambled, alpha < n_q kept); ``blocks`` lists
+    the (m_q, n_q).  ``basis`` is U as a d x d unitary array, or as a direct sum
+    of unitary blocks: a sequence of (rows, cols, u), U[rows, cols] = u, whose
+    rows and whose cols each partition range(d), each slab (q, r) n_q adjacent
+    columns of one u.  Blocks keep their dtype and are checked unitary.  Unital
+    and idempotent by this form; the Kraus form is built only as a test oracle.
     """
 
-    __slots__ = ("dim", "basis", "blocks", "_sectors", "_kraus")
+    __slots__ = ("dim", "basis", "blocks", "_slabs", "_kraus")
 
     def __init__(self, basis, blocks):
-        b = np.asarray(basis)
-        self._init(b if b.ndim == 1 else _checked_unitary(b), blocks)
-
-    @classmethod
-    def _orthonormal(cls, basis: np.ndarray, blocks) -> "BlockProjection":
-        """A projection on a basis orthonormal by construction: no unitarity check."""
-        proj = cls.__new__(cls)
-        proj._init(basis, blocks)
-        return proj
-
-    def _init(self, b: np.ndarray, blocks):
-        if b.ndim == 1 and (b.dtype.kind not in "iu" or not np.array_equal(np.sort(b), np.arange(b.size))):
-            raise ValueError("a 1-D basis must be a permutation of range(d)")
+        if isinstance(basis, np.ndarray):  # one dense block
+            basis = [(np.arange(len(basis)), np.arange(len(basis)), basis)]
+        self.basis = tuple((np.asarray(r), np.asarray(c), _checked_unitary(u)) for r, c, u in basis)
         self.blocks = tuple((int(m), int(n)) for m, n in blocks)
         if not self.blocks or min(min(mn) for mn in self.blocks) < 1:
             raise ValueError(f"blocks must be a nonempty list of positive (m, n), got {blocks}")
-        ends = np.cumsum([m * n for m, n in self.blocks]).tolist()
-        if ends[-1] != b.shape[0]:
-            raise ShapeMismatchError(f"blocks cover dimension {ends[-1]}, basis has {b.shape[0]}")
-        self.dim, self.basis, self._kraus = int(b.shape[0]), b, None
-        # (m_q, n_q, first column, end column) per block
-        self._sectors = [(m, n, t - m * n, t) for (m, n), t in zip(self.blocks, ends)]
+        if any(r.shape != (u.shape[0],) or c.shape != (u.shape[0],) for r, c, u in self.basis):
+            raise ShapeMismatchError("each basis block needs one row and one column index per side")
+        rows_cols = np.concatenate([blk[:2] for blk in self.basis], axis=1)
+        d = sum(m * n for m, n in self.blocks)
+        if rows_cols.shape[1] != d:
+            raise ShapeMismatchError(f"blocks cover dimension {d}, basis has {rows_cols.shape[1]}")
+        if (np.sort(rows_cols) != np.arange(d)).any():
+            raise ValueError("the rows and the columns of the basis blocks must each partition range(d)")
+        self.dim, self._kraus = d, None
+        # key[c] = d * (basis block) + (column within it), for column c of U
+        key = np.empty(d, dtype=int)
+        for b, (_, c, _) in enumerate(self.basis):
+            key[c] = b * d + np.arange(c.size)
+        # each slab (q, r) is n_q consecutive columns of one block: its keys run up by one
+        key, self._slabs, s = key.tolist(), [], 0
+        for m, n in self.blocks:
+            firsts = range(s, s + m * n, n)
+            if any(key[c:c + n] != list(range(key[c], key[c] + n)) for c in firsts):
+                raise ValueError("each slab must be n_q consecutive columns of one basis block")
+            self._slabs.append([divmod(key[c], d) for c in firsts])  # (block, its first column)
+            s += m * n
 
     def _sector_blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """sigma_q per block; with a real U, x U and each U_q^dag (x U)_q are real GEMMs."""
-        b = self.basis
-        if b.ndim == 1:
-            return [sum(x[np.ix_(idx, idx)] for idx in b[s:t].reshape(m, n))
-                    for m, n, s, t in self._sectors]
-        xb = _matmul(x, b)
-        # the sum over rows and over the m factor: one (d m) x n column stack each
-        return [_matmul(b[:, s:t].reshape(-1, n).conj().T, xb[:, s:t].reshape(-1, n))
-                for m, n, s, t in self._sectors]
+        """sigma_q = sum_r U_{q,r}^dag x U_{q,r}; with real blocks, every product is a real GEMM."""
+        xu = [_matmul(x[r][:, r], u) for r, _, u in self.basis]
+        return [sum(_matmul(self.basis[b][2][:, c:c + n].conj().T, xu[b][:, c:c + n]) for b, c in slabs)
+                for (_, n), slabs in zip(self.blocks, self._slabs)]
 
     def image_entropy(self, state: DensityOperator | PureState) -> float:
         """S(E(state)) = sum_q m_q H(eig(sigma_q)/m_q), from the sector blocks."""
@@ -182,9 +191,10 @@ class BlockProjection:
         if isinstance(state, PureState):
             # sigma_q = C^T conj(C) for the m_q x n_q block C of U^dag psi; it has the
             # nonzero spectrum of C C^dag, so take the smaller Gram matrix
-            b, psi = self.basis, state.amplitudes
-            c = psi[b] if b.ndim == 1 else _matmul(b.conj().T, psi)
-            cs = [c[s:t].reshape(m, n) for m, n, s, t in self._sectors]
+            psi = state.amplitudes
+            coeffs = [_matmul(u.conj().T, psi[r]) for r, _, u in self.basis]
+            cs = [np.array([coeffs[b][c:c + n] for b, c in slabs])
+                  for (_, n), slabs in zip(self.blocks, self._slabs)]
             sigmas = [c @ c.conj().T if c.shape[0] <= c.shape[1] else c.T @ c.conj() for c in cs]
         else:
             sigmas = self._sector_blocks(state.matrix)
@@ -192,18 +202,18 @@ class BlockProjection:
                          for (m, _), sigma in zip(self.blocks, sigmas)))
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        """The dense E(x)."""
+        """The dense E(x); it is block diagonal over the row sets of the basis blocks."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim, self.dim):
             raise ShapeMismatchError(f"operator shape {x.shape} does not match dim {self.dim}")
-        b, out = self.basis, np.zeros_like(x)
-        for (m, n, s, t), sigma in zip(self._sectors, self._sector_blocks(x)):
-            if b.ndim == 1:
-                for idx in b[s:t].reshape(m, n):
-                    out[np.ix_(idx, idx)] = sigma / m
-            else:
-                out[s:t, s:t] = np.kron(np.eye(m) / m, sigma)
-        return out if b.ndim == 1 else _matmul(_matmul(b, out), b.conj().T)
+        fills = [np.zeros(u.shape, dtype=complex) for _, _, u in self.basis]
+        for (m, n), slabs, sigma in zip(self.blocks, self._slabs, self._sector_blocks(x)):
+            for b, c in slabs:
+                fills[b][c:c + n, c:c + n] = sigma / m
+        out = np.zeros_like(x)
+        for (r, _, u), fill in zip(self.basis, fills):
+            out[np.ix_(r, r)] = _matmul(_matmul(u, fill), u.conj().T)
+        return out
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         return DensityOperator(self.apply_matrix(rho.matrix))
@@ -221,14 +231,17 @@ class BlockProjection:
         return True
 
     def kraus_channel(self) -> KrausChannel:
-        """Kraus form {U_{q,r} U_{q,s}^dag / sqrt(m_q)} (U_{q,r}: factor r's columns), built once."""
+        """Kraus form {U_{q,r} U_{q,s}^dag / sqrt(m_q)} (U_{q,r}: slab r's columns), built once."""
         if self._kraus is None:
-            u = np.eye(self.dim)[:, self.basis] if self.basis.ndim == 1 else self.basis
             kraus = []
-            for m, n, s, t in self._sectors:
-                cols = u[:, s:t].reshape(self.dim, m, n)
-                kraus += [cols[:, r] @ cols[:, r2].conj().T / math.sqrt(m)
-                          for r in range(m) for r2 in range(m)]
+            for (m, n), slabs in zip(self.blocks, self._slabs):
+                cols = []
+                for b, c in slabs:
+                    r, _, u = self.basis[b]
+                    col = np.zeros((self.dim, n), dtype=u.dtype)
+                    col[r] = u[:, c:c + n]
+                    cols.append(col)
+                kraus += [k @ k2.conj().T / math.sqrt(m) for k in cols for k2 in cols]
             self._kraus = KrausChannel(kraus)
         return self._kraus
 
@@ -334,7 +347,7 @@ def pinching_channel(projectors) -> KrausChannel:
 
 def dephasing_channel(basis_unitary) -> BlockProjection:
     """Measure-and-forget along the basis {U|k>}: the block projection with blocks (1, 1)."""
-    return BlockProjection(basis_unitary, [(1, 1)] * len(basis_unitary))
+    return BlockProjection(np.asarray(basis_unitary), [(1, 1)] * len(basis_unitary))
 
 
 def conditional_expectation_channel(block_dims, unitary: np.ndarray | None = None) -> BlockProjection:
@@ -345,8 +358,9 @@ def conditional_expectation_channel(block_dims, unitary: np.ndarray | None = Non
     the maximally mixed state and acts as the identity on the n factor.  An
     optional unitary conjugates the whole block structure.
     """
-    dim = sum(m * n for m, n in block_dims)
-    return BlockProjection(np.arange(dim) if unitary is None else unitary, block_dims)
+    sizes = [m * n for m, n in block_dims]
+    basis = _identity_blocks(np.arange(sum(sizes)), sizes) if unitary is None else np.asarray(unitary)
+    return BlockProjection(basis, block_dims)
 
 
 def twirl_channel(unitaries) -> KrausChannel:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .channels import BlockProjection, _checked_unitary, relative_entropy_to_image
+from .channels import BlockProjection, relative_entropy_to_image
 from .sampling import haar_unitary
 from .states import (
     TIGHT_TOL,
@@ -68,7 +68,7 @@ def lifted_dephasing_channel(rho: BipartiteState, basis_unitary, side: str = "B"
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    u = _checked_unitary(basis_unitary)
+    u = np.asarray(basis_unitary)  # checked unitary, as I (x) U, by BlockProjection
     d_kept, d_measured = (rho.dim_a, rho.dim_b) if side == "B" else (rho.dim_b, rho.dim_a)
     if u.shape[0] != d_measured:
         raise ShapeMismatchError(f"unitary dim {u.shape[0]} vs {side} dim {d_measured}")
@@ -77,7 +77,7 @@ def lifted_dephasing_channel(rho: BipartiteState, basis_unitary, side: str = "B"
         basis = np.einsum("ij,bk->ibkj", eye, u)  # I (x) U, column k d_A + a
     else:
         basis = np.einsum("ak,bj->abkj", u, eye)  # U (x) I
-    return BlockProjection._orthonormal(basis.reshape(rho.state.dim, -1), [(1, d_kept)] * d_measured)
+    return BlockProjection(basis.reshape(rho.state.dim, -1), [(1, d_kept)] * d_measured)
 
 
 def dephasing_upper_bound(rho: BipartiteState, basis_unitary, side: str = "B") -> float:

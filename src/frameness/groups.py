@@ -6,9 +6,9 @@ Three families are supported:
   unitary per element;
 * U(1), encoded by an integer charge per basis vector (eigenbasis of the
   number operator);
-* the collective SU(2) representation on a register of qubits, with an
-  explicitly constructed Schur basis ``|j, m, alpha>`` realizing the
-  irrep (x) multiplicity factorization of each total-spin sector.
+* the collective SU(2) representation on a register of qubits, with its
+  Schur basis ``|j, m, alpha>`` (irrep (x) multiplicity per total-spin
+  sector) built and stored as one real orthogonal block per Hamming weight.
 
 Desk-scale caps: finite groups of order <= 64 (so the group axioms stay
 exhaustively checkable) and registers of at most 12 qubits.
@@ -249,10 +249,18 @@ class ChargeGrading:
         return np.array([diag[self.charges == n].sum() for n in self.distinct_charges()])
 
 
+def _hamming_weights(n_bits: int) -> np.ndarray:
+    """Number of 1 bits of each of 0 .. 2^n - 1, by shift and add over the n bits."""
+    idx = np.arange(1 << n_bits)
+    weights = np.zeros_like(idx)
+    for q in range(n_bits):
+        weights += (idx >> q) & 1
+    return weights
+
+
 def hamming_weight_grading(n_qubits: int) -> ChargeGrading:
     """Charge of a computational basis string = its number of 1 bits."""
-    idx = np.arange(1 << n_qubits)
-    return ChargeGrading([int(b).bit_count() for b in idx])
+    return ChargeGrading(_hamming_weights(n_qubits))
 
 
 def charge_grading_to_json(g: ChargeGrading) -> dict:
@@ -299,25 +307,13 @@ def _check_even_qubits(n_qubits: int):
 
 
 def _collective_operators(n_qubits: int):
-    """Sparse J+, J-, Jz, J^2 in the computational basis (|0> = spin up)."""
+    """Sparse J+, J-, Jz in the computational basis (|0> = spin up)."""
     dim = 1 << n_qubits
-    idx = np.arange(dim)
-    weights = np.array([int(b).bit_count() for b in idx])
-    mz = (n_qubits - 2 * weights) / 2.0
-    jz = scipy.sparse.diags(mz).tocsr()
-
-    rows, cols = [], []
-    for b in range(dim):
-        for q in range(n_qubits):
-            if (b >> q) & 1:  # flip a down spin (bit 1) up: m -> m + 1
-                rows.append(b & ~(1 << q))
-                cols.append(b)
-    jp = scipy.sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(dim, dim)
-    )
-    jm = jp.T.tocsr()
-    j2 = (jm @ jp + jz @ jz + jz).tocsr()
-    return jp, jm, jz, j2
+    jz = scipy.sparse.diags((n_qubits - 2 * _hamming_weights(n_qubits)) / 2.0).tocsr()
+    # J+ flips a down spin (bit q of string b is 1) up: m -> m + 1
+    b, q = np.nonzero((np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1)
+    jp = scipy.sparse.csr_matrix((np.ones(b.size), (b ^ (1 << q), b)), shape=(dim, dim))
+    return jp, jp.T.tocsr(), jz
 
 
 @dataclass
@@ -333,20 +329,22 @@ class SpinSector:
 class CollectiveSpinRep:
     """Collective SU(2) representation on an even number of qubits.
 
-    ``basis`` holds the Schur vectors as columns, grouped into total-spin
-    sectors (descending j).  Within a sector the column index is
-    ``m_index * multiplicity + alpha`` with ``m_index = 0`` at ``m = j``.
-    ``labels[k] = (j, m, alpha)`` for column k.
+    Schur columns are grouped into total-spin sectors (descending j); within a
+    sector the column index is ``m_index * multiplicity + alpha`` with
+    ``m_index = 0`` at ``m = j``.  ``labels[k] = (j, m, alpha)`` for column k.
+    Column (j, m, alpha) lives on the strings of Hamming weight N/2 - m, so the
+    basis U is ``weight_blocks[k] = (rows, cols, u)``, U[rows, cols] = u, per k.
     """
 
-    __slots__ = ("n_qubits", "dim", "jp", "jm", "jz", "j2", "basis", "labels", "sectors")
+    __slots__ = ("n_qubits", "dim", "jp", "jm", "jz", "weight_blocks", "labels", "sectors")
 
-    def __init__(self, n_qubits, jp, jm, jz, j2, basis, labels, sectors):
+    def __init__(self, n_qubits, jp, jm, jz, weight_blocks, labels, sectors):
         self.n_qubits = n_qubits
         self.dim = 1 << n_qubits
-        self.jp, self.jm, self.jz, self.j2 = jp, jm, jz, j2
-        basis.setflags(write=False)
-        self.basis = basis
+        self.jp, self.jm, self.jz = jp, jm, jz
+        for _, _, u in weight_blocks:
+            u.setflags(write=False)
+        self.weight_blocks = tuple(weight_blocks)
         self.labels = tuple(labels)
         self.sectors = tuple(sectors)
 
@@ -354,56 +352,27 @@ class CollectiveSpinRep:
     def j_max(self) -> int:
         return self.n_qubits // 2
 
-    def jx(self) -> np.ndarray:
-        return np.asarray((self.jp + self.jm).todense()) / 2.0
-
-    def jy(self) -> np.ndarray:
-        return np.asarray((self.jp - self.jm).todense()) / 2j
-
-    def jz_dense(self) -> np.ndarray:
-        return np.asarray(self.jz.todense()).astype(complex)
-
     def sector(self, j: int) -> SpinSector:
         for s in self.sectors:
             if s.j == j:
                 return s
         raise ValueError(f"no sector with j={j}")
 
-    def rotation(self, theta) -> np.ndarray:
-        """Collective rotation exp(i theta . J) as a dense unitary."""
-        if self.dim > 1 << 10:
-            raise ResourceLimitError("dense rotation capped at 10 qubits")
-        tx, ty, tz = (float(t) for t in theta)
-        gen = tx * self.jx() + ty * self.jy() + tz * self.jz_dense()
-        return scipy.linalg.expm(1j * gen)
 
+def _highest_weight_space(raising, want: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of ``raising``, J+ from weight k to k - 1.
 
-def _highest_weight_space(jp, n_qubits: int, j: int) -> np.ndarray:
-    """Orthonormal basis (columns) of {v : Jz v = j v, J+ v = 0}.
-
-    The kernel is computed by SVD and then re-based deterministically:
-    lexicographically ordered computational basis vectors of the m = j
-    sector are projected onto the kernel and Gram-Schmidt'ed in order, so
-    the alpha labels are reproducible across runs.
+    The kernel is computed by SVD and then re-based deterministically: the
+    weight-k computational basis vectors, in ascending order, are projected
+    onto the kernel and Gram-Schmidt'ed in order, so the alpha labels are
+    reproducible across runs.  Rows index the weight-k strings.
     """
-    dim = 1 << n_qubits
-    k = n_qubits // 2 - j  # number of 1 bits at m = j
-    sector = np.array([b for b in range(dim) if int(b).bit_count() == k])
-    if k == 0:
-        vec = np.zeros((dim, 1))
-        vec[sector[0], 0] = 1.0
-        return vec
-    above = np.array([b for b in range(dim) if int(b).bit_count() == k - 1])
-    a = jp[np.ix_(above, sector)].toarray()
-    kernel = scipy.linalg.null_space(a)
-    want = multiplicity_dimension(n_qubits, j)
+    kernel = scipy.linalg.null_space(raising.toarray())
     if kernel.shape[1] != want:
-        raise FramenessError(
-            f"highest-weight space at j={j} has dim {kernel.shape[1]}, expected {want}"
-        )
+        raise FramenessError(f"highest-weight space has dim {kernel.shape[1]}, expected {want}")
     proj = kernel @ kernel.T
     chosen = []
-    for i in range(sector.size):
+    for i in range(proj.shape[0]):
         v = proj[:, i].copy()
         for u in chosen:
             v -= (u @ v) * u
@@ -412,39 +381,41 @@ def _highest_weight_space(jp, n_qubits: int, j: int) -> np.ndarray:
             chosen.append(v / norm)
         if len(chosen) == want:
             break
-    out = np.zeros((dim, want))
-    for a_idx, v in enumerate(chosen):
-        out[sector, a_idx] = v
-    return out
+    return np.column_stack(chosen)
 
 
 def build_collective_spin_rep(n_qubits: int) -> CollectiveSpinRep:
-    """Construct the Schur basis for an even-size qubit register.
+    """Construct the Schur basis for an even-size qubit register, one weight block at a time.
 
-    Each spin sector is generated from its highest-weight space by repeated
-    application of the lowering operator:
+    Each spin sector is generated from its highest-weight space (the kernel of
+    J+ restricted from weight k = N/2 - j to k - 1) by repeated application of
+    the lowering operator restricted from weight k to k + 1:
     |j, m-1, a> = J- |j, m, a> / sqrt(j(j+1) - m(m-1)).
     """
     _check_even_qubits(n_qubits)
-    jp, jm, jz, j2 = _collective_operators(n_qubits)
-    dim = 1 << n_qubits
-
-    columns = []
+    jp, jm, jz = _collective_operators(n_qubits)
+    weights = _hamming_weights(n_qubits)
+    rows = [np.flatnonzero(weights == k) for k in range(n_qubits + 1)]
+    lowering = [jm[rows[k + 1]][:, rows[k]] for k in range(n_qubits)]
+    vecs = [[] for _ in rows]
     labels = []
     sectors = []
     for j in range(n_qubits // 2, -1, -1):
         mult = multiplicity_dimension(n_qubits, j)
-        top = _highest_weight_space(jp, n_qubits, j)
-        start = len(columns)
-        level = top
+        k = n_qubits // 2 - j
+        level = np.ones((1, 1)) if k == 0 else _highest_weight_space(jp[rows[k - 1]][:, rows[k]], mult)
+        start = len(labels)
         for m in range(j, -j - 1, -1):
-            for alpha in range(mult):
-                columns.append(level[:, alpha])
-                labels.append((j, m, alpha))
+            k = n_qubits // 2 - m
+            vecs[k].append(level)
+            labels += [(j, m, alpha) for alpha in range(mult)]
             if m > -j:
-                level = (jm @ level) / math.sqrt(j * (j + 1) - m * (m - 1))
-        sectors.append(SpinSector(j, mult, start, len(columns)))
-    basis = np.column_stack(columns)
-    if basis.shape != (dim, dim):
-        raise FramenessError(f"Schur basis is {basis.shape}, expected ({dim}, {dim})")
-    return CollectiveSpinRep(n_qubits, jp, jm, jz, j2, basis, labels, sectors)
+                level = (lowering[k] @ level) / math.sqrt(j * (j + 1) - m * (m - 1))
+        sectors.append(SpinSector(j, mult, start, len(labels)))
+    # a block's columns are the labels at its m, in label order: j descending, then alpha
+    ms = np.array([m for _, m, _ in labels])
+    blocks = [(r, np.flatnonzero(ms == n_qubits // 2 - k), np.hstack(v))
+              for k, (r, v) in enumerate(zip(rows, vecs))]
+    if any(u.shape != (r.size, r.size) for r, _, u in blocks):
+        raise FramenessError(f"Schur blocks are {[u.shape for _, _, u in blocks]}, not square")
+    return CollectiveSpinRep(n_qubits, jp, jm, jz, blocks, labels, sectors)

@@ -34,8 +34,10 @@ from scipy.fft import next_fast_len
 from .asymmetry import TwirlOperation, g_asymmetry
 from .groups import ChargeGrading, CollectiveSpinRep, FiniteGroupRep, symmetric_subspace_dimension
 from .states import (
+    CONVOLVED_SUM_EPS,
     ZERO_VARIANCE_CUTOFF,
     DensityOperator,
+    FramenessError,
     ProbabilityDistribution,
     PureState,
     ResourceLimitError,
@@ -102,10 +104,11 @@ def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
     per set bit, each product one real-FFT convolution: at most 2 log2 N
     products of support at most S = N (len - 1) + 1.  The error is absolute,
     of order N eps times the largest weight, so weights below ``EIG_CUTOFF``
-    (which every entropy drops) can be rounding noise; the result is still
-    validated as a ``ProbabilityDistribution``, which clips negative noise to
-    zero.  Zero weights at either end of the law only shift the result, so a
-    point mass comes out exact at any N.
+    (which every entropy drops) can be rounding noise.  The result must sum
+    to (sum p)^N within ``CONVOLVED_SUM_EPS`` N eps; it is then divided by
+    its sum and validated as a ``ProbabilityDistribution``, which clips
+    negative noise to zero.  Zero weights at either end of the law only shift
+    the result, so a point mass comes out exact at any N.
     """
     p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
     if n_copies < 1:
@@ -122,7 +125,12 @@ def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
         n >>= 1
         if n:
             power = _fft_convolve(power, power)
+    # (sum p)^N is 1 - 1.3e-10 for the stored [0.7, 0.3] at N = 2^22 - 1, beyond INPUT_TOL
+    total, expected = float(acc.sum()), math.fsum(p.weights) ** n_copies
+    if abs(total - expected) > CONVOLVED_SUM_EPS * n_copies * np.finfo(float).eps:
+        raise FramenessError(f"{n_copies}-fold convolution sums to {total!r}, expected {expected!r}")
     acc = np.pad(acc, (n_copies * lo, n_copies * (len(p) - 1 - hi)))
+    acc /= total
     return NumberDistributionProfile(p, n_copies, ProbabilityDistribution(acc))
 
 

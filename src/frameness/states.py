@@ -24,6 +24,7 @@ TIGHT_TOL = 1e-4     # |upper - lower| of a tight entanglement sandwich
 PURE_NORM_TOL = 1e-12         # | ||psi|| - 1 | of a state vector
 NULL_WEIGHT_TOL = 1e-10       # weight rho may put outside supp(sigma) before S(rho||sigma) = inf
 ZERO_VARIANCE_CUTOFF = 1e-15  # a per-copy charge law with a smaller variance is a point mass
+CONVOLVED_SUM_EPS = 8         # |sum - (sum p)^N| of an N-fold convolution, in units of N eps
 VERIFY_TOL = 1e-8             # verify: an identity between two computed values
 KLEIN_TOL = 1e-9              # verify: how far below 0 a sampled S(rho||sigma) may read
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import frameness as fr
 from frameness.groups import CollectiveSpinRep
+from su2_oracle import collective_rotation, dense_schur_basis
 
 
 def plus_state():
@@ -25,16 +26,18 @@ def two_qubit_extremal_state():
     return fr.PureState(v)
 
 
-def schur_sector_data(rep, psi):
-    """(p, q) sector weights and Schmidt distributions of a pure state."""
-    coords = rep.basis.T @ psi.amplitudes
-    p = np.zeros(rep.j_max + 1)
-    q = [None] * rep.j_max
-    for sec in rep.sectors:
+def schur_sector_data(n_qubits, psi):
+    """(p, q) sector weights and Schmidt distributions of a pure state, in the dense Schur basis."""
+    basis, _, sectors = dense_schur_basis(n_qubits)
+    j_max = n_qubits // 2
+    coords = basis.T @ psi.amplitudes
+    p = np.zeros(j_max + 1)
+    q = [None] * j_max
+    for sec in sectors:
         block = coords[sec.start:sec.stop].reshape(2 * sec.j + 1, sec.multiplicity)
         weight = float(np.linalg.norm(block) ** 2)
         p[sec.j] = weight
-        if sec.j < rep.j_max and weight > 1e-14:
+        if sec.j < j_max and weight > 1e-14:
             svals = np.linalg.svd(block, compute_uv=False)
             q[sec.j] = svals**2 / weight
     return fr.ProbabilityDistribution(p), q
@@ -155,7 +158,7 @@ def test_su2_closed_form_agrees_with_twirl(n_qubits):
     rng = np.random.default_rng(2)
     for _ in range(10):
         psi = fr.random_pure_state(rep.dim, rng)
-        p, q = schur_sector_data(rep, psi)
+        p, q = schur_sector_data(n_qubits, psi)
         closed = fr.su2_pure_asymmetry_closed_form(p, q, rep.j_max)
         measured = fr.g_asymmetry(tw, psi.projector()).asymmetry
         assert closed == pytest.approx(measured, abs=1e-7)
@@ -196,15 +199,16 @@ def test_any_schmidt_pairing_gives_the_same_asymmetry():
     rep = fr.build_collective_spin_rep(4)
     tw = fr.TwirlOperation.su2(rep)
     reference = fr.g_asymmetry(tw, fr.maximal_asymmetry_state("su2", rep=rep).projector()).asymmetry
+    basis, _, sectors = dense_schur_basis(4)
     amps = np.zeros(rep.dim)
-    weights = {s.j: (2 * s.j + 1) * min(2 * s.j + 1, s.multiplicity) for s in rep.sectors}
+    weights = {s.j: (2 * s.j + 1) * min(2 * s.j + 1, s.multiplicity) for s in sectors}
     d_star = sum(weights.values())
-    for sec in rep.sectors:
+    for sec in sectors:
         d_j = min(2 * sec.j + 1, sec.multiplicity)
         coeff = math.sqrt(weights[sec.j] / (d_star * d_j))
         for k in range(d_j):
             alpha = (k + 1) % d_j  # shifted pairing
-            amps += coeff * rep.basis[:, sec.start + k * sec.multiplicity + alpha]
+            amps += coeff * basis[:, sec.start + k * sec.multiplicity + alpha]
     permuted = fr.PureState(amps / np.linalg.norm(amps))
     assert fr.g_asymmetry(tw, permuted.projector()).asymmetry == pytest.approx(reference, abs=1e-8)
 
@@ -246,7 +250,7 @@ def test_twirl_covariance():
     tw_su2 = fr.TwirlOperation.su2(rep4)
     rho = fr.random_density_operator(16, rng)
     for _ in range(3):
-        u = rep4.rotation(rng.uniform(-2, 2, size=3))
+        u = collective_rotation(4, rng.uniform(-2, 2, size=3))
         rotated = fr.DensityOperator(u @ rho.matrix @ u.conj().T)
         assert fr.trace_distance(tw_su2(rotated), tw_su2(rho)) < 1e-8
 
@@ -256,13 +260,16 @@ def test_multiplicity_basis_independence():
     # leaves the twirl output unchanged
     rep = fr.build_collective_spin_rep(4)
     rng = np.random.default_rng(5)
-    new_basis = rep.basis.astype(complex).copy()
-    for sec in rep.sectors:
-        w = fr.haar_unitary(sec.multiplicity, rng)
-        cols = new_basis[:, sec.start:sec.stop].reshape(rep.dim, 2 * sec.j + 1, sec.multiplicity)
-        new_basis[:, sec.start:sec.stop] = (cols @ w).reshape(rep.dim, -1)
-    alt = CollectiveSpinRep(rep.n_qubits, rep.jp, rep.jm, rep.jz, rep.j2,
-                            new_basis, rep.labels, rep.sectors)
+    ws = {sec.j: fr.haar_unitary(sec.multiplicity, rng) for sec in rep.sectors}
+    new_blocks = []
+    for rows, cols, u in rep.weight_blocks:
+        u = u.astype(complex)
+        js = np.array([rep.labels[c][0] for c in cols])
+        for j in np.unique(js):
+            slab = np.flatnonzero(js == j)  # the multiplicity labels of (j, m)
+            u[:, slab] = u[:, slab] @ ws[j]
+        new_blocks.append((rows, cols, u))
+    alt = CollectiveSpinRep(rep.n_qubits, rep.jp, rep.jm, rep.jz, new_blocks, rep.labels, rep.sectors)
     tw, tw_alt = fr.TwirlOperation.su2(rep), fr.TwirlOperation.su2(alt)
     for _ in range(5):
         rho = fr.random_density_operator(16, rng)
@@ -296,7 +303,7 @@ def test_monotonicity_under_invariant_operations():
     # mixtures of collective rotations for su2
     rep2 = fr.build_collective_spin_rep(2)
     tw_su2 = fr.TwirlOperation.su2(rep2)
-    us = [rep2.rotation(rng.uniform(-2, 2, size=3)) for _ in range(2)]
+    us = [collective_rotation(2, rng.uniform(-2, 2, size=3)) for _ in range(2)]
     rot_mix = fr.KrausChannel([math.sqrt(0.5) * u for u in us])
     for _ in range(5):
         rho = fr.random_density_operator(4, rng)

@@ -2,7 +2,7 @@
 
 The oracle is the explicit Kraus form {U_{q,r} U_{q,s}^dag / sqrt(m_q)};
 every blockwise result (dense image, adjoint, image entropy) must agree with
-what the Kraus sum gives, for matrix and permutation bases alike.
+what the Kraus sum gives, for a dense basis and for direct sums of blocks alike.
 """
 
 import math
@@ -26,23 +26,36 @@ def random_blocks(dim, rng):
     return blocks
 
 
-def random_basis(kind, dim, rng):
+def random_basis(kind, blocks, rng):
+    """A dense unitary, or a direct sum: random groups of slabs on random rows."""
+    dim = sum(m * n for m, n in blocks)
     if kind == "haar":
         return fr.haar_unitary(dim, rng)
     if kind == "real":
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         return q
-    return rng.permutation(dim)
+    starts = np.cumsum([0] + [m * n for m, n in blocks])
+    slabs = [np.arange(s + r * n, s + (r + 1) * n) for (m, n), s in zip(blocks, starts) for r in range(m)]
+    cuts = np.sort(rng.choice(np.arange(1, len(slabs)), int(rng.integers(0, len(slabs))), replace=False))
+    rows, used, basis = rng.permutation(dim), 0, []
+    for group in np.split(rng.permutation(len(slabs)), cuts):
+        cols = np.concatenate([slabs[i] for i in group])
+        u = fr.haar_unitary(cols.size, rng) if kind == "direct-sum" else np.eye(cols.size)
+        basis.append((rows[used:used + cols.size], cols, u))
+        used += cols.size
+    return basis
 
 
-@given(st.integers(1, 8), st.sampled_from(["haar", "real", "perm"]), st.integers(0, 10**6),
-       st.booleans())
+@given(st.integers(1, 8), st.sampled_from(["haar", "real", "direct-sum", "identity-blocks"]),
+       st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_blockwise_results_match_the_kraus_oracle(dim, kind, seed, pure):
     rng = np.random.default_rng(seed)
-    basis = random_basis(kind, dim, rng)
-    proj = fr.BlockProjection(basis, random_blocks(dim, rng))
-    assert proj.basis.dtype == basis.dtype  # a real basis stays real
+    blocks = random_blocks(dim, rng)
+    basis = random_basis(kind, blocks, rng)
+    proj = fr.BlockProjection(basis, blocks)
+    given_blocks = [(None, None, basis)] if isinstance(basis, np.ndarray) else basis
+    assert all(p[2] is g[2] for p, g in zip(proj.basis, given_blocks))  # blocks kept uncopied, dtype and all
     oracle = proj.kraus_channel()
     assert proj.kraus_channel() is oracle
 
@@ -74,21 +87,39 @@ def test_rejects_a_non_unitary_basis():
     with pytest.raises(ValueError):
         fr.lifted_dephasing_channel(bip, skew)
     with pytest.raises(ValueError):
-        fr.BlockProjection(np.array([0, 0, 1]), [(1, 3)])  # not a permutation
+        fr.BlockProjection([(np.arange(2), np.arange(2), skew)], [(1, 2)])  # one block of a direct sum
+
+
+def test_rejects_a_direct_sum_that_is_not_one():
+    eye = np.eye(1)
+    with pytest.raises(ValueError):  # row 0 twice, row 1 never
+        fr.BlockProjection([(np.array([0]), np.array([0]), eye), (np.array([0]), np.array([1]), eye)],
+                           [(1, 1), (1, 1)])
+    with pytest.raises(ValueError):  # column 1 twice
+        fr.BlockProjection([(np.array([0]), np.array([1]), eye), (np.array([1]), np.array([1]), eye)],
+                           [(1, 1), (1, 1)])
+    with pytest.raises(ValueError):  # the slab of columns 0, 1 spans two blocks
+        fr.BlockProjection([(np.array([0]), np.array([0]), eye), (np.array([1]), np.array([1]), eye)],
+                           [(1, 2)])
+    with pytest.raises(ValueError):  # the slab of columns 0, 1 is local columns 0 and 2
+        fr.BlockProjection([(np.arange(3), np.array([0, 2, 1]), np.eye(3))], [(1, 2), (1, 1)])
+    with pytest.raises(fr.ShapeMismatchError):  # two rows for a 1 x 1 block
+        fr.BlockProjection([(np.arange(2), np.array([0]), eye)], [(1, 1)])
 
 
 def test_rejects_blocks_that_do_not_cover_the_dimension():
     with pytest.raises(fr.ShapeMismatchError):
         fr.BlockProjection(np.eye(4), [(2, 1), (1, 1)])
     with pytest.raises(fr.ShapeMismatchError):
-        fr.BlockProjection(np.arange(3), [(2, 2)])
+        fr.BlockProjection([(np.arange(3), np.arange(3), np.eye(3))], [(2, 2)])
     with pytest.raises(fr.ShapeMismatchError):
         fr.conditional_expectation_channel([(1, 2)], np.eye(3))
     with pytest.raises(ValueError):
-        fr.BlockProjection(np.arange(2), [(0, 1), (1, 2)])
+        fr.BlockProjection(np.eye(2), [(0, 1), (1, 2)])
     qutrit = fr.random_density_operator(3, np.random.default_rng(0))
+    proj = fr.conditional_expectation_channel([(1, 2)])
     with pytest.raises(fr.ShapeMismatchError):
-        fr.BlockProjection(np.arange(2), [(1, 2)]).image_entropy(qutrit)
+        proj.image_entropy(qutrit)
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
@@ -127,10 +158,14 @@ def test_entropy_gaps_build_no_kraus_channel(monkeypatch):
 def test_twirls_hold_their_bases_uncopied():
     rep = fr.build_collective_spin_rep(4)
     su2 = fr.TwirlOperation.su2(rep).channel
-    assert su2.basis is rep.basis and not np.iscomplexobj(su2.basis)
+    assert len(su2.basis) == rep.n_qubits + 1  # one block per Hamming weight
+    for (rows, cols, u), (_, _, block) in zip(su2.basis, rep.weight_blocks):
+        assert u is block and not np.iscomplexobj(u) and u.shape == (rows.size, cols.size)
     assert su2.blocks == tuple((2 * s.j + 1, s.multiplicity) for s in rep.sectors)
     u1 = fr.TwirlOperation.u1(fr.ChargeGrading([2, 0, 1, 0])).channel
-    assert u1.basis.ndim == 1 and u1.blocks == ((1, 2), (1, 1), (1, 1))
+    assert [rows.tolist() for rows, _, _ in u1.basis] == [[1, 3], [2], [0]]  # identity blocks per charge
+    assert all(np.array_equal(u, np.eye(rows.size)) for rows, _, u in u1.basis)
+    assert u1.blocks == ((1, 2), (1, 1), (1, 1))
 
 
 def test_dephasing_of_the_uniform_superposition():

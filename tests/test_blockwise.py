@@ -1,9 +1,9 @@
 """The blockwise u1/su2 asymmetry against the dense twirl it replaces.
 
 The dense references below twirl straight from the definitions (a charge
-mask; the Schur basis change, a partial trace over the irrep factor and the
-way back) and stay here as oracles for ``TwirlOperation.apply_matrix`` and
-``g_asymmetry``.
+mask; the change to the dense Schur basis of ``su2_oracle``, a partial trace
+over the irrep factor and the way back) and stay here as oracles for
+``TwirlOperation.apply_matrix`` and ``g_asymmetry``.
 """
 
 import functools
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frameness as fr
+from su2_oracle import dense_schur_basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -28,11 +29,11 @@ def dense_u1_twirl(charges, x):
     return x * (c[:, None] == c[None, :])
 
 
-def dense_su2_twirl(rep, x):
-    b = rep.basis
+def dense_su2_twirl(n_qubits, x):
+    b, _, sectors = dense_schur_basis(n_qubits)
     xs = b.conj().T @ x @ b
     out = np.zeros_like(xs)
-    for sec in rep.sectors:
+    for sec in sectors:
         width, mult = 2 * sec.j + 1, sec.multiplicity
         block = xs[sec.start:sec.stop, sec.start:sec.stop].reshape(width, mult, width, mult)
         sigma = np.einsum("mamb->ab", block)
@@ -80,7 +81,7 @@ def test_u1_blockwise_matches_dense(charges, seed, pure, rank):
 def test_su2_blockwise_matches_dense(n_qubits, seed, pure, rank):
     rep = spin_rep(n_qubits)
     state = random_state(rep.dim, seed, pure, rank)
-    check_against_dense(fr.TwirlOperation.su2(rep), functools.partial(dense_su2_twirl, rep), state)
+    check_against_dense(fr.TwirlOperation.su2(rep), functools.partial(dense_su2_twirl, n_qubits), state)
 
 
 @pytest.mark.parametrize("kind", ["u1", "su2"])

@@ -141,6 +141,14 @@ def test_scaling_from_state_file(tmp_path, uniform4_state, charges4):
     assert rows[0]["A_bits"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_scaling_at_the_support_cap(tmp_path):
+    # 2^22 - 1 copies of a two-level law: the largest support the cap allows
+    payload = run_json(tmp_path, ["scaling", "--p", "0.3", "--n-list", "4194303"])
+    row = payload["result"]["rows"][0]
+    assert row["N"] == 4194303
+    assert row["A_bits"] == pytest.approx(row["model_bits"], abs=1e-6)
+
+
 def test_bounds_finite_and_su2(tmp_path, plus_state_file, z2_rep_file):
     payload = run_json(tmp_path, ["bounds", "--group", "finite", "--rep", z2_rep_file,
                                   "--state", plus_state_file, "--copies", "3"])

@@ -1,31 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import frameness as fr
-
-
-def dense_collective_ops(n_qubits):
-    """Independent dense construction of Jx, Jy, Jz from Pauli kron products."""
-    paulis = {
-        "x": np.array([[0, 1], [1, 0]], dtype=complex) / 2,
-        "y": np.array([[0, -1j], [1j, 0]], dtype=complex) / 2,
-        "z": np.array([[1, 0], [0, -1]], dtype=complex) / 2,
-    }
-    out = {}
-    dim = 2**n_qubits
-    for axis, half in paulis.items():
-        total = np.zeros((dim, dim), dtype=complex)
-        for site in range(n_qubits):
-            op = np.eye(1, dtype=complex)
-            for k in range(n_qubits):
-                op = np.kron(op, half if k == site else np.eye(2))
-            total += op
-        out[axis] = total
-    return out
+from su2_oracle import collective_rotation, dense_collective_ops, dense_schur_basis, scattered_basis
 
 
 def test_z2_rep_is_valid():
@@ -105,6 +87,12 @@ def test_hamming_grading_ranks_match_counting(n_qubits):
     assert counts == [math.comb(n_qubits, w) for w in range(n_qubits + 1)]
 
 
+def test_hamming_weights_match_bit_counts():
+    for n_qubits in (1, 5, 12):
+        charges = fr.hamming_weight_grading(n_qubits).charges
+        assert charges.tolist() == [bin(b).count("1") for b in range(2**n_qubits)]
+
+
 def test_multiplicity_dimension_closed_form():
     # independent evaluation of the closed form
     def oracle(n, j):
@@ -139,7 +127,7 @@ def test_two_qubit_schur_sectors():
     # j = 0 sector is spanned by the singlet
     singlet = np.zeros(4)
     singlet[1], singlet[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    col = rep.basis[:, rep.sector(0).start]
+    col = scattered_basis(rep)[:, rep.sector(0).start]
     assert abs(np.dot(col, singlet)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -157,43 +145,79 @@ def test_four_qubit_multiplicities_match_numeric_eigenspaces():
 
 @pytest.mark.parametrize("n_qubits", [2, 4, 6])
 def test_schur_basis_is_orthonormal_and_complete(n_qubits):
-    rep = fr.build_collective_spin_rep(n_qubits)
+    basis, _, sectors = dense_schur_basis(n_qubits)
     dim = 2**n_qubits
-    assert sum((2 * s.j + 1) * s.multiplicity for s in rep.sectors) == dim
-    gram = rep.basis.T @ rep.basis
+    assert sum((2 * s.j + 1) * s.multiplicity for s in sectors) == dim
+    gram = basis.T @ basis
     assert np.abs(gram - np.eye(dim)).max() < 1e-8
+    rep = fr.build_collective_spin_rep(n_qubits)
+    for rows, _, u in rep.weight_blocks:
+        assert u.shape == (rows.size, rows.size)
+        assert np.abs(u.T @ u - np.eye(rows.size)).max() < 1e-8
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4, 6, 8])
+def test_weight_blocks_match_the_dense_schur_basis(n_qubits):
+    basis, labels, sectors = dense_schur_basis(n_qubits)
+    rep = fr.build_collective_spin_rep(n_qubits)
+    assert rep.labels == labels and rep.sectors == sectors
+    weights = np.array([bin(b).count("1") for b in range(rep.dim)])
+    for k, (rows, cols, u) in enumerate(rep.weight_blocks):
+        assert rows.tolist() == np.flatnonzero(weights == k).tolist()
+        # columns by j descending, then alpha, all at m = N/2 - k
+        assert [labels[c] for c in cols] == sorted((labels[c] for c in cols), key=lambda l: (-l[0], l[2]))
+        assert {labels[c][1] for c in cols} == {n_qubits // 2 - k}
+        for c, column in zip(cols, u.T):
+            assert np.abs(basis[rows, c] - column).max() < 1e-12
+            assert not np.delete(basis[:, c], rows).any()  # zero off the weight-k strings
+
+
+def test_building_the_rep_allocates_no_dense_basis():
+    n_qubits = 10
+    fr.build_collective_spin_rep(n_qubits)  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        fr.build_collective_spin_rep(n_qubits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**n_qubits  # one real d x d array would already be this large
 
 
 @pytest.mark.parametrize("n_qubits", [2, 4])
 def test_schur_vectors_are_joint_eigenvectors(n_qubits):
-    rep = fr.build_collective_spin_rep(n_qubits)
+    basis, labels, _ = dense_schur_basis(n_qubits)
     ops = dense_collective_ops(n_qubits)
     j2 = ops["x"] @ ops["x"] + ops["y"] @ ops["y"] + ops["z"] @ ops["z"]
     jz = ops["z"]
-    for k, (j, m, _alpha) in enumerate(rep.labels):
-        v = rep.basis[:, k]
+    for k, (j, m, _alpha) in enumerate(labels):
+        v = basis[:, k]
         assert np.abs(j2 @ v - j * (j + 1) * v).max() < 1e-8
         assert np.abs(jz @ v - m * v).max() < 1e-8
 
 
 def test_lowering_operator_ladder_consistency():
-    rep = fr.build_collective_spin_rep(4)
+    basis, labels, _ = dense_schur_basis(4)
+    rep, ops = fr.build_collective_spin_rep(4), dense_collective_ops(4)
     jm = rep.jm.toarray()
-    index = {label: k for k, label in enumerate(rep.labels)}
+    assert_allclose(jm, ops["x"] - 1j * ops["y"], atol=0)
+    assert_allclose(rep.jp.toarray(), ops["x"] + 1j * ops["y"], atol=0)
+    assert_allclose(rep.jz.toarray(), ops["z"], atol=0)
+    index = {label: k for k, label in enumerate(labels)}
     for (j, m, alpha), k in index.items():
         if m == -j:
             continue
-        lowered = jm @ rep.basis[:, k]
-        target = math.sqrt(j * (j + 1) - m * (m - 1)) * rep.basis[:, index[(j, m - 1, alpha)]]
+        lowered = jm @ basis[:, k]
+        target = math.sqrt(j * (j + 1) - m * (m - 1)) * basis[:, index[(j, m - 1, alpha)]]
         assert np.abs(lowered - target).max() < 1e-8
 
 
 def test_collective_rotations_preserve_sectors():
-    rep = fr.build_collective_spin_rep(4)
+    basis, _, sectors = dense_schur_basis(4)
     rng = np.random.default_rng(11)
-    u = rep.rotation(rng.uniform(-2, 2, size=3))
-    for s in rep.sectors:
-        cols = rep.basis[:, s.start:s.stop]
+    u = collective_rotation(4, rng.uniform(-2, 2, size=3))
+    for s in sectors:
+        cols = basis[:, s.start:s.stop]
         proj = cols @ cols.T
         rotated = u @ cols.astype(complex)
         assert np.abs(proj @ rotated - rotated).max() < 1e-8

@@ -120,6 +120,16 @@ def test_convolution_moment_additivity():
     assert many.convolved.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_convolution_sum_is_checked_then_normalized(monkeypatch):
+    # the stored [0.7, 0.3] sums to 1 - 5.6e-17, so its 10^6-fold law sums to 1 - 3.2e-11
+    big = fr.convolve_copies([0.7, 0.3], 10**6).convolved.weights
+    assert abs(big.sum() - 1.0) < 1e-13
+    fft = fr.scaling._fft_convolve
+    monkeypatch.setattr(fr.scaling, "_fft_convolve", lambda a, b: fft(a, b) * (1 + 1e-9))
+    with pytest.raises(fr.FramenessError, match="sums to"):
+        fr.convolve_copies([0.7, 0.3], 1000)
+
+
 def test_convolution_budget():
     with pytest.raises(fr.ResourceLimitError):
         fr.convolve_copies([0.5, 0.5], 2**23)
