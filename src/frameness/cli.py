@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -156,9 +157,150 @@ def _emit(ns, meta, result, header, rows):
         _emit_json(meta, result, ns.out)
 
 
+# Input files.  The numeric arrays of a state or group file (the top-level
+# values below) are nearly all of its bytes.  They are parsed flat into one
+# float64 array rather than into nested Python lists; the rest of the object
+# goes through json.loads with each array cut out.
+_ARRAY_KEYS = ("matrix", "amplitudes", "unitaries")
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_COLON = re.compile(rb"\s*:\s*")
+_WHITESPACE = b" \t\n\r"
+_NUMBER_CHARS = b"0123456789.eE+-"
+_NUMBER_TO_ZERO = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_CHUNK_BYTES = 1 << 20
+
+
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in ``path``; its top-level numeric arrays come back as float64 arrays.
+
+    Each value under a key of ``_ARRAY_KEYS`` that opens with ``[`` must be a
+    rectangular array of finite JSON numbers.  Every number is parsed by
+    ``json.loads``, so it is bitwise the float ``json.load`` would give.
+    Malformed input raises ``ValueError``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    spans = _array_spans(data)
+    shapes = [_array_shape(data, key, start, end) for key, start, end in spans]
+    pieces, cut = [], 0
+    for _, start, end in spans:
+        pieces += [data[cut:start], b"0"]
+        cut = end
+    pieces.append(data[cut:])
+    try:
+        obj = json.loads(b"".join(pieces).decode())  # UTF-8, as json.load reads a text file
+    except json.JSONDecodeError as exc:
+        # one byte stands in for each array, so shift the position back into the file
+        pos = exc.pos + sum(end - start - 1 for _, start, end in spans if start < exc.pos)
+        raise ValueError(f"{path}: {exc.msg} at byte {pos}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for (key, start, end), shape in zip(spans, shapes):
+        obj[key] = _parse_numbers(data, key, start, end, shape)
+    return obj
+
+
+def _array_spans(data: bytes) -> list:
+    """(key, start, end) of each top-level ``_ARRAY_KEYS`` value that opens with ``[``.
+
+    Strings are skipped whole, so brackets and keys inside them do not count.
+    A span runs to the next quote or closing brace, less trailing commas and
+    whitespace: a numeric array holds neither, and anything else the span
+    catches fails the skeleton check.  Such a key may appear once only (where
+    json.load would keep the last value).
+    """
+    spans, seen, depth, pos = [], set(), 0, 0
+    while (m := _STRING.search(data, pos)) is not None:
+        s = m.start()
+        depth += (data.count(b"{", pos, s) + data.count(b"[", pos, s)
+                  - data.count(b"}", pos, s) - data.count(b"]", pos, s))
+        pos = m.end()
+        colon = _COLON.match(data, pos)
+        if depth != 1 or colon is None or (key := json.loads(m.group())) not in _ARRAY_KEYS:
+            continue
+        if key in seen:
+            raise ValueError(f"key '{key}' appears twice")
+        seen.add(key)
+        start = colon.end()
+        if data[start:start + 1] != b"[":
+            continue
+        stops = [i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0]
+        end = min(stops, default=len(data))
+        while data[end - 1] in b"," + _WHITESPACE:
+            end -= 1
+        spans.append((key, start, end))
+        pos = end
+    return spans
+
+
+def _chunks(data: bytes, start: int, end: int):
+    """(a, b) pieces of data[start:end] of about _CHUNK_BYTES, split at (and without) commas."""
+    a = start
+    while (b := data.find(b",", min(a + _CHUNK_BYTES, end), end)) >= 0:
+        yield a, b
+        a = b + 1
+    yield a, end
+
+
+def _array_shape(data: bytes, key: str, start: int, end: int) -> tuple:
+    """Shape of the array in data[start:end], read off its first entries.
+
+    With the numbers and whitespace stripped, the array's bracket/comma
+    skeleton must equal that of a rectangular array of this shape.  With each
+    number marked, no bracket may sit next to a comma or an empty pair: that
+    is how an empty array, a stray comma or a number outside its brackets
+    (``[1, ]2``) shows, since every entry between two commas holds one number.
+    """
+    skeleton, misplaced = [], False
+    for a, b in _chunks(data, start, end):
+        marked = data[a:b].translate(_NUMBER_TO_ZERO, _WHITESPACE)
+        misplaced = (misplaced or b",]" in marked or b"[," in marked or b"[]" in marked
+                     or (a > start and marked[:1] == b"]") or (b < end and marked[-1:] == b"["))
+        skeleton.append(marked.translate(None, b"0"))
+    skeleton = b",".join(skeleton)
+    if skeleton.translate(None, b"[],"):
+        raise ValueError(f"'{key}' must hold only finite JSON numbers (no NaN, Infinity, "
+                         "true, false, null, strings or objects)")
+    if misplaced:
+        raise ValueError(f"'{key}' has an empty array, a stray comma or a number outside "
+                         "its brackets")
+    ndim = len(skeleton) - len(skeleton.lstrip(b"["))
+    shape, width = [], 0  # width: skeleton length of one entry at the current depth
+    for first in range(ndim - 1, -1, -1):  # the first array at each depth, innermost first
+        n, pos = 1, first + 1 + width
+        while skeleton[pos:pos + 1] == b",":
+            n, pos = n + 1, pos + 1 + width
+        shape.insert(0, n)
+        width = pos - first + 1
+    expected = b""
+    for n in reversed(shape):
+        expected = b"[" + b",".join([expected] * n) + b"]"
+    if skeleton != expected:
+        raise ValueError(f"'{key}' is not a rectangular array (ragged rows or unbalanced "
+                         f"brackets); its first entries have shape {tuple(shape)}")
+    return tuple(shape)
+
+
+def _parse_numbers(data: bytes, key: str, start: int, end: int, shape: tuple) -> np.ndarray:
+    """The numbers of a checked array, parsed by json.loads chunk by chunk, brackets as spaces.
+
+    A bracket becomes a space, not nothing, so that ``1]2`` stays two numbers
+    and fails to parse instead of reading as ``12``.
+    """
+    out = np.empty(math.prod(shape))
+    filled = 0
+    for a, b in _chunks(data, start, end):
+        try:
+            values = json.loads(b"[" + data[a:b].translate(_BRACKETS_TO_SPACES) + b"]")
+            out[filled:filled + len(values)] = values
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"'{key}' holds a malformed number in bytes {a}-{b}: "
+                             f"{exc.msg}") from None
+        except OverflowError:
+            raise ValueError(f"'{key}' holds an integer too large for a float") from None
+        filled += len(values)
+    return out.reshape(shape)
 
 
 def _read_state(path: str) -> DensityOperator | PureState:

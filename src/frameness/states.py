@@ -75,6 +75,8 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidStateError("matrix has a non-finite entry (NaN or inf)")
         herm_dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
         if herm_dev > INPUT_TOL:
             raise InvalidStateError(f"not Hermitian: max deviation {herm_dev:.3e}")
@@ -112,6 +114,8 @@ class PureState:
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if v.size == 0:
             raise InvalidStateError("empty amplitude vector")
+        if not np.isfinite(v).all():
+            raise InvalidStateError("amplitude vector has a non-finite entry (NaN or inf)")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > PURE_NORM_TOL:
             raise InvalidStateError(f"norm {norm:.15f} differs from 1 beyond {PURE_NORM_TOL:g}")
@@ -140,6 +144,8 @@ class ProbabilityDistribution:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.size == 0:
             raise InvalidDistributionError("empty distribution")
+        if not np.isfinite(w).all():
+            raise InvalidDistributionError("non-finite weight (NaN or inf)")
         if float(w.min()) < -INPUT_TOL:
             raise InvalidDistributionError(f"negative weight {w.min():.3e}")
         total = float(w.sum())
@@ -257,13 +263,34 @@ def tensor_power(psi: PureState, n: int) -> PureState:
 # JSON wire format.  Complex scalars serialize as [re, im]; matrices are
 # row-major lists of rows.  Readers re-validate all invariants on load.
 
+def _complex_to_pairs(a) -> list:
+    """A complex array as nested lists whose innermost entries are [re, im] floats."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _complex_from_pairs(x, axes: tuple) -> np.ndarray:
+    """[re, im] pairs, as nested lists or a float array, viewed as a complex array.
+
+    ``axes`` names the complex array's axes; an input whose shape is not
+    ``(*axes, 2)`` raises ``ValueError`` naming that shape.
+    """
+    expected = "(" + ", ".join(axes) + ", 2)"
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected a numeric array of shape {expected}: {exc}") from None
+    if a.ndim != len(axes) + 1 or a.shape[-1] != 2:
+        raise ValueError(f"expected a numeric array of shape {expected}, got shape {a.shape}")
+    return np.ascontiguousarray(a).view(complex)[..., 0]
+
+
 def complex_matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return _complex_to_pairs(m)
 
 
 def complex_matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows], dtype=complex)
+    return _complex_from_pairs(rows, ("rows", "cols"))
 
 
 def density_to_json(rho: DensityOperator) -> dict:
@@ -278,11 +305,11 @@ def density_from_json(obj: dict) -> DensityOperator:
 
 
 def pure_state_to_json(psi: PureState) -> dict:
-    return {"dim": psi.dim, "amplitudes": [[float(z.real), float(z.imag)] for z in psi.amplitudes]}
+    return {"dim": psi.dim, "amplitudes": _complex_to_pairs(psi.amplitudes)}
 
 
 def pure_state_from_json(obj: dict) -> PureState:
-    v = np.array([complex(a, b) for a, b in obj["amplitudes"]], dtype=complex)
+    v = _complex_from_pairs(obj["amplitudes"], ("dim",))
     if "dim" in obj and int(obj["dim"]) != v.size:
         raise InvalidStateError(f"declared dim {obj['dim']} but vector has {v.size} entries")
     return PureState(v)

@@ -230,6 +230,22 @@ def test_json_round_trips():
     assert_allclose(back_psi.amplitudes, psi.amplitudes, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected(bad):
+    # NaN fails no ">" tolerance test, so each constructor checks finiteness itself
+    off_diagonal = np.diag([0.5, 0.5]).astype(complex)
+    off_diagonal[0, 1] = off_diagonal[1, 0] = complex(0.0, bad)
+    for m in (np.diag([bad, 0.5]), off_diagonal):
+        with pytest.raises(fr.InvalidStateError, match="non-finite"):
+            fr.DensityOperator(m)
+    with pytest.raises(fr.InvalidStateError, match="non-finite"):
+        fr.PureState([bad, 0.0])
+    with pytest.raises(fr.InvalidStateError, match="non-finite"):
+        fr.PureState([1.0, complex(0.0, bad)])
+    with pytest.raises(fr.InvalidDistributionError, match="non-finite"):
+        fr.ProbabilityDistribution([bad, 1.0])
+
+
 def test_json_loaders_validate():
     with pytest.raises(fr.InvalidStateError):
         fr.density_from_json({"dim": 2, "matrix": [[[1.0, 0.0], [0.0, 0.0]],
