@@ -29,6 +29,7 @@ from .states import (
     FramenessError,
     PureState,
     ShapeMismatchError,
+    _declared_int,
     _entropy_of_spectrum,
     complex_matrix_from_json,
     complex_matrix_to_json,
@@ -42,7 +43,7 @@ class ChannelPreconditionError(FramenessError):
 class KrausChannel:
     """Completely positive trace-preserving map E(rho) = sum_a E_a rho E_a^dag."""
 
-    __slots__ = ("dim", "kraus")
+    __slots__ = ("dim", "kraus", "_idempotent")
 
     def __init__(self, kraus):
         ops = [np.asarray(k, dtype=complex) for k in kraus]
@@ -59,6 +60,7 @@ class KrausChannel:
             k.setflags(write=False)
         self.dim = d
         self.kraus = tuple(ops)
+        self._idempotent = None
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -102,8 +104,11 @@ class KrausChannel:
         return float(np.abs(self.apply_matrix(eye) - eye).max()) <= IDENTITY_TOL
 
     def is_idempotent(self) -> bool:
-        m = self.superoperator()
-        return float(np.abs(m @ m - m).max()) <= COMPOSED_TOL
+        """E o E = E on the superoperator, to COMPOSED_TOL; decided once (the Kraus are frozen)."""
+        if self._idempotent is None:
+            m = self.superoperator()
+            self._idempotent = float(np.abs(m @ m - m).max()) <= COMPOSED_TOL
+        return self._idempotent
 
     def __repr__(self):
         return f"KrausChannel(dim={self.dim}, n_kraus={len(self.kraus)})"
@@ -257,8 +262,9 @@ def kraus_channel_to_json(ch: KrausChannel | BlockProjection) -> dict:
 
 def kraus_channel_from_json(obj: dict) -> KrausChannel:
     ch = KrausChannel([complex_matrix_from_json(k) for k in obj["kraus"]])
-    if "dim" in obj and int(obj["dim"]) != ch.dim:
-        raise ShapeMismatchError(f"declared dim {obj['dim']} but operators are {ch.dim}x{ch.dim}")
+    dim = _declared_int(obj, "dim", ShapeMismatchError)
+    if dim is not None and dim != ch.dim:
+        raise ShapeMismatchError(f"declared dim {dim} but operators are {ch.dim}x{ch.dim}")
     return ch
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .channels import BlockProjection, relative_entropy_to_image
 from .sampling import haar_unitary
@@ -168,6 +167,8 @@ def optimize_two_qubit_bound(rho: BipartiteState, grid: int = 64, side: str = "B
 
     def objective(x):
         return dephasing_upper_bound(rho, two_qubit_parameterized_unitary(x[0], x[1]), side)
+
+    import scipy.optimize  # here, not at module level: nothing else in the package needs scipy
 
     best_val = float(flat[order[0]])
     best_x = np.array(starts[0])

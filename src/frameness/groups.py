@@ -9,6 +9,8 @@ Three families are supported:
 * the collective SU(2) representation on a register of qubits, with its
   Schur basis ``|j, m, alpha>`` (irrep (x) multiplicity per total-spin
   sector) built and stored as one real orthogonal block per Hamming weight.
+  The ladder operators J+ and J- exist only as dense 0/1 blocks between
+  adjacent weights (:func:`_raising_blocks`); no d x d operator is formed.
 
 Desk-scale caps: finite groups of order <= 64 (so the group axioms stay
 exhaustively checkable) and registers of at most 12 qubits.
@@ -20,14 +22,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .states import (
     COMPOSED_TOL,
     INPUT_TOL,
     FramenessError,
     ResourceLimitError,
+    _declared_int,
     complex_matrix_from_json,
     complex_matrix_to_json,
 )
@@ -212,8 +213,9 @@ def finite_rep_to_json(rep: FiniteGroupRep) -> dict:
 
 def finite_rep_from_json(obj: dict) -> FiniteGroupRep:
     rep = FiniteGroupRep(obj["table"], [complex_matrix_from_json(u) for u in obj["unitaries"]])
-    if "order" in obj and int(obj["order"]) != rep.order:
-        raise RepresentationError(f"declared order {obj['order']} but table has {rep.order} rows")
+    order = _declared_int(obj, "order", RepresentationError)
+    if order is not None and order != rep.order:
+        raise RepresentationError(f"declared order {order} but table has {rep.order} rows")
     return rep
 
 
@@ -269,8 +271,9 @@ def charge_grading_to_json(g: ChargeGrading) -> dict:
 
 def charge_grading_from_json(obj: dict) -> ChargeGrading:
     g = ChargeGrading(obj["charges"])
-    if "dim" in obj and int(obj["dim"]) != g.dim:
-        raise RepresentationError(f"declared dim {obj['dim']} but {g.dim} charges given")
+    dim = _declared_int(obj, "dim", RepresentationError)
+    if dim is not None and dim != g.dim:
+        raise RepresentationError(f"declared dim {dim} but {g.dim} charges given")
     return g
 
 
@@ -306,14 +309,27 @@ def _check_even_qubits(n_qubits: int):
         raise ResourceLimitError(f"{n_qubits} qubits exceeds cap {MAX_QUBITS}")
 
 
-def _collective_operators(n_qubits: int):
-    """Sparse J+, J-, Jz in the computational basis (|0> = spin up)."""
-    dim = 1 << n_qubits
-    jz = scipy.sparse.diags((n_qubits - 2 * _hamming_weights(n_qubits)) / 2.0).tocsr()
-    # J+ flips a down spin (bit q of string b is 1) up: m -> m + 1
-    b, q = np.nonzero((np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1)
-    jp = scipy.sparse.csr_matrix((np.ones(b.size), (b ^ (1 << q), b)), shape=(dim, dim))
-    return jp, jp.T.tocsr(), jz
+def _raising_blocks(n_qubits: int):
+    """The strings of each Hamming weight, and J+ from each weight k to k - 1 (|0> = spin up).
+
+    ``rows[k]`` lists the weight-k strings in ascending order.  For k >= 1,
+    ``raising[k]`` is the dense C(N, k-1) x C(N, k) 0/1 block of J+, indexed by
+    each string's position within its weight class; ``raising[0]`` is the empty
+    0 x 1 block.  J- from weight k - 1 to k is the transpose of ``raising[k]``.
+    """
+    weights = _hamming_weights(n_qubits)
+    rows = [np.flatnonzero(weights == k) for k in range(n_qubits + 1)]
+    position = np.empty_like(weights)
+    for r in rows:
+        position[r] = np.arange(r.size)
+    raising = [np.zeros((0, 1))]
+    for k in range(1, n_qubits + 1):
+        # J+ flips a down spin (bit q of string b is 1) up: m -> m + 1
+        col, q = np.nonzero((rows[k][:, None] >> np.arange(n_qubits)) & 1)
+        block = np.zeros((rows[k - 1].size, rows[k].size))
+        block[position[rows[k][col] ^ (1 << q)], col] = 1.0
+        raising.append(block)
+    return rows, raising
 
 
 @dataclass
@@ -336,12 +352,11 @@ class CollectiveSpinRep:
     basis U is ``weight_blocks[k] = (rows, cols, u)``, U[rows, cols] = u, per k.
     """
 
-    __slots__ = ("n_qubits", "dim", "jp", "jm", "jz", "weight_blocks", "labels", "sectors")
+    __slots__ = ("n_qubits", "dim", "weight_blocks", "labels", "sectors")
 
-    def __init__(self, n_qubits, jp, jm, jz, weight_blocks, labels, sectors):
+    def __init__(self, n_qubits, weight_blocks, labels, sectors):
         self.n_qubits = n_qubits
         self.dim = 1 << n_qubits
-        self.jp, self.jm, self.jz = jp, jm, jz
         for _, _, u in weight_blocks:
             u.setflags(write=False)
         self.weight_blocks = tuple(weight_blocks)
@@ -362,12 +377,15 @@ class CollectiveSpinRep:
 def _highest_weight_space(raising, want: int) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``raising``, J+ from weight k to k - 1.
 
-    The kernel is computed by SVD and then re-based deterministically: the
+    The kernel is computed by SVD, counting as nonzero the singular values
+    above max(rows, cols) eps s_max, and then re-based deterministically: the
     weight-k computational basis vectors, in ascending order, are projected
     onto the kernel and Gram-Schmidt'ed in order, so the alpha labels are
     reproducible across runs.  Rows index the weight-k strings.
     """
-    kernel = scipy.linalg.null_space(raising.toarray())
+    _, s, vh = np.linalg.svd(raising)
+    rank = int((s > max(raising.shape) * np.finfo(float).eps * s.max()).sum())
+    kernel = vh[rank:].T
     if kernel.shape[1] != want:
         raise FramenessError(f"highest-weight space has dim {kernel.shape[1]}, expected {want}")
     proj = kernel @ kernel.T
@@ -393,24 +411,21 @@ def build_collective_spin_rep(n_qubits: int) -> CollectiveSpinRep:
     |j, m-1, a> = J- |j, m, a> / sqrt(j(j+1) - m(m-1)).
     """
     _check_even_qubits(n_qubits)
-    jp, jm, jz = _collective_operators(n_qubits)
-    weights = _hamming_weights(n_qubits)
-    rows = [np.flatnonzero(weights == k) for k in range(n_qubits + 1)]
-    lowering = [jm[rows[k + 1]][:, rows[k]] for k in range(n_qubits)]
+    rows, raising = _raising_blocks(n_qubits)
     vecs = [[] for _ in rows]
     labels = []
     sectors = []
     for j in range(n_qubits // 2, -1, -1):
         mult = multiplicity_dimension(n_qubits, j)
         k = n_qubits // 2 - j
-        level = np.ones((1, 1)) if k == 0 else _highest_weight_space(jp[rows[k - 1]][:, rows[k]], mult)
+        level = np.ones((1, 1)) if k == 0 else _highest_weight_space(raising[k], mult)
         start = len(labels)
         for m in range(j, -j - 1, -1):
             k = n_qubits // 2 - m
             vecs[k].append(level)
             labels += [(j, m, alpha) for alpha in range(mult)]
             if m > -j:
-                level = (lowering[k] @ level) / math.sqrt(j * (j + 1) - m * (m - 1))
+                level = (raising[k + 1].T @ level) / math.sqrt(j * (j + 1) - m * (m - 1))
         sectors.append(SpinSector(j, mult, start, len(labels)))
     # a block's columns are the labels at its m, in label order: j descending, then alpha
     ms = np.array([m for _, m, _ in labels])
@@ -418,4 +433,4 @@ def build_collective_spin_rep(n_qubits: int) -> CollectiveSpinRep:
               for k, (r, v) in enumerate(zip(rows, vecs))]
     if any(u.shape != (r.size, r.size) for r, _, u in blocks):
         raise FramenessError(f"Schur blocks are {[u.shape for _, _, u in blocks]}, not square")
-    return CollectiveSpinRep(n_qubits, jp, jm, jz, blocks, labels, sectors)
+    return CollectiveSpinRep(n_qubits, blocks, labels, sectors)

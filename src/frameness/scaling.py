@@ -25,11 +25,11 @@ convolution takes about 0.2 s on a 2-vCPU x86 machine.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .asymmetry import TwirlOperation, g_asymmetry
 from .groups import ChargeGrading, CollectiveSpinRep, FiniteGroupRep, symmetric_subspace_dimension
@@ -85,10 +85,35 @@ class NumberDistributionProfile:
         return float(w @ n**2 - (w @ n) ** 2)
 
 
+def _smooth_lengths(limit: int) -> list[int]:
+    """Every 2^a 3^b 5^c <= limit, ascending: the lengths numpy's FFT transforms fast."""
+    lengths = []
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:  # p35 = 3^b 5^c
+            lengths += [p35 << a for a in range((limit // p35).bit_length())]
+            p35 *= 3
+        p5 *= 5
+    return sorted(lengths)
+
+
+# each convolution in convolve_copies yields a support of at most the cap
+_FFT_LENGTHS = _smooth_lengths(_MAX_CONVOLVED_SUPPORT)
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, for n <= ``_MAX_CONVOLVED_SUPPORT``.
+
+    The same as ``scipy.fft.next_fast_len(n, real=True)``.
+    """
+    return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, n)]
+
+
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution a * b by one zero-padded real FFT (one forward transform if b is a)."""
     size = a.size + b.size - 1
-    n = next_fast_len(size, real=True)
+    n = _fft_size(size)
     fa = np.fft.rfft(a, n)
     if b is a:
         fa *= fa

@@ -285,6 +285,22 @@ def _complex_from_pairs(x, axes: tuple) -> np.ndarray:
     return np.ascontiguousarray(a).view(complex)[..., 0]
 
 
+def _declared_int(obj: dict, key: str, error: type[FramenessError]) -> int | None:
+    """The optional integer ``obj[key]`` of a file's envelope, None when the key is absent.
+
+    Any other JSON value (a list, a string, a fraction, NaN) raises ``error``
+    naming the key.
+    """
+    if key not in obj:
+        return None
+    value = obj[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"'{key}' must be an integer, got {value!r:.40}")
+    return value
+
+
 def complex_matrix_to_json(m: np.ndarray) -> list:
     return _complex_to_pairs(m)
 
@@ -299,8 +315,9 @@ def density_to_json(rho: DensityOperator) -> dict:
 
 def density_from_json(obj: dict) -> DensityOperator:
     m = complex_matrix_from_json(obj["matrix"])
-    if "dim" in obj and int(obj["dim"]) != m.shape[0]:
-        raise InvalidStateError(f"declared dim {obj['dim']} but matrix is {m.shape[0]}x{m.shape[1]}")
+    dim = _declared_int(obj, "dim", InvalidStateError)
+    if dim is not None and dim != m.shape[0]:
+        raise InvalidStateError(f"declared dim {dim} but matrix is {m.shape[0]}x{m.shape[1]}")
     return DensityOperator(m)
 
 
@@ -310,6 +327,7 @@ def pure_state_to_json(psi: PureState) -> dict:
 
 def pure_state_from_json(obj: dict) -> PureState:
     v = _complex_from_pairs(obj["amplitudes"], ("dim",))
-    if "dim" in obj and int(obj["dim"]) != v.size:
-        raise InvalidStateError(f"declared dim {obj['dim']} but vector has {v.size} entries")
+    dim = _declared_int(obj, "dim", InvalidStateError)
+    if dim is not None and dim != v.size:
+        raise InvalidStateError(f"declared dim {dim} but vector has {v.size} entries")
     return PureState(v)

@@ -269,7 +269,7 @@ def test_multiplicity_basis_independence():
             slab = np.flatnonzero(js == j)  # the multiplicity labels of (j, m)
             u[:, slab] = u[:, slab] @ ws[j]
         new_blocks.append((rows, cols, u))
-    alt = CollectiveSpinRep(rep.n_qubits, rep.jp, rep.jm, rep.jz, new_blocks, rep.labels, rep.sectors)
+    alt = CollectiveSpinRep(rep.n_qubits, new_blocks, rep.labels, rep.sectors)
     tw, tw_alt = fr.TwirlOperation.su2(rep), fr.TwirlOperation.su2(alt)
     for _ in range(5):
         rho = fr.random_density_operator(16, rng)

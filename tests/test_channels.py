@@ -108,6 +108,20 @@ def test_unitality_and_idempotence_verdicts():
     assert_allclose(half.superoperator(), m, atol=1e-12)
 
 
+def test_idempotence_is_decided_once_per_channel(monkeypatch):
+    builds = []
+    superoperator = fr.KrausChannel.superoperator
+    monkeypatch.setattr(fr.KrausChannel, "superoperator",
+                        lambda self: builds.append(self) or superoperator(self))
+    ch = z2_twirl_channel()
+    fr.relative_entropy_to_image(ch, plus_state())
+    assert fr.image_fix_equivalence_check(ch, samples=2).idempotent
+    assert builds == [ch]
+    half = partial_dephasing()
+    assert not half.is_idempotent() and not half.is_idempotent()
+    assert builds == [ch, half]
+
+
 def test_commutant_fixed_point_check():
     deph = fr.dephasing_channel(np.eye(2))
     assert fr.commutant_fixed_point_check(deph, np.eye(2))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,3 +239,35 @@ def test_bounds_su2_design_bound_holds_only_for_small_registers(tmp_path):
     assert large["ok"] is False
     assert large["measured_bits"] == pytest.approx(fr.max_su2_asymmetry_value(5), abs=1e-8)
     assert large["exact_bits"] == pytest.approx(2 * math.log2(11))
+
+
+_SCIPY_PROBE = """
+import json, sys
+import frameness, frameness.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), ("import", scipy_modules())
+for argv in json.loads(sys.argv[1]):
+    assert frameness.cli.run(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert frameness.cli.run(json.loads(sys.argv[2])) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_ree_loads_scipy(tmp_path, plus_state_file):
+    psi = fr.PureState(np.full(16, 0.25))
+    state16 = write_json(tmp_path / "psi16.json", fr.pure_state_to_json(psi))
+    out = ["--out", str(tmp_path / "out.json")]
+    runs = [["scaling"] + out,
+            ["asymmetry", "--group", "su2", "--qubits", "4", "--state", state16] + out,
+            ["extremal", "--group", "su2", "--qubits", "4"] + out,
+            ["bounds", "--group", "finite"] + out,
+            ["estimate", "--state", plus_state_file] + out]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs),
+                           json.dumps(["ree", "--p", "0.5"] + out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import frameness as fr
+from frameness.groups import _raising_blocks
 from su2_oracle import collective_rotation, dense_collective_ops, dense_schur_basis, scattered_basis
 
 
@@ -197,19 +198,24 @@ def test_schur_vectors_are_joint_eigenvectors(n_qubits):
 
 
 def test_lowering_operator_ladder_consistency():
-    basis, labels, _ = dense_schur_basis(4)
-    rep, ops = fr.build_collective_spin_rep(4), dense_collective_ops(4)
-    jm = rep.jm.toarray()
-    assert_allclose(jm, ops["x"] - 1j * ops["y"], atol=0)
-    assert_allclose(rep.jp.toarray(), ops["x"] + 1j * ops["y"], atol=0)
-    assert_allclose(rep.jz.toarray(), ops["z"], atol=0)
-    index = {label: k for k, label in enumerate(labels)}
-    for (j, m, alpha), k in index.items():
-        if m == -j:
-            continue
-        lowered = jm @ basis[:, k]
-        target = math.sqrt(j * (j + 1) - m * (m - 1)) * basis[:, index[(j, m - 1, alpha)]]
-        assert np.abs(lowered - target).max() < 1e-8
+    for n_qubits in (2, 4, 6):
+        rows, raising = _raising_blocks(n_qubits)
+        ops = dense_collective_ops(n_qubits)
+        assert raising[0].shape == (0, 1)
+        jp = np.zeros((2**n_qubits, 2**n_qubits))
+        for k in range(1, n_qubits + 1):
+            jp[np.ix_(rows[k - 1], rows[k])] = raising[k]
+        # the blocks between adjacent weights are all of J+, and their transposes all of J-
+        assert_allclose(jp, ops["x"] + 1j * ops["y"], atol=0)
+        assert_allclose(jp.T, ops["x"] - 1j * ops["y"], atol=0)
+        basis, labels, _ = dense_schur_basis(n_qubits)
+        index = {label: k for k, label in enumerate(labels)}
+        for (j, m, alpha), k in index.items():
+            if m == -j:
+                continue
+            lowered = jp.T @ basis[:, k]
+            target = math.sqrt(j * (j + 1) - m * (m - 1)) * basis[:, index[(j, m - 1, alpha)]]
+            assert np.abs(lowered - target).max() < 1e-8
 
 
 def test_collective_rotations_preserve_sectors():

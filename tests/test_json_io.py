@@ -262,6 +262,36 @@ def test_non_finite_entries_exit_2(tmp_path, capsys):
         assert cli.run(["scaling", "--p", p, "--copies", "5"]) == 2
 
 
+@pytest.mark.parametrize("value", [[2], "2", None, 2.5, True, {"n": 2}, float("nan")])
+def test_envelope_integers_of_another_json_type_exit_2_naming_the_key(tmp_path, capsys, value):
+    rho = {"dim": value, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+    psi = {"dim": value, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    rep = fr.finite_rep_to_json(fr.z2_phase_flip_rep())
+    rep["order"] = value
+    charges = {"dim": value, "charges": [0, 1]}
+    good = write_text(tmp_path / "good.json", json.dumps({"matrix": rho["matrix"]}))
+    density, pure, rep_file, charges_file = (
+        write_text(tmp_path / f"{name}.json", json.dumps(doc))
+        for name, doc in (("rho", rho), ("psi", psi), ("rep", rep), ("charges", charges)))
+    for options, key in ((["--group", "u1", "--state", density], "dim"),
+                         (["--group", "u1", "--state", pure], "dim"),
+                         (["--group", "finite", "--rep", rep_file, "--state", good], "order"),
+                         (["--group", "u1", "--charges", charges_file, "--state", good], "dim")):
+        assert cli.run(["asymmetry"] + options) == 2, options
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"'{key}' must be an integer" in err, err
+    with pytest.raises(fr.ShapeMismatchError, match="'dim' must be an integer"):
+        fr.kraus_channel_from_json({"dim": value, "kraus": [complex_matrix_to_json(np.eye(2))]})
+
+
+def test_envelope_integers_may_be_written_as_floats():
+    matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    assert fr.density_from_json({"dim": 2.0, "matrix": matrix}).dim == 2
+    with pytest.raises(fr.InvalidStateError, match="declared dim 3"):
+        fr.pure_state_from_json({"dim": 3.0, "amplitudes": [[1.0, 0.0]]})
+
+
 def test_writer_matches_the_per_entry_comprehension():
     rng = np.random.default_rng(3)
     special = np.array([-0.0, 5e-324, -2.2e-310, 1e308, -1e308, 0.0, 1.0])

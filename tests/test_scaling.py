@@ -130,6 +130,14 @@ def test_convolution_sum_is_checked_then_normalized(monkeypatch):
         fr.convolve_copies([0.7, 0.3], 1000)
 
 
+def test_fft_size_is_scipys_fast_real_length():
+    from scipy.fft import next_fast_len
+
+    sizes = list(range(1, 2**16 + 1))
+    sizes += np.random.default_rng(0).integers(2**16, 2**22, size=4000).tolist() + [2**22]
+    assert [fr.scaling._fft_size(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
+
+
 def test_convolution_budget():
     with pytest.raises(fr.ResourceLimitError):
         fr.convolve_copies([0.5, 0.5], 2**23)
