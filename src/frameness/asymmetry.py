@@ -13,7 +13,7 @@ brackets by brute-force search.
 Realized actions:
 
 * finite groups: uniform average over the |G| conjugations, Kraus-only
-  (idempotence checked through the superoperator);
+  (idempotence checked on the Choi matrices, O(d^4 min(|G|^2 + |G|, d^2)));
 * U(1): pinching across charge sectors (intra-sector coherence survives);
 * collective SU(2): per spin sector, scramble the irrep factor to the
   maximally mixed state while leaving the multiplicity factor untouched,

@@ -7,9 +7,11 @@ itself.  :func:`relative_entropy_to_image` evaluates that gap after checking
 both preconditions.  :class:`BlockProjection` is the one conditional-expectation
 type (u1/su2 twirls, block algebras, dephasing): its basis is a direct sum of
 unitary blocks, it is idempotent by its form and its entropy comes block by
-block.  Pinchings and finite twirls stay Kraus-only, their idempotence checked
-through the superoperator; the generators at the bottom produce test channels
-going beyond group twirls.
+block.  Pinchings and finite twirls stay Kraus-only; their idempotence is
+checked on the Choi matrices of E o E and E, whose difference is a product
+with inner dimension n^2 + n for n Kraus operators, or on the d^2 x d^2
+superoperator when that is the smaller product: O(d^4 min(n^2 + n, d^2)).
+The generators at the bottom produce test channels going beyond group twirls.
 """
 
 from __future__ import annotations
@@ -103,11 +105,31 @@ class KrausChannel:
         eye = np.eye(self.dim)
         return float(np.abs(self.apply_matrix(eye) - eye).max()) <= IDENTITY_TOL
 
-    def is_idempotent(self) -> bool:
-        """E o E = E on the superoperator, to COMPOSED_TOL; decided once (the Kraus are frozen)."""
-        if self._idempotent is None:
+    def _idempotence_deviation(self) -> float:
+        """max |S @ S - S|, S the superoperator, through the smaller inner dimension.
+
+        With V = [vec E_a] and W = [vec(E_a E_b)], Choi(E o E) - Choi(E) = W W^dag - V V^dag
+        (inner dimension n^2 + n) holds the entries of S @ S - S (inner dimension d^2),
+        reshuffled; so the product with the smaller inner dimension is formed.
+        """
+        d, n = self.dim, len(self.kraus)
+        if n * (n + 1) >= d * d:
             m = self.superoperator()
-            self._idempotent = float(np.abs(m @ m - m).max()) <= COMPOSED_TOL
+            return float(np.abs(m @ m - m).max())
+        k = np.stack(self.kraus)
+        v = k.reshape(n, d * d)
+        w = np.matmul(k[:, None], k[None, :]).reshape(n * n, d * d)
+        gap = w.T @ w.conj()
+        gap -= v.T @ v.conj()
+        return float(np.abs(gap).max())
+
+    def is_idempotent(self) -> bool:
+        """E o E = E, entrywise on the superoperator to COMPOSED_TOL; decided once (the Kraus are frozen).
+
+        Costs O(d^4 min(n^2 + n, d^2)) for n Kraus operators (see _idempotence_deviation).
+        """
+        if self._idempotent is None:
+            self._idempotent = self._idempotence_deviation() <= COMPOSED_TOL
         return self._idempotent
 
     def __repr__(self):

@@ -109,10 +109,13 @@ def test_unitality_and_idempotence_verdicts():
 
 
 def test_idempotence_is_decided_once_per_channel(monkeypatch):
-    builds = []
+    builds, deviations = [], []
     superoperator = fr.KrausChannel.superoperator
+    deviation = fr.KrausChannel._idempotence_deviation
     monkeypatch.setattr(fr.KrausChannel, "superoperator",
                         lambda self: builds.append(self) or superoperator(self))
+    monkeypatch.setattr(fr.KrausChannel, "_idempotence_deviation",
+                        lambda self: deviations.append(self) or deviation(self))
     ch = z2_twirl_channel()
     fr.relative_entropy_to_image(ch, plus_state())
     assert fr.image_fix_equivalence_check(ch, samples=2).idempotent
@@ -120,6 +123,62 @@ def test_idempotence_is_decided_once_per_channel(monkeypatch):
     half = partial_dephasing()
     assert not half.is_idempotent() and not half.is_idempotent()
     assert builds == [ch, half]
+    # four Kraus operators on d = 8 (n^2 + n < d^2): decided on the Choi side, once
+    pinch = random_pinching(8, 4, np.random.default_rng(9))
+    fr.relative_entropy_to_image(pinch, fr.random_density_operator(8, np.random.default_rng(10)))
+    assert fr.image_fix_equivalence_check(pinch, samples=2).idempotent
+    assert deviations == [ch, half, pinch]
+    assert builds == [ch, half]
+
+
+def random_pinching(dim, parts, rng):
+    u = fr.haar_unitary(dim, rng)
+    edges = np.linspace(0, dim, parts + 1).astype(int)
+    return fr.pinching_channel([u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(edges, edges[1:])])
+
+
+def phase_twirl(dim, order, rng):
+    u = fr.haar_unitary(dim, rng)
+    charges = rng.integers(0, order, size=dim)
+    return fr.twirl_channel([(u * np.exp(2j * np.pi * k * charges / order)) @ u.conj().T
+                             for k in range(order)])
+
+
+def mixed_with_identity(ch, dev):
+    """dev id + (1 - dev) E: not idempotent for 0 < dev < 1 unless E is the identity."""
+    return fr.KrausChannel([math.sqrt(1.0 - dev) * k for k in ch.kraus]
+                           + [math.sqrt(dev) * np.eye(ch.dim)])
+
+
+def deviation_cases(rng):
+    """Channels on both sides of the n (n + 1) < d^2 split, idempotent or not."""
+    d = int(rng.integers(8, 25))
+    yield random_pinching(d, int(rng.integers(2, 6)), rng)
+    yield phase_twirl(d, int(rng.integers(2, 9)), rng)
+    small = int(rng.integers(2, 11))
+    m = int(rng.integers(1, small))  # sectors (m, 1) and (1, small - m): m^2 + 1 Kraus operators
+    yield fr.conditional_expectation_channel([(m, 1), (1, small - m)],
+                                             fr.haar_unitary(small, rng)).kraus_channel()
+    yield fr.dephasing_channel(fr.haar_unitary(small, rng)).kraus_channel()
+    yield fr.random_unital_idempotent_channel(2, rng).kraus_channel()
+    yield phase_twirl(2, int(rng.integers(2, 5)), rng)
+    yield mixed_with_identity(random_pinching(int(rng.integers(3, 9)), 2, rng), rng.uniform(0, 1))
+    yield mixed_with_identity(random_pinching(2, 2, rng), rng.uniform(0, 1))
+    yield amplitude_damping(rng.uniform(0, 1))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_idempotence_deviation_matches_the_superoperator(seed):
+    sides = set()
+    for ch in deviation_cases(np.random.default_rng(seed)):
+        m = ch.superoperator()
+        oracle = float(np.abs(m @ m - m).max())
+        assert abs(ch._idempotence_deviation() - oracle) <= 1e-13
+        assert ch.is_idempotent() is (oracle <= 1e-8)
+        n = len(ch.kraus)
+        sides.add(n * (n + 1) < ch.dim**2)
+    assert sides == {True, False}
 
 
 def test_commutant_fixed_point_check():

@@ -229,6 +229,14 @@ def test_exit_codes(tmp_path):
     assert cli.run(["extremal", "--group", "su2", "--qubits", "14"]) == 3
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_ree_rejects_an_empty_grid(capsys, grid):
+    assert cli.run(["ree", "--p", "0.8", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert f"grid must be a positive number of angles per axis, got {grid}" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_su2_design_bound_holds_only_for_small_registers(tmp_path):
     # 2 log2(N+1) bounds N-copy states; the maximal-asymmetry state is not
     # one, and from 8 qubits on its asymmetry exceeds the bound

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import frameness as fr
-from frameness.entanglement import _reduced_angles
+from frameness.entanglement import _dephased_entropy, _reduced_angles
 
 
 def partial_transpose_b(matrix):
@@ -213,11 +213,50 @@ def test_bound_report_json_dict():
 
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_grid_blocks_match_the_pointwise_bound(side):
-    from frameness.entanglement import _grid_upper_bounds
-
     bip = random_two_qubit_state(np.random.default_rng(6))
-    thetas, gammas, values = _grid_upper_bounds(bip, 6, side)
+    thetas, gammas = np.arange(6) * math.pi / 6, np.arange(6) * 2 * math.pi / 6
+    values = (_dephased_entropy(bip.state.matrix.reshape(2, 2, 2, 2), thetas[:, None],
+                                gammas[None, :], side) - fr.von_neumann_entropy(bip.state))
+    assert values.shape == (6, 6)
     for i, theta in enumerate(thetas):
         for j, gamma in enumerate(gammas):
             u = fr.two_qubit_parameterized_unitary(theta, gamma)
             assert values[i, j] == pytest.approx(fr.dephasing_upper_bound(bip, u, side), abs=1e-12)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_kernel_at_single_angles_matches_the_lifted_bound(side):
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        bip = random_two_qubit_state(rng)
+        theta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        value = _dephased_entropy(bip.state.matrix.reshape(2, 2, 2, 2), theta, gamma, side)
+        assert isinstance(value, float)
+        u = fr.two_qubit_parameterized_unitary(theta, gamma)
+        assert value - fr.von_neumann_entropy(bip.state) == pytest.approx(
+            fr.dephasing_upper_bound(bip, u, side), abs=1e-12)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_reported_upper_is_the_bound_at_the_reported_angles(side):
+    rng = np.random.default_rng(11)
+    for bip in [random_two_qubit_state(rng) for _ in range(4)] + [fr.bell_diagonal_state(0.8)]:
+        report = fr.optimize_two_qubit_bound(bip, grid=16, side=side)
+        u = fr.two_qubit_parameterized_unitary(report.theta, report.gamma)
+        assert_allclose(report.unitary, u, atol=0)
+        assert report.upper == pytest.approx(fr.dephasing_upper_bound(bip, u, side), abs=1e-12)
+
+
+def test_two_qubit_optimizer_builds_no_block_projection(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a BlockProjection was built")
+
+    monkeypatch.setattr(fr.BlockProjection, "__init__", forbidden)
+    report = fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.75), grid=16)
+    assert report.upper == pytest.approx(1.0 - fr.binary_entropy(0.75), abs=1e-9)
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_optimizer_grid_must_be_positive(grid):
+    with pytest.raises(ValueError, match=f"grid .*got {grid}"):
+        fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.8), grid=grid)

@@ -106,6 +106,20 @@ def test_idempotence(dev, accepted):
 
 
 @half_and_twice(1e-8)
+def test_idempotence_of_a_factored_check(dev, accepted, monkeypatch):
+    # the same mixture on d = 4 with rank-2 blocks: 3 Kraus operators, n^2 + n < d^2,
+    # so the check is W W^dag - V V^dag with entries dev - dev^2, no superoperator
+    def forbidden(self):
+        raise AssertionError("the superoperator was built")
+
+    monkeypatch.setattr(fr.KrausChannel, "superoperator", forbidden)
+    a = math.sqrt(1.0 - dev)
+    ch = fr.KrausChannel([a * np.diag([1.0, 1.0, 0.0, 0.0]), a * np.diag([0.0, 0.0, 1.0, 1.0]),
+                          math.sqrt(dev) * np.eye(4)])
+    assert ch.is_idempotent() is accepted
+
+
+@half_and_twice(1e-8)
 def test_group_closure(dev, accepted):
     # T(g1)^2 = diag(1, 1 + dev) must match the identity element
     elems = [np.eye(2), np.diag([1.0, -math.sqrt(1.0 + dev)])]
