@@ -49,6 +49,7 @@ from .entanglement import (
     lifted_dephasing_channel,
     optimize_dephasing_bound,
     optimize_two_qubit_bound,
+    optimize_two_qubit_bounds,
     two_qubit_parameterized_unitary,
 )
 from .estimation import (

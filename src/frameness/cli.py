@@ -34,6 +34,7 @@ from .entanglement import (
     bell_diagonal_state,
     optimize_dephasing_bound,
     optimize_two_qubit_bound,
+    optimize_two_qubit_bounds,
 )
 from .estimation import holevo_bound_check, random_povm
 from .groups import (
@@ -516,10 +517,11 @@ def _cmd_ree(args) -> int:
     meta = _meta("ree", ns)
 
     if ns.sweep:
-        rows = []
-        for pv in (float(x) for x in ns.sweep.split(",")):
-            rep = optimize_two_qubit_bound(bell_diagonal_state(pv), grid=ns.grid, side=ns.side)
-            rows.append((pv, rep.upper, rep.lower, rep.theta, rep.gamma, rep.tight))
+        ps = [float(x) for x in ns.sweep.split(",")]
+        reports = optimize_two_qubit_bounds([bell_diagonal_state(pv) for pv in ps],
+                                            grid=ns.grid, side=ns.side)
+        rows = [(pv, rep.upper, rep.lower, rep.theta, rep.gamma, rep.tight)
+                for pv, rep in zip(ps, reports)]
         header = ("p", "upper", "lower", "theta", "gamma", "tight")
         _emit(ns, meta, [dict(zip(header, r)) for r in rows], header, rows)
         return 0

@@ -27,6 +27,7 @@ ZERO_VARIANCE_CUTOFF = 1e-15  # a per-copy charge law with a smaller variance is
 CONVOLVED_SUM_EPS = 8         # |sum - (sum p)^N| of an N-fold convolution, in units of N eps
 VERIFY_TOL = 1e-8             # verify: an identity between two computed values
 KLEIN_TOL = 1e-9              # verify: how far below 0 a sampled S(rho||sigma) may read
+DEGENERATE_ANGLE_TOL = 1e-7   # |sin 2 theta| at which a qubit basis ignores gamma: ree reports (0, 0)
 
 _DEFAULT_MAX_DIM = 2**14
 

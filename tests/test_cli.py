@@ -260,22 +260,40 @@ assert not scipy_modules(), ("import", scipy_modules())
 for argv in json.loads(sys.argv[1]):
     assert frameness.cli.run(argv) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
-assert frameness.cli.run(json.loads(sys.argv[2])) == 0
-assert "scipy.optimize" in sys.modules
 """
 
 
-def test_only_ree_loads_scipy(tmp_path, plus_state_file):
+def test_no_subcommand_loads_scipy(tmp_path, plus_state_file, z2_rep_file):
     psi = fr.PureState(np.full(16, 0.25))
     state16 = write_json(tmp_path / "psi16.json", fr.pure_state_to_json(psi))
+    bip23 = write_json(tmp_path / "bip23.json", fr.density_to_json(
+        fr.random_density_operator(6, np.random.default_rng(0))))
     out = ["--out", str(tmp_path / "out.json")]
     runs = [["scaling"] + out,
             ["asymmetry", "--group", "su2", "--qubits", "4", "--state", state16] + out,
+            ["twirl", "--group", "finite", "--rep", z2_rep_file, "--state", plus_state_file] + out,
             ["extremal", "--group", "su2", "--qubits", "4"] + out,
             ["bounds", "--group", "finite"] + out,
-            ["estimate", "--state", plus_state_file] + out]
+            ["estimate", "--state", plus_state_file] + out,
+            ["ree", "--p", "0.75"] + out,
+            ["ree", "--sweep", "0.6,0.9"] + out,
+            ["ree", "--state", bip23, "--dims", "2,3", "--random-trials", "3"] + out,
+            ["verify", "--seed", "0"] + out]
+    assert {argv[0] for argv in runs} == set(cli.COMMANDS)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fr.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs),
-                           json.dumps(["ree", "--p", "0.5"] + out)],
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("p", ["0.75", "0.95"])
+def test_ree_reports_the_gamma_free_optimum_as_zero_angles(tmp_path, p):
+    texts = []
+    for k in range(2):
+        out = tmp_path / f"ree{k}.json"
+        assert cli.run(["ree", "--p", p, "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    res = json.loads(texts[0])["result"]
+    assert (res["theta"], res["gamma"]) == (0.0, 0.0)
+    assert res["tight"] is True

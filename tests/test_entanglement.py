@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import frameness as fr
-from frameness.entanglement import _dephased_entropy, _reduced_angles
+from frameness.entanglement import (
+    _bloch_coefficients,
+    _dephased_entropy,
+    _grid_starts,
+    _nelder_mead,
+    _reduced_angles,
+)
 
 
 def partial_transpose_b(matrix):
@@ -215,8 +221,8 @@ def test_bound_report_json_dict():
 def test_grid_blocks_match_the_pointwise_bound(side):
     bip = random_two_qubit_state(np.random.default_rng(6))
     thetas, gammas = np.arange(6) * math.pi / 6, np.arange(6) * 2 * math.pi / 6
-    values = (_dephased_entropy(bip.state.matrix.reshape(2, 2, 2, 2), thetas[:, None],
-                                gammas[None, :], side) - fr.von_neumann_entropy(bip.state))
+    values = (_dephased_entropy(_bloch_coefficients(bip.state.matrix, side), thetas[:, None],
+                                gammas[None, :]) - fr.von_neumann_entropy(bip.state))
     assert values.shape == (6, 6)
     for i, theta in enumerate(thetas):
         for j, gamma in enumerate(gammas):
@@ -230,7 +236,7 @@ def test_kernel_at_single_angles_matches_the_lifted_bound(side):
     for _ in range(50):
         bip = random_two_qubit_state(rng)
         theta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-        value = _dephased_entropy(bip.state.matrix.reshape(2, 2, 2, 2), theta, gamma, side)
+        value = _dephased_entropy(_bloch_coefficients(bip.state.matrix, side), theta, gamma)
         assert isinstance(value, float)
         u = fr.two_qubit_parameterized_unitary(theta, gamma)
         assert value - fr.von_neumann_entropy(bip.state) == pytest.approx(
@@ -260,3 +266,122 @@ def test_two_qubit_optimizer_builds_no_block_projection(monkeypatch):
 def test_optimizer_grid_must_be_positive(grid):
     with pytest.raises(ValueError, match=f"grid .*got {grid}"):
         fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.8), grid=grid)
+
+
+def _scipy_nelder_mead(fun, x0):
+    import scipy.optimize  # the oracle; scipy is a test dependency only
+
+    res = scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
+                                  options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 200})
+    return res.x, res.fun, res.nit
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_lockstep_nelder_mead_is_scipys_bit_for_bit(side):
+    rng = np.random.default_rng(12)
+    states = [fr.random_density_operator(4, rng) for _ in range(4)]
+    coef = np.stack([_bloch_coefficients(s.matrix, side) for s in states])
+    s_rho = np.array([fr.von_neumann_entropy(s) for s in states])
+    owner = np.repeat(np.arange(4), 3)
+    x0 = np.column_stack([rng.uniform(0, math.pi, 12), rng.uniform(0, 2 * math.pi, 12)])
+    x0[0] = 0.0  # the zero-step initial simplex
+
+    def objective(rows, points):
+        return _dephased_entropy(coef[owner[rows]], points[:, 0], points[:, 1]) - s_rho[owner[rows]]
+
+    xs, funs = _nelder_mead(objective, x0)
+    iterations = set()
+    for k in range(12):
+        c, s = coef[owner[k]], s_rho[owner[k]]
+        x, fun, nit = _scipy_nelder_mead(lambda x: _dephased_entropy(c, x[0], x[1]) - s, x0[k])
+        assert np.array_equal(xs[k], x) and funs[k] == fun, k
+        iterations.add(nit)
+    assert len(iterations) > 1  # the simplices stop at different iterations
+
+
+def test_lockstep_nelder_mead_stops_rows_at_the_iteration_cap_as_scipy_does():
+    def rosenbrock(p):
+        return 100.0 * (p[..., 1] - p[..., 0] ** 2) ** 2 + (1.0 - p[..., 0]) ** 2
+
+    x0 = np.array([[-50.0, 100.0], [-1.2, 1.0], [1e4, -1e4], [1.0, 1.0], [2.0, 2.0]])
+    xs, funs = _nelder_mead(lambda rows, points: rosenbrock(points), x0)
+    iterations = []
+    for k in range(len(x0)):
+        x, fun, nit = _scipy_nelder_mead(lambda x: float(rosenbrock(x)), x0[k])
+        assert np.array_equal(xs[k], x) and funs[k] == fun, k
+        iterations.append(nit)
+    assert 200 in iterations and min(iterations) < 100
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_kernel_value_is_the_same_in_any_batch(side):
+    rng = np.random.default_rng(13)
+    coef = _bloch_coefficients(fr.random_density_operator(4, rng).matrix, side)
+    thetas, gammas = rng.uniform(0, math.pi, 37), rng.uniform(0, 2 * math.pi, 37)
+    batch = _dephased_entropy(coef, thetas, gammas)
+    one_by_one = [_dephased_entropy(coef, t, g) for t, g in zip(thetas, gammas)]
+    stacked = _dephased_entropy(np.broadcast_to(coef, (37, 4, 4)), thetas, gammas)
+    grid = _dephased_entropy(coef, thetas[:, None], gammas[None, :])
+    assert np.array_equal(batch, one_by_one)
+    assert np.array_equal(batch, stacked)
+    assert np.array_equal(batch, np.diagonal(grid))
+    for n in (1, 2, 5, 9):
+        assert np.array_equal(_dephased_entropy(coef, thetas[-n:], gammas[-n:]), batch[-n:])
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_batched_optimizer_equals_the_one_state_calls(side):
+    rng = np.random.default_rng(14)
+    states = [random_two_qubit_state(rng) for _ in range(3)] + [fr.bell_diagonal_state(0.7)]
+    batch = fr.optimize_two_qubit_bounds(states, grid=16, side=side)
+    for bip, report in zip(states, batch):
+        single = fr.optimize_two_qubit_bound(bip, grid=16, side=side)
+        assert (report.upper, report.lower, report.theta, report.gamma) == \
+            (single.upper, single.lower, single.theta, single.gamma)
+        assert np.array_equal(report.unitary, single.unitary)
+    assert fr.optimize_two_qubit_bounds([], grid=16) == []
+
+
+@pytest.mark.parametrize("grid", [16, 64])
+def test_blockwise_grid_scan_keeps_the_full_scans_starts(grid):
+    rng = np.random.default_rng(15)
+    thetas = np.arange(grid) * math.pi / grid
+    gammas = np.arange(grid) * 2.0 * math.pi / grid
+    # a product state and a Bell-diagonal one tie on many grid points
+    states = [random_two_qubit_state(rng), fr.bell_diagonal_state(0.8),
+              fr.BipartiteState(2, 2, fr.DensityOperator(np.diag([0.4, 0.1, 0.3, 0.2])))]
+    for bip in states:
+        coef, s_rho = _bloch_coefficients(bip.state.matrix, "B"), fr.von_neumann_entropy(bip.state)
+        full = (_dephased_entropy(coef, thetas[:, None], gammas[None, :]) - s_rho).ravel()
+        order = np.argsort(full, kind="stable")[:3]
+        for block_pairs in (1, 3 * grid, 5 * grid, grid * grid):
+            starts, values = _grid_starts(coef, s_rho, grid, block_pairs)
+            assert np.array_equal(values, full[order])
+            assert np.array_equal(starts[:, 0], thetas[order // grid])
+            assert np.array_equal(starts[:, 1], gammas[order % grid])
+
+
+def test_grid_scan_workspace_is_bounded():
+    import tracemalloc
+
+    bip = fr.bell_diagonal_state(0.8)
+    fr.optimize_two_qubit_bound(bip, grid=4)  # first-call allocations outside the trace
+    tracemalloc.start()
+    try:
+        report = fr.optimize_two_qubit_bound(bip, grid=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak  # the whole 2048 x 2048 scan at once is about 1.3 GB
+    assert report.upper == pytest.approx(1.0 - fr.binary_entropy(0.8), abs=1e-9)
+
+
+def test_angles_at_a_gamma_free_basis_are_reported_as_zero():
+    # sin 2 theta = 0 makes the basis independent of gamma; both twins of theta = 0 reduce to (0, 0)
+    for theta, gamma in [(0.0, 2.5), (1e-9, 5.7), (math.pi / 2, 1.0), (math.pi - 1e-9, 0.3)]:
+        assert _reduced_angles(theta, gamma) == (0.0, 0.0)
+    assert _reduced_angles(0.3, 2.0 * math.pi + 0.5) == (0.3, pytest.approx(0.5))
+    for p in (0.75, 0.95):
+        report = fr.optimize_two_qubit_bound(fr.bell_diagonal_state(p))
+        assert (report.theta, report.gamma) == (0.0, 0.0)
+        assert report.upper == pytest.approx(1.0 - fr.binary_entropy(p), abs=1e-9)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import frameness as fr
+from frameness.entanglement import _reduced_angles
 from frameness.scaling import BoundRow
 
 
@@ -177,3 +178,9 @@ def test_zero_variance_model(dev, accepted):
     # a Bernoulli law with weight v has variance v (1 - v); below the cutoff the model is 0
     row = fr.regularized_asymmetry_table([1.0 - dev, dev], [4]).rows[0]
     assert (row.model_value == 0.0) is accepted
+
+
+@half_and_twice(1e-7)
+def test_gamma_free_basis_angles(dev, accepted):
+    # |sin 2 theta| = dev: at or below the tolerance the reported angles are (0, 0)
+    assert (_reduced_angles(0.5 * math.asin(dev), 1.0) == (0.0, 0.0)) is accepted
