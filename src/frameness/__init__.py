@@ -129,7 +129,6 @@ from .states import (
     pure_state_to_json,
     relative_entropy,
     shannon_entropy,
-    tensor_power,
     trace_distance,
     von_neumann_entropy,
 )

@@ -70,6 +70,7 @@ from .states import (
     ProbabilityDistribution,
     PureState,
     ResourceLimitError,
+    ShapeMismatchError,
     binary_entropy,
     density_from_json,
     density_to_json,
@@ -422,11 +423,10 @@ def _per_copy_distribution(ns) -> ProbabilityDistribution:
             raise ValueError("--state also needs --charges to define the per-copy distribution")
         grading = charge_grading_from_json(_load_json(ns.charges))
         rho = _load_state(ns.state)
-        weights = np.zeros(int(grading.charges.max()) + 1)
+        if rho.dim != grading.dim:
+            raise ShapeMismatchError(f"state dim {rho.dim} does not match grading dim {grading.dim}")
         diag = np.real(np.diagonal(rho.matrix))
-        for c, w in zip(grading.charges, diag):
-            weights[c] += w
-        return ProbabilityDistribution(weights)
+        return ProbabilityDistribution(np.bincount(grading.charges, weights=diag))
     return ProbabilityDistribution([1.0 - ns.p, ns.p])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymmetry import TwirlOperation, g_asymmetry
-from .groups import FiniteGroupRep
+from .groups import FiniteGroupRep, RepresentationError
 from .states import (
     EIG_CUTOFF,
     IDENTITY_TOL,
@@ -55,8 +55,12 @@ class OrbitEnsemble:
 
 
 def orbit_ensemble(rep: FiniteGroupRep, rho: DensityOperator) -> OrbitEnsemble:
+    """The orbit of rho under a unitary rep; a non-unitary T(g) raises RepresentationError."""
     if rho.dim != rep.dim:
         raise ShapeMismatchError(f"state dim {rho.dim} does not match rep dim {rep.dim}")
+    dev = float(rep.unitarity_deviations().max())
+    if dev > INPUT_TOL:
+        raise RepresentationError(f"representation is not unitary: max |T^dag T - I| = {dev:.3e}")
     return OrbitEnsemble(tuple(DensityOperator(u @ rho.matrix @ u.conj().T) for u in rep.unitaries))
 
 

@@ -41,6 +41,16 @@ class RepresentationError(FramenessError):
     """A supplied group representation violates its invariants."""
 
 
+def _integer_entries(values, what: str) -> np.ndarray:
+    """``values`` as an int array, integer-valued floats such as 2.0 included; else raise."""
+    a = np.asarray(values)
+    exact = a.dtype.kind == "f" and bool(np.all((np.abs(a) <= 2**53) & (a == np.trunc(a))))
+    entries = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
+    if not (a.dtype.kind in "iu" or exact) or any(isinstance(x, bool) for x in entries):
+        raise RepresentationError(f"{what} must be integers, got {values!r:.60}")
+    return a.astype(int)
+
+
 # ---------------------------------------------------------------------------
 # Finite groups
 
@@ -80,7 +90,7 @@ class FiniteGroupRep:
     __slots__ = ("order", "table", "unitaries", "dim")
 
     def __init__(self, table, unitaries):
-        t = np.asarray(table, dtype=int)
+        t = _integer_entries(table, "table entries")
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise RepresentationError(f"multiplication table must be square, got {t.shape}")
         n = t.shape[0]
@@ -99,6 +109,11 @@ class FiniteGroupRep:
         self.table = t
         self.unitaries = tuple(us)
         self.dim = us[0].shape[0]
+
+    def unitarity_deviations(self) -> np.ndarray:
+        """max |T(g)^dag T(g) - I| entrywise, for each element g."""
+        us = np.stack(self.unitaries)
+        return np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(self.dim)).max(axis=(1, 2))
 
     def identity_index(self) -> int | None:
         n = self.order
@@ -138,9 +153,7 @@ def validate_finite_rep(rep: FiniteGroupRep) -> ValidationReport:
                 report.add("inverses", f"element g{i} has no two-sided inverse")
                 break
 
-    eye = np.eye(rep.dim)
-    for i, u in enumerate(rep.unitaries):
-        dev = float(np.abs(u.conj().T @ u - eye).max())
+    for i, dev in enumerate(rep.unitarity_deviations()):
         if dev > INPUT_TOL:
             report.add("unitarity", f"T(g{i}) is not unitary", dev)
 
@@ -229,7 +242,7 @@ class ChargeGrading:
     __slots__ = ("dim", "charges")
 
     def __init__(self, charges):
-        c = np.asarray(charges, dtype=int).reshape(-1)
+        c = _integer_entries(charges, "charges").reshape(-1)
         if c.size == 0:
             raise RepresentationError("empty charge list")
         if c.min() < 0:

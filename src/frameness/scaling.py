@@ -28,10 +28,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .asymmetry import TwirlOperation, g_asymmetry
+from .estimation import orbit_ensemble
 from .groups import ChargeGrading, CollectiveSpinRep, FiniteGroupRep, symmetric_subspace_dimension
 from .states import (
     CONVOLVED_SUM_EPS,
@@ -41,9 +43,11 @@ from .states import (
     ProbabilityDistribution,
     PureState,
     ResourceLimitError,
+    _entropy_of_spectrum,
     max_dim,
     shannon_entropy,
     trace_distance,
+    von_neumann_entropy,
     within_bound,
 )
 
@@ -164,6 +168,15 @@ def u1_ncopy_asymmetry(per_copy, n_copies: int) -> float:
     return shannon_entropy(convolve_copies(per_copy, n_copies).convolved)
 
 
+def _u1_ladder(per_copy, n_list) -> tuple[float, list[tuple[int, float]]]:
+    """The per-copy law's variance and (N, A(N)) for each distinct N in ``n_list``, ascending."""
+    p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
+    ns = sorted(set(int(n) for n in n_list))
+    if not ns or ns[0] < 1:
+        raise ValueError("n_list must contain positive copy counts")
+    return convolve_copies(p, 1).variance(), [(n, u1_ncopy_asymmetry(p, n)) for n in ns]
+
+
 def gaussian_entropy_model(variance: float, n_copies: int,
                            constant: float = GAUSSIAN_CONSTANT_BITS) -> float:
     """Discrete-Gaussian entropy model (1/2) log2(2 pi N V) + constant."""
@@ -207,14 +220,9 @@ def regularized_asymmetry_table(per_copy, n_list,
     already invariant); otherwise A/N decays toward zero while the gap to the
     model shrinks, which is the numerical content of the log-N law.
     """
-    p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_list must contain positive copy counts")
-    v1 = convolve_copies(p, 1).variance()
+    v1, ladder = _u1_ladder(per_copy, n_list)
     rows = []
-    for n in ns:
-        a = u1_ncopy_asymmetry(p, n)
+    for n, a in ladder:
         model = gaussian_entropy_model(v1, n, constant) if v1 > ZERO_VARIANCE_CUTOFF else 0.0
         rows.append(ScalingRow(n, a, model, a - model))
     label = f"0.5*log2(2*pi*N*V) + {constant:.6f}"
@@ -248,26 +256,24 @@ class FiniteGroupBoundReport:
 
 def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
                              n_max: int) -> FiniteGroupBoundReport:
-    """Check A_G(rho^(x)N) <= log2|G| for N = 1..n_max by explicit twirling.
+    """Check A_G(rho^(x)N) <= log2|G| for N = 1..n_max from the single-copy orbit.
 
-    The N-copy representation acts by T(g)^(x)N, so the bound is independent
-    of N; the table makes that visible.
+    G(rho^(x)N) is the orbit average (1/|G|) sum_g (U_g rho U_g^dag)^(x)N and
+    S(rho^(x)N) = N S(rho), so a row costs one d^N eigensolve and builds no
+    N-copy representation or channel.  The bound does not depend on N.
     """
-    if rho.dim != rep.dim:
-        raise ValueError(f"state dim {rho.dim} does not match representation dim {rep.dim}")
-    bound = math.log2(rep.order)
-    rows = []
-    state = rho.matrix
-    unitaries = list(rep.unitaries)
+    if n_max < 1:
+        raise ValueError(f"need at least one copy, got {n_max}")
+    if rho.dim**n_max > max_dim():
+        raise ResourceLimitError(f"dim {rho.dim}**{n_max} exceeds cap {max_dim()}")
+    orbit = [sigma.matrix for sigma in orbit_ensemble(rep, rho).states]
+    s_in, bound, rows = von_neumann_entropy(rho), math.log2(rep.order), []
     for n in range(1, n_max + 1):
-        if rho.dim**n > max_dim():
-            raise ResourceLimitError(f"dim {rho.dim}**{n} exceeds cap {max_dim()}")
-        if n > 1:
-            state = np.kron(state, rho.matrix)
-            unitaries = [np.kron(u, base) for u, base in zip(unitaries, rep.unitaries)]
-        ncopy_rep = FiniteGroupRep(rep.table, unitaries)
-        result = g_asymmetry(TwirlOperation.finite(ncopy_rep), DensityOperator(state))
-        rows.append(BoundRow(n, result.asymmetry, bound))
+        mean = np.zeros((rho.dim**n, rho.dim**n), dtype=complex)
+        for sigma in orbit:
+            mean += reduce(np.kron, [sigma] * n)
+        s_out = _entropy_of_spectrum(np.linalg.eigvalsh(mean) / rep.order)
+        rows.append(BoundRow(n, s_out - n * s_in, bound))
     return FiniteGroupBoundReport(rep.order, rows)
 
 
@@ -400,14 +406,7 @@ def relinearized_monotone(per_copy, n_list,
     2 pi V 2^(2c), an extensive quantity proportional to the per-copy charge
     variance (the asymmetry itself regularizes to zero).
     """
-    p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_list must contain positive copy counts")
-    v1 = convolve_copies(p, 1).variance()
-    rows = []
-    for n in ns:
-        a = u1_ncopy_asymmetry(p, n)
-        rows.append(RelinearizationRow(n, a, 2.0 ** (2.0 * a)))
+    v1, ladder = _u1_ladder(per_copy, n_list)
+    rows = [RelinearizationRow(n, a, 2.0 ** (2.0 * a)) for n, a in ladder]
     target = 2.0 * math.pi * v1 * 2.0 ** (2.0 * constant)
     return RelinearizationReport(rows, rows[-1].per_copy, target)

@@ -127,11 +127,6 @@ class PureState:
     def projector(self) -> DensityOperator:
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "PureState") -> complex:
-        if self.dim != other.dim:
-            raise ShapeMismatchError("pure states of different dimension")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def __repr__(self):
         return f"PureState(dim={self.dim})"
 
@@ -245,19 +240,6 @@ def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> Den
     r = rho.matrix.reshape(da, db, da, db)
     red = np.einsum("ijkj->ik", r) if keep == 0 else np.einsum("ijil->jl", r)
     return DensityOperator(red)
-
-
-def tensor_power(psi: PureState, n: int) -> PureState:
-    """n-fold tensor power of a pure state, capped by the dense dimension budget."""
-    if n < 1:
-        raise ValueError("tensor power needs n >= 1")
-    total = psi.dim**n
-    if total > max_dim():
-        raise ResourceLimitError(f"dim {psi.dim}**{n} = {total} exceeds cap {max_dim()}")
-    out = psi.amplitudes
-    for _ in range(n - 1):
-        out = np.kron(out, psi.amplitudes)
-    return PureState(out)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,26 @@ def test_bounds_finite_and_su2(tmp_path, plus_state_file, z2_rep_file):
     assert res["ok"] is True
 
 
+@pytest.mark.parametrize("copies", ["0", "-2"])
+def test_bounds_finite_needs_a_copy(capsys, copies):
+    # an empty table must not print "ok": true
+    assert cli.run(["bounds", "--group", "finite", "--copies", copies]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least one copy, got {copies}\n"
+
+
+def test_scaling_rejects_a_state_and_grading_of_different_dimensions(tmp_path, capsys):
+    # the last weight is 0, so only the dimensions tell that three levels meet two charges
+    rho = write_json(tmp_path / "rho3.json",
+                     fr.density_to_json(fr.DensityOperator(np.diag([0.5, 0.5, 0.0]))))
+    charges = write_json(tmp_path / "c2.json", {"dim": 2, "charges": [0, 1]})
+    assert cli.run(["scaling", "--state", rho, "--charges", charges, "--copies", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state dim 3 does not match grading dim 2\n"
+
+
 def test_ree_family(tmp_path):
     payload = run_json(tmp_path, ["ree", "--family", "bell-diagonal", "--p", "0.75"])
     res = payload["result"]

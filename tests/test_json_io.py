@@ -292,6 +292,53 @@ def test_envelope_integers_may_be_written_as_floats():
         fr.pure_state_from_json({"dim": 3.0, "amplitudes": [[1.0, 0.0]]})
 
 
+@pytest.mark.parametrize("charges", [[0, 1.5], [0, True], [False, 1], [0, "1"], [0, None]])
+def test_charges_that_are_not_integers_exit_2(tmp_path, capsys, charges):
+    # [0, 1.5] must not read as [0, 1], nor true as 1
+    rho = write_text(tmp_path / "rho.json", json.dumps(fr.density_to_json(
+        fr.DensityOperator(np.diag([0.5, 0.5])))))
+    path = write_text(tmp_path / "c.json", json.dumps({"dim": 2, "charges": charges}))
+    assert cli.run(["asymmetry", "--group", "u1", "--state", rho, "--charges", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "charges must be integers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [0.9, 1.5, True, "1", None])
+def test_table_entries_that_are_not_integers_exit_2(tmp_path, capsys, entry):
+    # a Z2 table entry 0.9 must not read as 0 and pass validation
+    rep = fr.finite_rep_to_json(fr.z2_phase_flip_rep())
+    rep["table"][1][1] = entry
+    rho = write_text(tmp_path / "rho.json", json.dumps(fr.density_to_json(
+        fr.DensityOperator(np.diag([0.5, 0.5])))))
+    path = write_text(tmp_path / "rep.json", json.dumps(rep))
+    for command in (["asymmetry"], ["bounds", "--copies", "2"]):
+        assert cli.run(command + ["--group", "finite", "--rep", path, "--state", rho]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "table entries must be integers" in err, err
+        assert "Traceback" not in err
+
+
+def test_integer_fields_may_be_written_as_floats(tmp_path):
+    rho = write_text(tmp_path / "rho.json", json.dumps(fr.density_to_json(
+        fr.DensityOperator(np.diag([0.25, 0.75])))))
+    outputs = []
+    for k, (charges, table) in enumerate((([0, 1], [[0, 1], [1, 0]]),
+                                         ([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))):
+        rep = fr.finite_rep_to_json(fr.z2_phase_flip_rep())
+        rep["table"] = table
+        rep_file = write_text(tmp_path / f"rep{k}.json", json.dumps(rep))
+        charges_file = write_text(tmp_path / f"c{k}.json", json.dumps({"dim": 2, "charges": charges}))
+        runs = []
+        for options in (["--group", "u1", "--charges", charges_file],
+                        ["--group", "finite", "--rep", rep_file]):
+            out = tmp_path / "out.json"
+            assert cli.run(["asymmetry", "--state", rho, "--out", str(out)] + options) == 0
+            runs.append(json.loads(out.read_text())["result"])
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+    assert fr.ChargeGrading([0.0, 2.0]).charges.tolist() == [0, 2]
+
+
 def test_writer_matches_the_per_entry_comprehension():
     rng = np.random.default_rng(3)
     special = np.array([-0.0, 5e-324, -2.2e-310, 1e308, -1e308, 0.0, 1.0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import frameness as fr
 from frameness.states import EIG_CUTOFF
+from ncopy_oracle import kronecker_bound_asymmetries, tensor_power
 
 
 def binomial_entropy_oracle(n):
@@ -157,7 +159,7 @@ def test_ncopy_asymmetry_matches_full_state_twirl(p):
     for n in (1, 2, 4, 6):
         grading = fr.hamming_weight_grading(n)
         tw = fr.TwirlOperation.u1(grading)
-        full = fr.tensor_power(psi, n).projector()
+        full = tensor_power(psi, n).projector()
         assert fr.u1_ncopy_asymmetry(per_copy, n) == pytest.approx(
             fr.g_asymmetry(tw, full).asymmetry, abs=1e-8
         )
@@ -215,6 +217,48 @@ def test_finite_group_bound_respects_dimension_cap(monkeypatch):
     plus = fr.PureState(np.array([1, 1]) / math.sqrt(2)).projector()
     with pytest.raises(fr.ResourceLimitError):
         fr.finite_group_bound_check(fr.z2_phase_flip_rep(), plus, 4)
+
+
+@pytest.mark.parametrize("rep", [fr.z2_phase_flip_rep(), fr.quaternion_rep(),
+                                 fr.cyclic_phase_rep([0, 1, 2], 3)], ids=["z2", "q8", "z3-qutrit"])
+def test_finite_group_bound_rows_match_the_kronecker_twirl(rep):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        rho = fr.random_density_operator(rep.dim, rng)
+        report = fr.finite_group_bound_check(rep, rho, 4)
+        assert [r.copies for r in report.rows] == [1, 2, 3, 4]
+        assert_allclose([r.asymmetry for r in report.rows],
+                        kronecker_bound_asymmetries(rep, rho, 4), rtol=0, atol=1e-12)
+
+
+def test_finite_group_bound_memory_does_not_grow_with_the_group():
+    rho = fr.random_density_operator(2, np.random.default_rng(5))
+    fr.finite_group_bound_check(fr.quaternion_rep(), rho, 2)  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        report = fr.finite_group_bound_check(fr.quaternion_rep(), rho, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.rows) == 8
+    # one complex 256 x 256 array is 1 MiB; |G| = 8 Kronecker unitaries of that size are 8 MiB
+    assert peak < 6 * 2**20
+
+
+def test_finite_group_bound_rejects_a_non_unitary_rep():
+    s = np.array([[1.0, 0.5], [0.0, 1.0]])
+    similar_z = s @ np.diag([1.0, -1.0]) @ np.linalg.inv(s)  # squares to I, not unitary
+    rep = fr.FiniteGroupRep([[0, 1], [1, 0]], [np.eye(2), similar_z])
+    rho = fr.random_density_operator(2, np.random.default_rng(2))
+    with pytest.raises(fr.FramenessError):
+        fr.finite_group_bound_check(rep, rho, 2)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_finite_group_bound_needs_a_copy(n_max):
+    plus = fr.PureState(np.array([1, 1]) / math.sqrt(2)).projector()
+    with pytest.raises(ValueError, match="at least one copy"):
+        fr.finite_group_bound_check(fr.z2_phase_flip_rep(), plus, n_max)
 
 
 def test_lie_group_log_bound_values():
