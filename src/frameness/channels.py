@@ -7,11 +7,15 @@ itself.  :func:`relative_entropy_to_image` evaluates that gap after checking
 both preconditions.  :class:`BlockProjection` is the one conditional-expectation
 type (u1/su2 twirls, block algebras, dephasing): its basis is a direct sum of
 unitary blocks, it is idempotent by its form and its entropy comes block by
-block.  Pinchings and finite twirls stay Kraus-only; their idempotence is
-checked on the Choi matrices of E o E and E, whose difference is a product
-with inner dimension n^2 + n for n Kraus operators, or on the d^2 x d^2
-superoperator when that is the smaller product: O(d^4 min(n^2 + n, d^2)).
-The generators at the bottom produce test channels going beyond group twirls.
+block; a pinching is one, with blocks (1, rank P_k).  Finite twirls and user
+channels stay Kraus-only; their idempotence is checked on the Choi matrices
+of E o E and E, whose difference is a product with inner dimension n^2 + n
+for n Kraus operators, or on the d^2 x d^2 superoperator when that is the
+smaller product: O(d^4 min(n^2 + n, d^2)) time, in row blocks of constant
+size.  Both types apply to one operator or to a (..., d, d) stack, and
+:func:`image_fix_equivalence_check` validates and maps its sampled states in
+stacks of bounded size.  The generators at the bottom produce test channels
+going beyond group twirls.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import haar_unitary, random_density_operator
+from .sampling import _density_stack, haar_unitary
 from .states import (
     COMPOSED_TOL,
     EIG_CUTOFF,
@@ -33,13 +37,34 @@ from .states import (
     ShapeMismatchError,
     _declared_int,
     _entropy_of_spectrum,
+    _validated_density,
     complex_matrix_from_json,
     complex_matrix_to_json,
     von_neumann_entropy,
 )
 
+# Workspace bounds, in complex entries or rows, constants rather than options:
+# the states image_fix_equivalence_check samples at once (1 MiB), and the rows
+# of one Choi or superoperator block in the Kraus idempotence test.
+_STACK_ENTRIES = 2**16
+_ROW_BLOCK = 32
+
+
 class ChannelPreconditionError(FramenessError):
     """An operation requires a unital and/or idempotent channel."""
+
+
+def _operand(x, dim: int) -> np.ndarray:
+    """``x`` as a complex d x d operator or a (..., d, d) stack of them."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-2:] != (dim, dim):
+        raise ShapeMismatchError(f"operator shape {x.shape} does not match dim {dim}")
+    return x
+
+
+def _row_blocked_max(n_rows: int, block) -> float:
+    """max |block(a)| over a = 0, _ROW_BLOCK, ...: block(a) holds rows a:a+_ROW_BLOCK of a product."""
+    return max(float(np.abs(block(a)).max()) for a in range(0, n_rows, _ROW_BLOCK))
 
 
 class KrausChannel:
@@ -65,9 +90,8 @@ class KrausChannel:
         self._idempotent = None
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim, self.dim):
-            raise ShapeMismatchError(f"operator shape {x.shape} does not match dim {self.dim}")
+        """E(x) for one operator or a (..., d, d) stack of them."""
+        x = _operand(x, self.dim)
         out = np.zeros_like(x)
         for k in self.kraus:
             out += k @ x @ k.conj().T
@@ -82,9 +106,7 @@ class KrausChannel:
 
     def adjoint_apply(self, a: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action sum_a E_a^dag A E_a (Hilbert-Schmidt adjoint)."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
-            raise ShapeMismatchError(f"operator shape {a.shape} does not match dim {self.dim}")
+        a = _operand(a, self.dim)
         out = np.zeros_like(a)
         for k in self.kraus:
             out += k.conj().T @ a @ k
@@ -110,18 +132,22 @@ class KrausChannel:
 
         With V = [vec E_a] and W = [vec(E_a E_b)], Choi(E o E) - Choi(E) = W W^dag - V V^dag
         (inner dimension n^2 + n) holds the entries of S @ S - S (inner dimension d^2),
-        reshuffled; so the product with the smaller inner dimension is formed.
+        reshuffled; so the product with the smaller inner dimension is formed, one
+        block of _ROW_BLOCK rows at a time, never the whole d^2 x d^2 difference.  The
+        Choi difference is X^T Y with X = [W; V], Y = [conj W; -conj V]; it is Hermitian,
+        so each row block is formed from its own first row on.
         """
         d, n = self.dim, len(self.kraus)
+        b = _ROW_BLOCK
         if n * (n + 1) >= d * d:
             m = self.superoperator()
-            return float(np.abs(m @ m - m).max())
+            return _row_blocked_max(d * d, lambda a: m[a:a + b] @ m - m[a:a + b])
         k = np.stack(self.kraus)
-        v = k.reshape(n, d * d)
-        w = np.matmul(k[:, None], k[None, :]).reshape(n * n, d * d)
-        gap = w.T @ w.conj()
-        gap -= v.T @ v.conj()
-        return float(np.abs(gap).max())
+        x = np.concatenate([np.matmul(k[:, None], k[None, :]).reshape(n * n, d * d),
+                            k.reshape(n, d * d)])
+        y = x.conj()
+        y[n * n:] *= -1
+        return _row_blocked_max(d * d, lambda a: x[:, a:a + b].T @ y[:, a:])
 
     def is_idempotent(self) -> bool:
         """E o E = E, entrywise on the superoperator to COMPOSED_TOL; decided once (the Kraus are frozen).
@@ -206,9 +232,9 @@ class BlockProjection:
             s += m * n
 
     def _sector_blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """sigma_q = sum_r U_{q,r}^dag x U_{q,r}; with real blocks, every product is a real GEMM."""
-        xu = [_matmul(x[r][:, r], u) for r, _, u in self.basis]
-        return [sum(_matmul(self.basis[b][2][:, c:c + n].conj().T, xu[b][:, c:c + n]) for b, c in slabs)
+        """sigma_q = sum_r U_{q,r}^dag x U_{q,r}, stacked like x; real blocks give real GEMMs."""
+        xu = [_matmul(x[..., r[:, None], r], u) for r, _, u in self.basis]
+        return [sum(_matmul(self.basis[b][2][:, c:c + n].conj().T, xu[b][..., c:c + n]) for b, c in slabs)
                 for (_, n), slabs in zip(self.blocks, self._slabs)]
 
     def image_entropy(self, state: DensityOperator | PureState) -> float:
@@ -229,17 +255,15 @@ class BlockProjection:
                          for (m, _), sigma in zip(self.blocks, sigmas)))
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        """The dense E(x); it is block diagonal over the row sets of the basis blocks."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim, self.dim):
-            raise ShapeMismatchError(f"operator shape {x.shape} does not match dim {self.dim}")
-        fills = [np.zeros(u.shape, dtype=complex) for _, _, u in self.basis]
+        """The dense E(x) of one operator or a (..., d, d) stack; block diagonal over the basis rows."""
+        x = _operand(x, self.dim)
+        fills = [np.zeros(x.shape[:-2] + u.shape, dtype=complex) for _, _, u in self.basis]
         for (m, n), slabs, sigma in zip(self.blocks, self._slabs, self._sector_blocks(x)):
             for b, c in slabs:
-                fills[b][c:c + n, c:c + n] = sigma / m
+                fills[b][..., c:c + n, c:c + n] = sigma / m
         out = np.zeros_like(x)
         for (r, _, u), fill in zip(self.basis, fills):
-            out[np.ix_(r, r)] = _matmul(_matmul(u, fill), u.conj().T)
+            out[..., r[:, None], r] = _matmul(_matmul(u, fill), u.conj().T)
         return out
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
@@ -334,13 +358,15 @@ def image_fix_equivalence_check(ch: KrausChannel | BlockProjection, samples: int
     """Check Image(E) = Fix(E) against the channel's idempotence verdict.
 
     For ``samples`` random states rho the report records whether E(E(rho))
-    equals E(rho); by the idempotence criterion both verdicts must agree.
+    equals E(rho); by the idempotence criterion both verdicts must agree.  The
+    states are those of ``samples`` random_density_operator calls on one rng,
+    drawn, validated and mapped in stacks of at most 2^16 complex entries.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        rho = random_density_operator(ch.dim, rng)
-        image = ch.apply_matrix(rho.matrix)
+    worst, per_stack = 0.0, max(1, _STACK_ENTRIES // ch.dim**2)
+    for start in range(0, samples, per_stack):
+        rhos, _ = _validated_density(_density_stack(ch.dim, rng, min(per_stack, samples - start)))
+        image = ch.apply_matrix(rhos)
         worst = max(worst, float(np.abs(ch.apply_matrix(image) - image).max()))
     return ImageFixReport(
         idempotent=ch.is_idempotent(),
@@ -368,9 +394,36 @@ def relative_entropy_to_image(ch: KrausChannel | BlockProjection, rho: DensityOp
 # Generators for unital idempotent test channels
 
 
-def pinching_channel(projectors) -> KrausChannel:
-    """rho -> sum_k P_k rho P_k for a complete family of orthogonal projectors."""
-    return KrausChannel([np.asarray(p, dtype=complex) for p in projectors])
+def pinching_channel(projectors) -> BlockProjection:
+    """rho -> sum_k P_k rho P_k for a complete family of orthogonal projectors: blocks (1, rank P_k).
+
+    Each P_k must be a d x d Hermitian matrix with eigenvalues within INPUT_TOL of
+    0 or 1; its eigenvectors of eigenvalue 1 are its basis columns.  BlockProjection
+    then checks that the columns of all P_k form a unitary, so an overlapping
+    family raises there and an incomplete one here.
+    """
+    ps = [np.asarray(p, dtype=complex) for p in projectors]
+    if not ps:
+        raise ValueError("a pinching needs at least one projector")
+    d = ps[0].shape[0]
+    cols = []
+    for k, p in enumerate(ps):
+        if p.shape != (d, d):
+            raise ShapeMismatchError(f"projector {k} has shape {p.shape}, expected {(d, d)}")
+        herm = float(np.abs(p - p.conj().T).max())
+        if herm > INPUT_TOL:
+            raise ValueError(f"projector {k} is not Hermitian (deviation {herm:.3e})")
+        lams, vecs = np.linalg.eigh(p)
+        ones = lams > 0.5
+        off = float(np.abs(lams - ones).max())
+        if off > INPUT_TOL:
+            raise ValueError(f"projector {k} has an eigenvalue {off:.3e} away from 0 and 1")
+        if ones.any():
+            cols.append(vecs[:, ones])
+    rank = sum(c.shape[1] for c in cols)
+    if rank != d:
+        raise ValueError(f"projectors of total rank {rank} do not complete dimension {d}")
+    return BlockProjection(np.concatenate(cols, axis=1), [(1, c.shape[1]) for c in cols])
 
 
 def dephasing_channel(basis_unitary) -> BlockProjection:

@@ -10,11 +10,10 @@ that cap is achievable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymmetry import TwirlOperation, g_asymmetry
 from .groups import FiniteGroupRep, RepresentationError
 from .states import (
     EIG_CUTOFF,
@@ -24,6 +23,7 @@ from .states import (
     FramenessError,
     ShapeMismatchError,
     _entropy_of_spectrum,
+    von_neumann_entropy,
     within_bound,
 )
 
@@ -33,6 +33,7 @@ class OrbitEnsemble:
     """States T(g) rho T(g)^dag for all g, with the uniform prior."""
 
     states: tuple[DensityOperator, ...]
+    _average: DensityOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.states:
@@ -50,18 +51,23 @@ class OrbitEnsemble:
         return self.states[0].dim
 
     def average(self) -> DensityOperator:
-        acc = sum(s.matrix for s in self.states) / self.size
-        return DensityOperator(acc)
+        """The uniform mixture, G(rho) for an orbit; formed and validated once."""
+        if self._average is None:
+            self._average = DensityOperator(sum(s.matrix for s in self.states) / self.size)
+        return self._average
 
 
 def orbit_ensemble(rep: FiniteGroupRep, rho: DensityOperator) -> OrbitEnsemble:
-    """The orbit of rho under a unitary rep; a non-unitary T(g) raises RepresentationError."""
+    """The orbit of rho under a unitary rep; a non-unitary T(g) raises RepresentationError.
+
+    Each T(g) rho T(g)^dag shares rho's checked spectrum: no eigensolve per orbit state.
+    """
     if rho.dim != rep.dim:
         raise ShapeMismatchError(f"state dim {rho.dim} does not match rep dim {rep.dim}")
     dev = float(rep.unitarity_deviations().max())
     if dev > INPUT_TOL:
         raise RepresentationError(f"representation is not unitary: max |T^dag T - I| = {dev:.3e}")
-    return OrbitEnsemble(tuple(DensityOperator(u @ rho.matrix @ u.conj().T) for u in rep.unitaries))
+    return OrbitEnsemble(tuple(DensityOperator._conjugate_of(rho, u) for u in rep.unitaries))
 
 
 class DiscretePOVM:
@@ -163,9 +169,13 @@ class HolevoReport:
 
 
 def holevo_bound_check(rep: FiniteGroupRep, rho: DensityOperator, povms=None) -> HolevoReport:
-    """Compare the mutual informations of the SRM and the supplied POVMs against the asymmetry cap."""
+    """Compare the mutual informations of the SRM and the supplied POVMs against the asymmetry cap.
+
+    The cap A_G = S(G(rho)) - S(rho) takes G(rho) as the orbit average, which the
+    square-root measurement reuses.
+    """
     ens = orbit_ensemble(rep, rho)
-    asym = g_asymmetry(TwirlOperation.finite(rep), rho).asymmetry
+    asym = von_neumann_entropy(ens.average()) - von_neumann_entropy(rho)
     tried = [("srm", mutual_information(ens, square_root_measurement(ens)))]
     tried += [(f"povm{k}", mutual_information(ens, povm)) for k, povm in enumerate(povms or [])]
     best_label, best = max(tried, key=lambda kv: kv[1])

@@ -210,7 +210,7 @@ def quaternion_rep() -> FiniteGroupRep:
 
 def cyclic_phase_rep(charges, order: int) -> FiniteGroupRep:
     """The Z_M subgroup of U(1): T(k) = diag(exp(2 pi i k c / M)) for charges c."""
-    c = np.asarray(charges, dtype=int)
+    c = _integer_entries(charges, "charges")
     us = [np.diag(np.exp(2j * np.pi * k * c / order)) for k in range(order)]
     table = np.array([[(i + j) % order for j in range(order)] for i in range(order)])
     return FiniteGroupRep(table, us)

@@ -12,12 +12,20 @@ import numpy as np
 from .states import DensityOperator, PureState
 
 
+def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+
+
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Phase-corrected QR of one Ginibre matrix or a (..., d, d) stack of them."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag)).conj()[..., None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases.conj()
+    return _haar_from_ginibre(_ginibre(dim, rng))
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -25,10 +33,20 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
+def _density_stack(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, d, d) stack of unvalidated density matrices, from the rng draws of
+    ``count`` :func:`random_density_operator` calls, in their order."""
+    lams = np.empty((count, dim))
+    z = np.empty((count, dim, dim), dtype=complex)
+    for k in range(count):
+        lams[k] = rng.dirichlet(np.ones(dim))
+        z[k] = _ginibre(dim, rng)
+    u = _haar_from_ginibre(z)
+    return (u * lams[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+
 def random_density_operator(dim: int, rng: np.random.Generator) -> DensityOperator:
-    lams = rng.dirichlet(np.ones(dim))
-    u = haar_unitary(dim, rng)
-    return DensityOperator((u * lams) @ u.conj().T)
+    return DensityOperator(_density_stack(dim, rng, 1)[0])
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -259,21 +258,26 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     """Check A_G(rho^(x)N) <= log2|G| for N = 1..n_max from the single-copy orbit.
 
     G(rho^(x)N) is the orbit average (1/|G|) sum_g (U_g rho U_g^dag)^(x)N and
-    S(rho^(x)N) = N S(rho), so a row costs one d^N eigensolve and builds no
-    N-copy representation or channel.  The bound does not depend on N.
+    S(rho^(x)N) = N S(rho).  One sweep over the orbit adds each state's running
+    Kronecker powers into one mean per N, so a row costs |G| Kronecker products
+    and one d^N eigensolve and builds no N-copy representation or channel.  The
+    bound does not depend on N.
     """
     if n_max < 1:
         raise ValueError(f"need at least one copy, got {n_max}")
     if rho.dim**n_max > max_dim():
         raise ResourceLimitError(f"dim {rho.dim}**{n_max} exceeds cap {max_dim()}")
-    orbit = [sigma.matrix for sigma in orbit_ensemble(rep, rho).states]
+    means = [np.zeros((rho.dim**n, rho.dim**n), dtype=complex) for n in range(1, n_max + 1)]
+    for state in orbit_ensemble(rep, rho).states:
+        power = state.matrix
+        for n, mean in enumerate(means, 1):
+            if n > 1:
+                power = np.kron(power, state.matrix)  # P_n = P_(n-1) (x) sigma: one Kronecker per N
+            mean += power
     s_in, bound, rows = von_neumann_entropy(rho), math.log2(rep.order), []
     for n in range(1, n_max + 1):
-        mean = np.zeros((rho.dim**n, rho.dim**n), dtype=complex)
-        for sigma in orbit:
-            mean += reduce(np.kron, [sigma] * n)
-        s_out = _entropy_of_spectrum(np.linalg.eigvalsh(mean) / rep.order)
-        rows.append(BoundRow(n, s_out - n * s_in, bound))
+        mean, means[n - 1] = means[n - 1], None  # released once solved
+        rows.append(BoundRow(n, _entropy_of_spectrum(np.linalg.eigvalsh(mean) / rep.order) - n * s_in, bound))
     return FiniteGroupBoundReport(rep.order, rows)
 
 

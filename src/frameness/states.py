@@ -76,24 +76,22 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise InvalidStateError("matrix has a non-finite entry (NaN or inf)")
-        herm_dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        if herm_dev > INPUT_TOL:
-            raise InvalidStateError(f"not Hermitian: max deviation {herm_dev:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > INPUT_TOL:
-            raise InvalidStateError(f"trace {tr:.12g} differs from 1 beyond tolerance")
-        m = 0.5 * (m + m.conj().T)
-        spectrum = np.linalg.eigvalsh(m)
-        lowest = float(spectrum[0])
-        if lowest < -INPUT_TOL:
-            raise InvalidStateError(f"not PSD: smallest eigenvalue {lowest:.3e}")
+        m, spectrum = _validated_density(m)
         m.setflags(write=False)
         spectrum.setflags(write=False)
         self.dim = int(m.shape[0])
         self.matrix = m
         self._spectrum = spectrum
+
+    @classmethod
+    def _conjugate_of(cls, rho: "DensityOperator", u: np.ndarray) -> "DensityOperator":
+        """u rho u^dag for a u already checked unitary to INPUT_TOL: rho's spectrum, no eigensolve."""
+        m = u @ rho.matrix @ u.conj().T
+        m = 0.5 * (m + m.conj().T)
+        m.setflags(write=False)
+        state = object.__new__(cls)
+        state.dim, state.matrix, state._spectrum = rho.dim, m, rho._spectrum
+        return state
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum (read-only; computed once, on construction)."""
@@ -104,6 +102,31 @@ class DensityOperator:
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"
+
+
+def _validated_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The DensityOperator checks on a complex (..., d, d) stack: (symmetrized stack, spectra).
+
+    Finite, Hermitian and unit trace to INPUT_TOL entrywise, then PSD through one
+    stacked eigvalsh; the worst matrix of the stack is the one reported.
+    """
+    if not np.isfinite(m).all():
+        raise InvalidStateError("matrix has a non-finite entry (NaN or inf)")
+    mh = m.conj().swapaxes(-1, -2)
+    herm_dev = float(np.abs(m - mh).max()) if m.size else 0.0
+    if herm_dev > INPUT_TOL:
+        raise InvalidStateError(f"not Hermitian: max deviation {herm_dev:.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    trace_dev = np.abs(tr - 1.0)
+    if trace_dev.max() > INPUT_TOL:
+        worst = complex(np.ravel(tr)[trace_dev.argmax()])
+        raise InvalidStateError(f"trace {worst:.12g} differs from 1 beyond tolerance")
+    m = 0.5 * (m + mh)
+    spectrum = np.linalg.eigvalsh(m)
+    lowest = float(spectrum[..., 0].min())
+    if lowest < -INPUT_TOL:
+        raise InvalidStateError(f"not PSD: smallest eigenvalue {lowest:.3e}")
+    return m, spectrum
 
 
 class PureState:

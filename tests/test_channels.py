@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frameness as fr
+import frameness.channels
+from channel_oracle import kraus_pinching, per_sample_image_fix_check
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -124,7 +127,7 @@ def test_idempotence_is_decided_once_per_channel(monkeypatch):
     assert not half.is_idempotent() and not half.is_idempotent()
     assert builds == [ch, half]
     # four Kraus operators on d = 8 (n^2 + n < d^2): decided on the Choi side, once
-    pinch = random_pinching(8, 4, np.random.default_rng(9))
+    pinch = random_pinching(8, 4, np.random.default_rng(9)).kraus_channel()
     fr.relative_entropy_to_image(pinch, fr.random_density_operator(8, np.random.default_rng(10)))
     assert fr.image_fix_equivalence_check(pinch, samples=2).idempotent
     assert deviations == [ch, half, pinch]
@@ -146,14 +149,14 @@ def phase_twirl(dim, order, rng):
 
 def mixed_with_identity(ch, dev):
     """dev id + (1 - dev) E: not idempotent for 0 < dev < 1 unless E is the identity."""
-    return fr.KrausChannel([math.sqrt(1.0 - dev) * k for k in ch.kraus]
+    return fr.KrausChannel([math.sqrt(1.0 - dev) * k for k in ch.kraus_channel().kraus]
                            + [math.sqrt(dev) * np.eye(ch.dim)])
 
 
 def deviation_cases(rng):
     """Channels on both sides of the n (n + 1) < d^2 split, idempotent or not."""
     d = int(rng.integers(8, 25))
-    yield random_pinching(d, int(rng.integers(2, 6)), rng)
+    yield random_pinching(d, int(rng.integers(2, 6)), rng).kraus_channel()
     yield phase_twirl(d, int(rng.integers(2, 9)), rng)
     small = int(rng.integers(2, 11))
     m = int(rng.integers(1, small))  # sectors (m, 1) and (1, small - m): m^2 + 1 Kraus operators
@@ -267,3 +270,122 @@ def test_minimum_distance_oracle_against_image_samples():
         for _ in range(40):
             sigma = ch.apply(fr.random_density_operator(dim, rng))
             assert fr.relative_entropy(rho, sigma) >= gap - 1e-8
+
+
+def stack_cases():
+    """(label, channel): Kraus and block projections, idempotent or not, dense and blocked bases."""
+    rng = np.random.default_rng(21)
+    yield "z2-twirl", z2_twirl_channel()
+    yield "partial-dephasing", partial_dephasing()
+    yield "amplitude-damping", amplitude_damping()
+    yield "phase-twirl", phase_twirl(6, 3, rng)
+    yield "mixed-pinching", mixed_with_identity(random_pinching(5, 2, rng), 0.3)
+    yield "pinching", random_pinching(7, 3, rng)
+    yield "block", fr.conditional_expectation_channel([(2, 2), (1, 3)], fr.haar_unitary(7, rng))
+    yield "identity-blocks", fr.conditional_expectation_channel([(2, 1), (1, 2), (3, 1)])
+    yield "u1", fr.TwirlOperation.u1(fr.hamming_weight_grading(4)).channel
+    yield "su2-weight-blocks", fr.TwirlOperation.su2(fr.build_collective_spin_rep(4)).channel
+
+
+STACK_CASES = list(stack_cases())
+
+
+@pytest.mark.parametrize("label, ch", STACK_CASES, ids=[c[0] for c in STACK_CASES])
+def test_stacked_apply_matrix_equals_the_2d_calls(label, ch):
+    rng = np.random.default_rng(22)
+    d = ch.dim
+    x = rng.standard_normal((3, 2, d, d)) + 1j * rng.standard_normal((3, 2, d, d))
+    stacked = ch.apply_matrix(x)
+    assert stacked.shape == x.shape
+    for i in range(3):
+        for j in range(2):
+            np.testing.assert_array_equal(stacked[i, j], ch.apply_matrix(x[i, j]))
+    if isinstance(ch, fr.KrausChannel):
+        adjoint = ch.adjoint_apply(x)
+        np.testing.assert_array_equal(adjoint[1, 0], ch.adjoint_apply(x[1, 0]))
+    with pytest.raises(fr.ShapeMismatchError):
+        ch.apply_matrix(x[..., :-1])
+
+
+@pytest.mark.parametrize("label, ch", STACK_CASES, ids=[c[0] for c in STACK_CASES])
+@pytest.mark.parametrize("entries", [None, 3], ids=["one-stack", "stacks-of-3"])
+def test_stacked_image_fix_check_equals_the_per_sample_loop(label, ch, entries, monkeypatch):
+    if entries is not None:  # stacks of 3 states, so 10 samples end in a stack of 1
+        monkeypatch.setattr(frameness.channels, "_STACK_ENTRIES", entries * ch.dim**2)
+    report = fr.image_fix_equivalence_check(ch, samples=10, seed=5)
+    assert report == per_sample_image_fix_check(ch, 10, 5)
+    assert report.consistent
+
+
+def test_image_fix_check_validates_the_sampled_stack(monkeypatch):
+    # the stacked check applies the DensityOperator checks: a non-PSD sample raises
+    monkeypatch.setattr(frameness.channels, "_density_stack",
+                        lambda d, rng, count: np.broadcast_to(np.diag([1.5, -0.5]), (count, 2, 2)))
+    with pytest.raises(fr.InvalidStateError, match="not PSD"):
+        fr.image_fix_equivalence_check(z2_twirl_channel(), samples=3)
+
+
+def test_pinching_matches_its_kraus_oracle():
+    rng = np.random.default_rng(23)
+    for dim, parts in [(2, 2), (5, 2), (8, 4), (9, 9), (12, 3)]:
+        u = fr.haar_unitary(dim, rng)
+        edges = np.sort(rng.choice(np.arange(1, dim), parts - 1, replace=False)).tolist()
+        projectors = [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip([0] + edges, edges + [dim])]
+        pinch, oracle = fr.pinching_channel(projectors), kraus_pinching(projectors)
+        assert isinstance(pinch, fr.BlockProjection)
+        assert pinch.blocks == tuple((1, b - a) for a, b in zip([0] + edges, edges + [dim]))
+        x = fr.random_hermitian(dim, rng)
+        assert np.abs(pinch.apply_matrix(x) - oracle.apply_matrix(x)).max() <= 1e-12
+        rho = fr.random_density_operator(dim, rng)
+        assert abs(pinch.image_entropy(rho) - oracle.image_entropy(rho)) <= 1e-12
+        assert abs(fr.relative_entropy_to_image(pinch, rho)
+                   - fr.relative_entropy(rho, oracle.apply(rho))) <= 1e-12
+        kraus = pinch.kraus_channel().kraus
+        assert max(np.abs(k - p).max() for k, p in zip(kraus, projectors)) <= 1e-12
+
+
+def test_pinching_rejects_families_that_are_not_complete_orthogonal_projectors():
+    z0, z1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    plus = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        fr.pinching_channel([np.eye(2) / 2, np.eye(2) / 2])  # complete, not projectors
+    with pytest.raises(ValueError, match="Hermitian"):
+        fr.pinching_channel([np.array([[1.0, 1.0], [0.0, 0.0]]), z1])
+    with pytest.raises(ValueError, match="not unitary"):
+        fr.pinching_channel([z0, plus])  # projectors of total rank 2 that overlap
+    with pytest.raises(ValueError, match="total rank 1"):
+        fr.pinching_channel([z0])  # incomplete
+    with pytest.raises(ValueError, match="total rank 3"):
+        fr.pinching_channel([z0, z1, plus])
+    with pytest.raises(fr.ShapeMismatchError):
+        fr.pinching_channel([z0, np.eye(3)])
+    with pytest.raises(ValueError, match="at least one"):
+        fr.pinching_channel([])
+
+
+def test_twirl_idempotence_check_workspace_is_row_blocked():
+    ch = phase_twirl(32, 5, np.random.default_rng(24))
+    tracemalloc.start()
+    try:
+        deviation = ch._idempotence_deviation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deviation <= 1e-12
+    # the whole 1024 x 1024 complex Choi difference would be 16 MiB, and two of them 32 MiB
+    assert peak < 4 * 2**20
+
+
+def test_image_fix_check_workspace_does_not_grow_with_the_sample_count():
+    ch = fr.dephasing_channel(fr.haar_unitary(64, np.random.default_rng(25)))
+    fr.image_fix_equivalence_check(ch, samples=2)
+    peaks = []
+    for samples in (16, 160):
+        tracemalloc.start()
+        try:
+            assert fr.image_fix_equivalence_check(ch, samples=samples).consistent
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # stacks of 2^16 / 64^2 = 16 states (1 MiB each); 160 states at once would be 10 MiB per array
+    assert peaks[1] < 1.25 * peaks[0] < 12 * 2**20

@@ -45,6 +45,39 @@ def test_orbit_average_equals_twirl():
     assert fr.trace_distance(avg, twirled) < 1e-9
 
 
+def test_orbit_states_share_the_checked_spectrum(monkeypatch):
+    rep = fr.quaternion_rep()
+    rho = fr.random_density_operator(2, np.random.default_rng(8))
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, **k: solves.append(1) or _f(*a, **k))
+    ens = fr.orbit_ensemble(rep, rho)
+    assert solves == []
+    monkeypatch.undo()
+    for u, state in zip(rep.unitaries, ens.states):
+        checked = fr.DensityOperator(u @ rho.matrix @ u.conj().T)
+        np.testing.assert_array_equal(state.matrix, checked.matrix)
+        assert not state.matrix.flags.writeable
+        assert state.eigenvalues() is rho.eigenvalues()
+        assert_allclose(checked.eigenvalues(), rho.eigenvalues(), rtol=0, atol=1e-14)
+
+
+def test_holevo_bound_check_forms_the_orbit_average_once(monkeypatch):
+    rep = fr.quaternion_rep()
+    rho = fr.random_density_operator(2, np.random.default_rng(9))
+    expected = fr.g_asymmetry(fr.TwirlOperation.finite(rep), rho).asymmetry
+    kraus, states = [], []
+    kraus_init, state_init = fr.KrausChannel.__init__, fr.DensityOperator.__init__
+    monkeypatch.setattr(fr.KrausChannel, "__init__", lambda self, *a: kraus.append(1) or kraus_init(self, *a))
+    monkeypatch.setattr(fr.DensityOperator, "__init__",
+                        lambda self, *a: states.append(1) or state_init(self, *a))
+    report = fr.holevo_bound_check(rep, rho)
+    # G(rho) is the orbit average, validated once and reused by the square-root measurement
+    assert kraus == [] and states == [1]
+    assert report.asymmetry == pytest.approx(expected, abs=1e-12)
+
+
 def test_povm_validation():
     with pytest.raises(fr.FramenessError):
         fr.DiscretePOVM([np.eye(2) * 0.4])  # incomplete

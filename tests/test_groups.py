@@ -60,6 +60,17 @@ def test_cyclic_phase_rep_is_valid():
     assert fr.validate_finite_rep(rep).ok
 
 
+@pytest.mark.parametrize("charges", [[0, 1.5], [0, True], [0.5, 1]])
+def test_cyclic_phase_rep_rejects_non_integer_charges(charges):
+    with pytest.raises(fr.RepresentationError, match="charges must be integers"):
+        fr.cyclic_phase_rep(charges, 2)
+
+
+def test_cyclic_phase_rep_accepts_integer_valued_floats():
+    for u, v in zip(fr.cyclic_phase_rep([0.0, 3.0], 4).unitaries, fr.cyclic_phase_rep([0, 3], 4).unitaries):
+        np.testing.assert_array_equal(u, v)
+
+
 def test_charge_sector_projectors():
     qubit = fr.ChargeGrading([0, 1])
     p0, p1 = qubit.sector_projectors()
