@@ -31,6 +31,7 @@ from .states import (
     EIG_CUTOFF,
     IDENTITY_TOL,
     INPUT_TOL,
+    _STACK_ENTRIES,
     DensityOperator,
     FramenessError,
     PureState,
@@ -43,10 +44,8 @@ from .states import (
     von_neumann_entropy,
 )
 
-# Workspace bounds, in complex entries or rows, constants rather than options:
-# the states image_fix_equivalence_check samples at once (1 MiB), and the rows
-# of one Choi or superoperator block in the Kraus idempotence test.
-_STACK_ENTRIES = 2**16
+# Rows of one Choi or superoperator block in the Kraus idempotence test, a constant
+# workspace bound rather than an option.
 _ROW_BLOCK = 32
 
 

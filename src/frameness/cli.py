@@ -47,7 +47,7 @@ from .groups import (
     validate_finite_rep,
     z2_phase_flip_rep,
 )
-from .sampling import random_density_operator
+from .sampling import _density_operators, random_density_operator
 from .scaling import (
     GAUSSIAN_CONSTANT_BITS,
     GAUSSIAN_CONSTANT_HALF,
@@ -111,6 +111,14 @@ def _parser(name: str, description: str) -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     return p
+
+
+def _count(text: str) -> int:
+    """argparse type of a nonnegative count: a negative one is a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative count, got {value}")
+    return value
 
 
 def _meta(command: str, ns: argparse.Namespace) -> dict:
@@ -511,8 +519,8 @@ def _cmd_ree(args) -> int:
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--side", choices=("A", "B"), default="B",
                    help="subsystem to dephase for non-qubit inputs")
-    p.add_argument("--random-trials", type=int, default=0,
-                   help="random basis search size when B is not a qubit")
+    p.add_argument("--random-trials", type=_count, default=0,
+                   help="Haar basis draws searched beside the computational basis (non-qubit pairs)")
     ns = p.parse_args(args)
     meta = _meta("ree", ns)
 
@@ -552,7 +560,7 @@ def _cmd_estimate(args) -> int:
     p.add_argument("--subgroup", type=int, default=0,
                    help="order M of the Z_M phase subgroup (with --charges)")
     p.add_argument("--state", required=True)
-    p.add_argument("--povms", type=int, default=0, help="extra random POVMs to try")
+    p.add_argument("--povms", type=_count, default=0, help="extra random POVMs to try")
     ns = p.parse_args(args)
     if ns.charges and ns.subgroup:
         grading = charge_grading_from_json(_load_json(ns.charges))
@@ -586,10 +594,8 @@ def _verify_checks(seed: int):
     rng = np.random.default_rng(seed)
 
     def klein():
-        worst = 0.0
-        for _ in range(20):
-            a = random_density_operator(4, rng)
-            b = random_density_operator(4, rng)
+        worst, states = 0.0, _density_operators(4, rng, 40)  # 20 pairs (a, b), a drawn first
+        for a, b in zip(states[0::2], states[1::2]):
             worst = min(worst, relative_entropy(a, b))
         return worst >= -KLEIN_TOL, f"min sampled relative entropy {worst:.2e} (floor -{KLEIN_TOL:.0e})"
 
@@ -608,8 +614,7 @@ def _verify_checks(seed: int):
     def minimizer_identity():
         gradings = TwirlOperation.u1(ChargeGrading([0, 1, 2]))
         worst = 0.0
-        for _ in range(10):
-            rho = random_density_operator(3, rng)
+        for rho in _density_operators(3, rng, 10):
             res = g_asymmetry(gradings, rho)
             worst = max(worst, abs(res.asymmetry - relative_entropy(rho, res.twirled_state)))
         return worst <= VERIFY_TOL, f"max |A - S(rho||G(rho))| = {worst:.2e} (tol {VERIFY_TOL:.0e})"

@@ -20,9 +20,17 @@ search is a grid scan, run in blocks of rows so its workspace stays bounded,
 then Nelder-Mead from the three best grid points.  :func:`_nelder_mead` runs
 the refinements of every start of every state in lockstep, with one batched
 kernel call per kind of trial point, and repeats scipy's Nelder-Mead step for
-step (scipy is its test oracle, not a dependency).  The lifted channel and
-:func:`dephasing_upper_bound` remain the dense reference path and the general
-basis search.
+step (scipy is its test oracle, not a dependency).
+
+Beyond two qubits :func:`optimize_dephasing_bound` scores stacks of candidate
+bases: the identity, the caller's unitaries and seeded Haar draws.  Dephasing
+the measured side along the columns u_k of U leaves the kept-side blocks
+sigma_k = <u_k| rho |u_k>, and :func:`_dephasing_gaps` forms them for every
+candidate of a stack with one product, checks the stack unitary at once and
+takes every block's spectrum from one stacked eigvalsh;
+:func:`dephasing_upper_bound` is its one-candidate case.  The lifted channel
+(:func:`lifted_dephasing_channel`) is the dense reference that both are tested
+against; the search itself does not build it.
 """
 
 from __future__ import annotations
@@ -32,11 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BlockProjection, relative_entropy_to_image
-from .sampling import haar_unitary
+from .channels import BlockProjection
+from .sampling import _haar_stack
 from .states import (
     DEGENERATE_ANGLE_TOL,
+    INPUT_TOL,
     TIGHT_TOL,
+    _STACK_ENTRIES,
     DensityOperator,
     ShapeMismatchError,
     _entropy_of_spectrum,
@@ -74,15 +84,20 @@ def bell_diagonal_state(p: float) -> BipartiteState:
     return BipartiteState(2, 2, DensityOperator(m))
 
 
+def _measured_dims(rho: BipartiteState, side: str) -> tuple[int, int]:
+    """(kept, measured) subsystem dimensions when ``side`` is dephased."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    return (rho.dim_a, rho.dim_b) if side == "B" else (rho.dim_b, rho.dim_a)
+
+
 def lifted_dephasing_channel(rho: BipartiteState, basis_unitary, side: str = "B") -> BlockProjection:
     """The dephasing lifted to the joint space: I (x) D_U (side B) or D_U (x) I.
 
     Its basis is I (x) U with columns ordered by outcome and blocks (1, d_A), or U (x) I.
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    d_kept, d_measured = _measured_dims(rho, side)
     u = np.asarray(basis_unitary)  # checked unitary, as I (x) U, by BlockProjection
-    d_kept, d_measured = (rho.dim_a, rho.dim_b) if side == "B" else (rho.dim_b, rho.dim_a)
     if u.shape[0] != d_measured:
         raise ShapeMismatchError(f"unitary dim {u.shape[0]} vs {side} dim {d_measured}")
     eye = np.eye(d_kept)
@@ -93,9 +108,32 @@ def lifted_dephasing_channel(rho: BipartiteState, basis_unitary, side: str = "B"
     return BlockProjection(basis.reshape(rho.state.dim, -1), [(1, d_kept)] * d_measured)
 
 
+def _dephasing_gaps(rho: BipartiteState, us: np.ndarray, side: str) -> np.ndarray:
+    """S((I (x) D_U)(rho)) - S(rho) for each U of a nonempty (C, d, d) stack of bases.
+
+    Column k of U leaves the kept-side block sigma_k = sum_xy conj(U_xk) U_yk rho_xy, with
+    rho_xy rho's kept-side block between measured indices x and y: one product forms every
+    block of every candidate, one stacked eigvalsh takes their spectra.  A candidate that
+    is not unitary to INPUT_TOL raises ValueError, the first one in stack order reported.
+    """
+    d_kept, d_meas = _measured_dims(rho, side)
+    if us.shape[1:] != (d_meas, d_meas):
+        raise ShapeMismatchError(f"unitary shape {us.shape[1:]} vs {side} dim {d_meas}")
+    dev = np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(d_meas)).max(axis=(1, 2))
+    bad = np.flatnonzero(~(dev <= INPUT_TOL))
+    if bad.size:
+        raise ValueError(f"basis matrix is not unitary (deviation {dev[bad[0]]:.3e})")
+    r4 = rho.state.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    m = r4.transpose(1, 3, 0, 2) if side == "B" else r4.transpose(0, 2, 1, 3)  # m[x, y] = rho_xy
+    w = np.einsum("cxk,cyk->ckxy", us.conj(), us).reshape(-1, d_meas * d_meas)
+    sigma = (w @ m.reshape(d_meas * d_meas, -1)).reshape(len(us), d_meas, d_kept, d_kept)
+    h = _entropy_of_spectrum(np.linalg.eigvalsh(sigma)).sum(axis=-1)
+    return h - von_neumann_entropy(rho.state)
+
+
 def dephasing_upper_bound(rho: BipartiteState, basis_unitary, side: str = "B") -> float:
     """S((I (x) D_U)(rho)) - S(rho): an upper bound on the relative entropy of entanglement."""
-    return relative_entropy_to_image(lifted_dephasing_channel(rho, basis_unitary, side), rho.state)
+    return float(_dephasing_gaps(rho, np.asarray(basis_unitary, dtype=complex)[None], side)[0])
 
 
 def two_qubit_parameterized_unitary(theta: float, gamma: float) -> np.ndarray:
@@ -346,17 +384,29 @@ def optimize_dephasing_bound(rho: BipartiteState, unitaries=None, random_trials:
 
     For subsystems beyond a qubit there is no two-angle parameterization, so
     the caller either provides candidate basis unitaries or requests a seeded
-    Haar random search.  The identity basis is always included.
+    Haar random search.  The identity basis is always included.  The candidates
+    are scored in stacks by :func:`_dephasing_gaps`: the identity and the given
+    bases with the first draws, then the remaining draws in stacks of a bounded
+    size.  The draws are those of ``random_trials`` :func:`haar_unitary` calls on
+    ``default_rng(seed)``, and ties go to the earliest candidate.
     """
-    d = rho.dim_b if side == "B" else rho.dim_a
-    candidates = [np.eye(d, dtype=complex)]
-    if unitaries is not None:
-        candidates.extend(np.asarray(u, dtype=complex) for u in unitaries)
+    d_kept, d_meas = _measured_dims(rho, side)
+    if random_trials < 0:
+        raise ValueError(f"random_trials must be a nonnegative count, got {random_trials}")
+    given = [np.eye(d_meas, dtype=complex)]
+    given += [np.asarray(u, dtype=complex) for u in (() if unitaries is None else unitaries)]
+    if any(u.shape != (d_meas, d_meas) for u in given):
+        raise ShapeMismatchError(f"unitary shapes {[u.shape for u in given]} vs {side} dim {d_meas}")
     rng = np.random.default_rng(seed)
-    candidates.extend(haar_unitary(d, rng) for _ in range(random_trials))
-    best_u, best_val = None, math.inf
-    for u in candidates:
-        val = dephasing_upper_bound(rho, u, side)
-        if val < best_val:
-            best_u, best_val = u, val
-    return BoundReport(upper=best_val, lower=hashing_lower_bound(rho), unitary=best_u)
+    per_stack = max(1, _STACK_ENTRIES // (d_meas**3 + d_meas * d_kept**2))  # w and sigma entries
+    best_u, best_val, head, drawn = None, math.inf, np.stack(given), 0
+    while True:
+        take = min(per_stack, random_trials - drawn)
+        us = np.concatenate([head, _haar_stack(d_meas, rng, take)])
+        gaps = _dephasing_gaps(rho, us, side)
+        k = int(np.argmin(gaps))
+        if gaps[k] < best_val:
+            best_u, best_val = us[k], float(gaps[k])
+        head, drawn = head[:0], drawn + take
+        if drawn == random_trials:
+            return BoundReport(upper=best_val, lower=hashing_lower_bound(rho), unitary=best_u)

@@ -6,6 +6,12 @@ of the orbit ensemble, which for a uniform prior collapses to the asymmetry
 S(G(rho)) - S(rho) because unitaries leave the entropy alone.  The square
 root measurement supplies a strong parameter-free witness for how much of
 that cap is achievable.
+
+The statistics are computed on stacks: a POVM holds its effects as one
+(n, d, d) array, checked PSD by one stacked eigvalsh; the conditional
+probabilities Tr(rho_g E_e) of every orbit state and effect come from one
+einsum; the square-root measurement maps the whole orbit at once, and
+:func:`random_povm` draws all its Wishart factors in one rng call.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import FiniteGroupRep, RepresentationError
+from .sampling import _ginibre_stack
 from .states import (
     EIG_CUTOFF,
     IDENTITY_TOL,
@@ -71,7 +78,7 @@ def orbit_ensemble(rep: FiniteGroupRep, rho: DensityOperator) -> OrbitEnsemble:
 
 
 class DiscretePOVM:
-    """PSD effects summing to the identity."""
+    """PSD effects summing to the identity, held as one read-only (n, d, d) stack ``effects``."""
 
     __slots__ = ("dim", "effects")
 
@@ -82,18 +89,20 @@ class DiscretePOVM:
         d = ops[0].shape[0]
         if any(e.shape != (d, d) for e in ops):
             raise ShapeMismatchError("effects must share one square shape")
-        for i, e in enumerate(ops):
-            herm = float(np.abs(e - e.conj().T).max())
-            low = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T))[0])
-            if herm > INPUT_TOL or low < -INPUT_TOL:
-                raise FramenessError(f"effect {i} is not PSD (herm {herm:.2e}, min eig {low:.2e})")
-        dev = float(np.abs(sum(ops) - np.eye(d)).max())
+        stack = np.array(ops)
+        adj = stack.conj().swapaxes(1, 2)
+        herm = np.abs(stack - adj).max(axis=(1, 2))
+        low = np.linalg.eigvalsh(0.5 * (stack + adj))[:, 0]
+        bad = np.flatnonzero((herm > INPUT_TOL) | (low < -INPUT_TOL))
+        if bad.size:
+            i = int(bad[0])
+            raise FramenessError(f"effect {i} is not PSD (herm {herm[i]:.2e}, min eig {low[i]:.2e})")
+        dev = float(np.abs(stack.sum(axis=0) - np.eye(d)).max())
         if dev > IDENTITY_TOL:
             raise FramenessError(f"effects sum deviates from identity by {dev:.3e}")
-        for e in ops:
-            e.setflags(write=False)
+        stack.setflags(write=False)
         self.dim = d
-        self.effects = tuple(ops)
+        self.effects = stack
 
     def __len__(self):
         return len(self.effects)
@@ -103,7 +112,8 @@ def mutual_information(ens: OrbitEnsemble, povm: DiscretePOVM) -> float:
     """H(g' : g) = H(g) + H(g') - H(g, g') in bits, for the uniform prior over the orbit."""
     if povm.dim != ens.dim:
         raise ShapeMismatchError(f"POVM dim {povm.dim} does not match ensemble dim {ens.dim}")
-    cond = [[float(np.real(np.trace(s.matrix @ e))) for e in povm.effects] for s in ens.states]
+    states = np.stack([s.matrix for s in ens.states])
+    cond = np.einsum("gij,eji->ge", states, povm.effects).real  # Tr(rho_g E_e)
     joint = np.clip(cond, 0.0, None) / ens.size
     total = (_entropy_of_spectrum(joint.sum(axis=1)) + _entropy_of_spectrum(joint.sum(axis=0))
              - _entropy_of_spectrum(joint.ravel()))
@@ -121,23 +131,18 @@ def square_root_measurement(ens: OrbitEnsemble) -> DiscretePOVM:
     keep = lams > EIG_CUTOFF
     inv_sqrt = (vecs[:, keep] / np.sqrt(lams[keep])) @ vecs[:, keep].conj().T
     null = vecs[:, ~keep] @ vecs[:, ~keep].conj().T
-    effects = []
-    for st in ens.states:
-        e = inv_sqrt @ (st.matrix / ens.size) @ inv_sqrt + null / ens.size
-        effects.append(0.5 * (e + e.conj().T))
-    return DiscretePOVM(effects)
+    states = np.stack([st.matrix for st in ens.states])
+    e = inv_sqrt @ (states / ens.size) @ inv_sqrt + null / ens.size
+    return DiscretePOVM(0.5 * (e + e.conj().swapaxes(1, 2)))
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> DiscretePOVM:
     """Wishart effects normalized by the inverse square root of their sum."""
-    raw = []
-    for _ in range(n_outcomes):
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw.append(z @ z.conj().T)
-    total = sum(raw)
-    lams, vecs = np.linalg.eigh(total)
+    z = _ginibre_stack(dim, rng, n_outcomes)
+    raw = z @ z.conj().swapaxes(1, 2)
+    lams, vecs = np.linalg.eigh(raw.sum(axis=0))
     inv_sqrt = (vecs / np.sqrt(lams)) @ vecs.conj().T
-    return DiscretePOVM([inv_sqrt @ r @ inv_sqrt for r in raw])
+    return DiscretePOVM(inv_sqrt @ raw @ inv_sqrt)
 
 
 def coarse_grain_povm(povm: DiscretePOVM, groups) -> DiscretePOVM:

@@ -26,6 +26,7 @@ import numpy as np
 from .states import (
     COMPOSED_TOL,
     INPUT_TOL,
+    _STACK_ENTRIES,
     FramenessError,
     ResourceLimitError,
     _declared_int,
@@ -157,38 +158,47 @@ def validate_finite_rep(rep: FiniteGroupRep) -> ValidationReport:
         if dev > INPUT_TOL:
             report.add("unitarity", f"T(g{i}) is not unitary", dev)
 
-    worst = 0.0
-    first = None
-    for i in range(n):
-        for j in range(n):
-            dev = float(np.abs(rep.unitaries[i] @ rep.unitaries[j] - rep.unitaries[t[i, j]]).max())
-            if dev > worst:
-                worst, first = dev, (i, j)
+    us, worst, first = np.stack(rep.unitaries), 0.0, None
+    for i, j, prods in _pair_products(us, max(1, _STACK_ENTRIES // rep.dim**2)):
+        dev = np.abs(prods - us[t[i, j]]).max(axis=(1, 2))
+        k = int(np.argmax(dev))  # the first worst pair of the block, in row-major order
+        if dev[k] > worst:
+            worst, first = float(dev[k]), (int(i[k]), int(j[k]))
     if worst > INPUT_TOL:
         i, j = first
         report.add("homomorphism", f"T(g{i})T(g{j}) != T(g{i} g{j})", worst)
     return report
 
 
+def _pair_products(us: np.ndarray, per_block: int):
+    """(i, j, T(g_i) T(g_j)) for all pairs of the (n, d, d) stack, row-major, in blocks of pairs."""
+    n = len(us)
+    for start in range(0, n * n, per_block):
+        i, j = np.divmod(np.arange(start, min(start + per_block, n * n)), n)
+        yield i, j, us[i] @ us[j]
+
+
 def finite_group_from_unitaries(unitaries) -> FiniteGroupRep:
     """Build the multiplication table by matching matrix products to elements.
 
     Raises if the supplied set is not closed under multiplication (within
-    COMPOSED_TOL, entrywise).
+    COMPOSED_TOL, entrywise): the first product in row-major order that matches
+    no element or several is reported.  The products are matched against every
+    element in blocks of pairs, each at most max(2^16, n d^2) complex entries.
     """
-    us = [np.asarray(u, dtype=complex) for u in unitaries]
-    n = len(us)
-    table = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            prod = us[i] @ us[j]
-            hits = [k for k, u in enumerate(us) if np.abs(prod - u).max() <= COMPOSED_TOL]
-            if len(hits) != 1:
-                raise RepresentationError(
-                    f"product T(g{i})T(g{j}) matches {len(hits)} elements; set not closed"
-                )
-            table[i, j] = hits[0]
-    return FiniteGroupRep(table, us)
+    us = np.stack([np.asarray(u, dtype=complex) for u in unitaries])
+    n, d = len(us), us.shape[-1]
+    hits = np.empty((n * n, n), dtype=bool)
+    for i, j, prods in _pair_products(us, max(1, _STACK_ENTRIES // (n * d * d))):
+        hits[i * n + j] = np.abs(prods[:, None] - us).max(axis=(2, 3)) <= COMPOSED_TOL
+    counts = hits.sum(axis=1)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        raise RepresentationError(
+            f"product T(g{i})T(g{j}) matches {counts[bad[0]]} elements; set not closed"
+        )
+    return FiniteGroupRep(hits.argmax(axis=1).reshape(n, n), list(us))
 
 
 def z2_phase_flip_rep() -> FiniteGroupRep:
@@ -390,29 +400,32 @@ class CollectiveSpinRep:
 def _highest_weight_space(raising, want: int) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``raising``, J+ from weight k to k - 1.
 
-    The kernel is computed by SVD, counting as nonzero the singular values
-    above max(rows, cols) eps s_max, and then re-based deterministically: the
-    weight-k computational basis vectors, in ascending order, are projected
-    onto the kernel and Gram-Schmidt'ed in order, so the alpha labels are
-    reproducible across runs.  Rows index the weight-k strings.
+    The kernel is the null space of J+^T J+ = J- J+, whose eigenvalue on a weight-k vector
+    of spin j is j(j+1) - m(m+1): 0 at the highest weight m = j and at least 2 otherwise,
+    so the eigenvectors of eigenvalue below 1 span it.  It is then re-based
+    deterministically: the weight-k computational basis vectors, in ascending order, are
+    projected onto the kernel, and each is kept when its part orthogonal to the vectors
+    already kept (two passes of classical Gram-Schmidt) has norm above COMPOSED_TOL, so the
+    alpha labels are reproducible across runs.  Rows index the weight-k strings.
     """
-    _, s, vh = np.linalg.svd(raising)
-    rank = int((s > max(raising.shape) * np.finfo(float).eps * s.max()).sum())
-    kernel = vh[rank:].T
+    lams, vecs = np.linalg.eigh(raising.T @ raising)
+    kernel = vecs[:, lams < 1.0]
     if kernel.shape[1] != want:
         raise FramenessError(f"highest-weight space has dim {kernel.shape[1]}, expected {want}")
     proj = kernel @ kernel.T
-    chosen = []
+    chosen = np.empty((proj.shape[0], want))
+    found = 0
     for i in range(proj.shape[0]):
-        v = proj[:, i].copy()
-        for u in chosen:
-            v -= (u @ v) * u
+        q, v = chosen[:, :found], proj[:, i]
+        v = v - q @ (q.T @ v)
+        v = v - q @ (q.T @ v)
         norm = np.linalg.norm(v)
         if norm > COMPOSED_TOL:
-            chosen.append(v / norm)
-        if len(chosen) == want:
-            break
-    return np.column_stack(chosen)
+            chosen[:, found] = v / norm
+            found += 1
+            if found == want:
+                return chosen
+    raise FramenessError(f"re-basing kept {found} of {want} highest-weight vectors")
 
 
 def build_collective_spin_rep(n_qubits: int) -> CollectiveSpinRep:

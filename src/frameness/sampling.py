@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityOperator, PureState
+from .states import DensityOperator, PureState, _validated_density
 
 
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+def _ginibre_stack(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, d, d) unscaled complex Gaussian matrices A + iB: one rng call, drawing the same
+    values in the same order as ``count`` pairs of (d, d) draws (A, then B)."""
+    g = rng.standard_normal((count, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -23,9 +26,14 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag)).conj()[..., None, :]
 
 
+def _haar_stack(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, d, d) Haar unitaries, bitwise equal to ``count`` :func:`haar_unitary` calls on rng."""
+    return _haar_from_ginibre(_ginibre_stack(dim, rng, count) / np.sqrt(2))
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
-    return _haar_from_ginibre(_ginibre(dim, rng))
+    return _haar_stack(dim, rng, 1)[0]
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -40,13 +48,21 @@ def _density_stack(dim: int, rng: np.random.Generator, count: int) -> np.ndarray
     z = np.empty((count, dim, dim), dtype=complex)
     for k in range(count):
         lams[k] = rng.dirichlet(np.ones(dim))
-        z[k] = _ginibre(dim, rng)
-    u = _haar_from_ginibre(z)
+        z[k] = _ginibre_stack(dim, rng, 1)[0]
+    u = _haar_from_ginibre(z / np.sqrt(2))
     return (u * lams[:, None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def random_density_operator(dim: int, rng: np.random.Generator) -> DensityOperator:
     return DensityOperator(_density_stack(dim, rng, 1)[0])
+
+
+def _density_operators(dim: int, rng: np.random.Generator, count: int) -> list[DensityOperator]:
+    """``count`` :func:`random_density_operator` draws, validated as one stack."""
+    m, spectra = _validated_density(_density_stack(dim, rng, count))
+    m.setflags(write=False)
+    spectra.setflags(write=False)
+    return [DensityOperator._of_checked(mk, sk) for mk, sk in zip(m, spectra)]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -30,6 +30,10 @@ KLEIN_TOL = 1e-9              # verify: how far below 0 a sampled S(rho||sigma) 
 DEGENERATE_ANGLE_TOL = 1e-7   # |sin 2 theta| at which a qubit basis ignores gamma: ree reports (0, 0)
 
 _DEFAULT_MAX_DIM = 2**14
+# Workspace bound of one stacked computation, in complex entries (1 MiB), a constant
+# rather than an option: sampled states mapped at once, dephasing candidates scored at
+# once, group products matched at once.
+_STACK_ENTRIES = 2**16
 
 
 class FramenessError(Exception):
@@ -84,14 +88,19 @@ class DensityOperator:
         self._spectrum = spectrum
 
     @classmethod
+    def _of_checked(cls, m: np.ndarray, spectrum: np.ndarray) -> "DensityOperator":
+        """A state from a symmetrized matrix and its read-only spectrum, already checked (as by
+        :func:`_validated_density`): no eigensolve.  The matrix is frozen here."""
+        m.setflags(write=False)
+        state = object.__new__(cls)
+        state.dim, state.matrix, state._spectrum = int(m.shape[0]), m, spectrum
+        return state
+
+    @classmethod
     def _conjugate_of(cls, rho: "DensityOperator", u: np.ndarray) -> "DensityOperator":
         """u rho u^dag for a u already checked unitary to INPUT_TOL: rho's spectrum, no eigensolve."""
         m = u @ rho.matrix @ u.conj().T
-        m = 0.5 * (m + m.conj().T)
-        m.setflags(write=False)
-        state = object.__new__(cls)
-        state.dim, state.matrix, state._spectrum = rho.dim, m, rho._spectrum
-        return state
+        return cls._of_checked(0.5 * (m + m.conj().T), rho._spectrum)
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum (read-only; computed once, on construction)."""

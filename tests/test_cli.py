@@ -257,6 +257,22 @@ def test_ree_rejects_an_empty_grid(capsys, grid):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, option", [
+    (["ree", "--dims", "2,3", "--random-trials", "-5"], "--random-trials"),
+    (["ree", "--p", "0.8", "--random-trials", "-1"], "--random-trials"),
+    (["estimate", "--povms", "-3"], "--povms"),
+])
+def test_negative_counts_are_usage_errors(tmp_path, capsys, args, option):
+    rho = fr.DensityOperator(np.diag([0.3, 0.1, 0.2, 0.1, 0.2, 0.1]))
+    state = write_json(tmp_path / "rho.json", fr.density_to_json(rho))
+    out = tmp_path / "out.json"
+    assert cli.run(args + ["--state", state, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be a nonnegative count, got -" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bounds_su2_design_bound_holds_only_for_small_registers(tmp_path):
     # 2 log2(N+1) bounds N-copy states; the maximal-asymmetry state is not
     # one, and from 8 qubits on its asymmetry exceeds the bound

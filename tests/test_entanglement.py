@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from stack_oracle import per_candidate_dephasing_search
 
 import frameness as fr
+import frameness.entanglement
 from frameness.entanglement import (
     _bloch_coefficients,
     _dephased_entropy,
+    _dephasing_gaps,
     _grid_starts,
     _nelder_mead,
     _reduced_angles,
 )
+from frameness.sampling import _haar_stack
 
 
 def partial_transpose_b(matrix):
@@ -385,3 +391,76 @@ def test_angles_at_a_gamma_free_basis_are_reported_as_zero():
         report = fr.optimize_two_qubit_bound(fr.bell_diagonal_state(p))
         assert (report.theta, report.gamma) == (0.0, 0.0)
         assert report.upper == pytest.approx(1.0 - fr.binary_entropy(p), abs=1e-9)
+
+
+def random_bipartite(dim_a, dim_b, rng, pure=False):
+    if pure:
+        return fr.BipartiteState(dim_a, dim_b, fr.random_pure_state(dim_a * dim_b, rng).projector())
+    return fr.BipartiteState(dim_a, dim_b, fr.random_density_operator(dim_a * dim_b, rng))
+
+
+@given(st.integers(2, 4), st.integers(2, 4), st.sampled_from("AB"), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_stacked_dephasing_kernel_matches_the_lifted_channel(dim_a, dim_b, side, pure, seed):
+    rng = np.random.default_rng(seed)
+    bip = random_bipartite(dim_a, dim_b, rng, pure)
+    d = dim_b if side == "B" else dim_a
+    us = np.concatenate([np.eye(d)[None], _haar_stack(d, rng, 4)])
+    gaps = _dephasing_gaps(bip, us, side)
+    for u, gap in zip(us, gaps):
+        dense = fr.relative_entropy_to_image(fr.lifted_dephasing_channel(bip, u, side), bip.state)
+        assert abs(gap - dense) <= 1e-12
+        assert fr.dephasing_upper_bound(bip, u, side) == pytest.approx(gap, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim, count", [(2, 1), (3, 7), (4, 40)])
+def test_drawn_candidates_equal_repeated_haar_calls(dim, count):
+    stacked_rng, loop_rng = np.random.default_rng(11), np.random.default_rng(11)
+    stack = _haar_stack(dim, stacked_rng, count)
+    for u in stack:
+        np.testing.assert_array_equal(u, fr.haar_unitary(dim, loop_rng))
+    assert stacked_rng.random() == loop_rng.random()  # the same draws were consumed
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("stack_entries", [None, 50])
+def test_basis_search_picks_the_per_candidate_oracles_basis(monkeypatch, side, stack_entries):
+    if stack_entries is not None:  # a few candidates per stack: the search spans many stacks
+        monkeypatch.setattr(frameness.entanglement, "_STACK_ENTRIES", stack_entries)
+    rng = np.random.default_rng(4)
+    for dims, pure in [((2, 3), False), ((3, 2), True), ((3, 4), False)]:
+        bip = random_bipartite(*dims, rng, pure)
+        d = dims[1] if side == "B" else dims[0]
+        given_bases = [fr.haar_unitary(d, rng) for _ in range(2)]
+        for unitaries, trials in [(None, 0), (None, 25), (given_bases, 9)]:
+            report = fr.optimize_dephasing_bound(bip, unitaries, trials, seed=7, side=side)
+            best_val, best_u = per_candidate_dephasing_search(bip, unitaries, trials, 7, side)
+            assert abs(report.upper - best_val) <= 1e-12
+            np.testing.assert_array_equal(report.unitary, best_u)
+            assert report.lower == fr.hashing_lower_bound(bip)
+
+
+def test_basis_search_rejects_bad_requests_before_drawing(monkeypatch):
+    bip = random_bipartite(2, 3, np.random.default_rng(5))
+
+    def no_draws(*args):
+        raise AssertionError("drew candidates for a rejected request")
+
+    monkeypatch.setattr(frameness.entanglement, "_haar_stack", no_draws)
+    with pytest.raises(ValueError, match="random_trials must be a nonnegative count, got -1"):
+        fr.optimize_dephasing_bound(bip, random_trials=-1)
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        fr.optimize_dephasing_bound(bip, random_trials=3, side="C")
+    with pytest.raises(fr.ShapeMismatchError):
+        fr.optimize_dephasing_bound(bip, unitaries=[np.eye(2)], random_trials=3)
+
+
+def test_basis_search_rejects_a_non_unitary_candidate():
+    bip = random_bipartite(2, 3, np.random.default_rng(6))
+    skew = np.eye(3) + 1e-6 * np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"basis matrix is not unitary \(deviation 2\.000e-06\)"):
+        fr.optimize_dephasing_bound(bip, unitaries=[np.eye(3), skew], random_trials=4)
+    with pytest.raises(ValueError, match="basis matrix is not unitary"):
+        fr.dephasing_upper_bound(bip, skew)
+    with pytest.raises(fr.ShapeMismatchError):
+        fr.dephasing_upper_bound(bip, np.eye(2))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from stack_oracle import per_element_mutual_information, per_outcome_random_povm_effects
 
 import frameness as fr
 
@@ -83,6 +84,39 @@ def test_povm_validation():
         fr.DiscretePOVM([np.eye(2) * 0.4])  # incomplete
     with pytest.raises(fr.FramenessError):
         fr.DiscretePOVM([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # not PSD
+
+
+def test_povm_checks_its_effects_as_one_stack():
+    skew = np.array([[0.2, 0.1], [0.0, 0.2]])  # not Hermitian
+    negative = np.diag([-0.1, 0.3])  # not PSD
+    with pytest.raises(fr.FramenessError, match="effect 1 is not PSD \\(herm 1.00e-01"):
+        fr.DiscretePOVM([np.eye(2) / 2, skew, negative])
+    with pytest.raises(fr.ShapeMismatchError):
+        fr.DiscretePOVM([np.eye(2), np.eye(3)])
+    povm = pm_povm()
+    assert povm.effects.shape == (2, 2, 2) and not povm.effects.flags.writeable
+    assert len(povm) == 2
+
+
+@pytest.mark.parametrize("dim, outcomes", [(2, 2), (2, 8), (3, 5)])
+def test_random_povm_effects_equal_the_per_outcome_draws(dim, outcomes):
+    stacked_rng, loop_rng = np.random.default_rng(8), np.random.default_rng(8)
+    povm = fr.random_povm(dim, outcomes, stacked_rng)
+    oracle = per_outcome_random_povm_effects(dim, outcomes, loop_rng)
+    np.testing.assert_array_equal(povm.effects, np.array(oracle))
+    assert stacked_rng.random() == loop_rng.random()
+
+
+def test_mutual_information_matches_the_per_element_loop():
+    rng = np.random.default_rng(12)
+    reps = [fr.z2_phase_flip_rep(), fr.quaternion_rep(), fr.cyclic_phase_rep([0, 1, 2], 4)]
+    for rep in reps:
+        for _ in range(4):
+            ens = fr.orbit_ensemble(rep, fr.random_density_operator(rep.dim, rng))
+            for povm in [fr.square_root_measurement(ens), fr.random_povm(rep.dim, rep.order, rng),
+                         fr.random_povm(rep.dim, 3, rng)]:
+                assert fr.mutual_information(ens, povm) == pytest.approx(
+                    per_element_mutual_information(ens, povm), abs=1e-14)
 
 
 def test_mutual_information_examples():

@@ -7,7 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import frameness as fr
-from frameness.groups import _raising_blocks
+import frameness.groups
+from frameness.groups import _highest_weight_space, _raising_blocks
+from stack_oracle import (
+    per_product_group_table,
+    per_product_homomorphism_deviation,
+    svd_gram_schmidt_highest_weight_space,
+)
 from su2_oracle import collective_rotation, dense_collective_ops, dense_schur_basis, scattered_basis
 
 
@@ -46,6 +52,50 @@ def test_from_unitaries_requires_closure():
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     with pytest.raises(fr.RepresentationError):
         fr.finite_group_from_unitaries([np.eye(2), rot])
+
+
+GROUP_REPS = [fr.z2_phase_flip_rep, fr.quaternion_rep] + [
+    (lambda m=m: fr.cyclic_phase_rep([0, 1, 3], m)) for m in range(2, 7)]
+
+
+@pytest.mark.parametrize("stack_entries", [None, 40])
+@pytest.mark.parametrize("make_rep", GROUP_REPS)
+def test_stacked_table_equals_the_per_product_loop(monkeypatch, make_rep, stack_entries):
+    if stack_entries is not None:  # a few pairs per block
+        monkeypatch.setattr(frameness.groups, "_STACK_ENTRIES", stack_entries)
+    rep = make_rep()
+    table = fr.finite_group_from_unitaries(rep.unitaries).table
+    np.testing.assert_array_equal(table, per_product_group_table(rep.unitaries))
+    np.testing.assert_array_equal(table, rep.table)
+
+
+@pytest.mark.parametrize("stack_entries", [None, 40])
+def test_a_set_that_is_not_closed_names_the_loops_first_product(monkeypatch, stack_entries):
+    if stack_entries is not None:
+        monkeypatch.setattr(frameness.groups, "_STACK_ENTRIES", stack_entries)
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+    for us in ([np.eye(2), z, x], [np.eye(2), np.eye(2)], [np.eye(2), z, -np.eye(2), 1j * x]):
+        with pytest.raises(fr.RepresentationError) as oracle:
+            per_product_group_table(us)
+        with pytest.raises(fr.RepresentationError, match=str(oracle.value).replace("(", "\\(")
+                           .replace(")", "\\)")):
+            fr.finite_group_from_unitaries(us)
+
+
+@pytest.mark.parametrize("stack_entries", [None, 40])
+def test_homomorphism_report_names_the_loops_first_worst_pair(monkeypatch, stack_entries):
+    if stack_entries is not None:  # the tied worst pairs fall in different blocks
+        monkeypatch.setattr(frameness.groups, "_STACK_ENTRIES", stack_entries)
+    rep = fr.quaternion_rep()
+    us = list(rep.unitaries)
+    us[3] = -us[3]  # still unitary: the homomorphism law breaks by exactly 2 at 12 pairs
+    us[6] = us[6] * np.exp(-0.01j)
+    broken = fr.FiniteGroupRep(rep.table, us)
+    worst, (i, j) = per_product_homomorphism_deviation(broken)
+    issues = fr.validate_finite_rep(broken).issues
+    assert [issue.kind for issue in issues] == ["homomorphism"]
+    assert issues[0].detail == f"T(g{i})T(g{j}) != T(g{i} g{j})"
+    assert issues[0].deviation == worst
 
 
 def test_quaternion_rep_is_a_nonabelian_order_8_group():
@@ -182,6 +232,24 @@ def test_weight_blocks_match_the_dense_schur_basis(n_qubits):
         for c, column in zip(cols, u.T):
             assert np.abs(basis[rows, c] - column).max() < 1e-12
             assert not np.delete(basis[:, c], rows).any()  # zero off the weight-k strings
+
+
+@pytest.mark.parametrize("n_qubits", [4, 6, 8, 10])
+def test_highest_weight_spaces_match_the_svd_gram_schmidt_oracle(n_qubits):
+    _, raising = _raising_blocks(n_qubits)
+    for j in range(n_qubits // 2 - 1, -1, -1):
+        k, want = n_qubits // 2 - j, fr.multiplicity_dimension(n_qubits, j)
+        space = _highest_weight_space(raising[k], want)
+        assert np.abs(space - svd_gram_schmidt_highest_weight_space(raising[k], want)).max() < 1e-13
+        with pytest.raises(fr.FramenessError, match=f"has dim {want}, expected {want + 1}"):
+            _highest_weight_space(raising[k], want + 1)
+
+
+def test_highest_weight_space_never_returns_unfilled_columns(monkeypatch):
+    _, raising = _raising_blocks(6)
+    monkeypatch.setattr(frameness.groups, "COMPOSED_TOL", 2.0)  # no projected vector is kept
+    with pytest.raises(fr.FramenessError, match="re-basing kept 0 of 9 highest-weight vectors"):
+        _highest_weight_space(raising[2], 9)
 
 
 def test_building_the_rep_allocates_no_dense_basis():

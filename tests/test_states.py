@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frameness as fr
+from frameness.sampling import _density_operators
 from ncopy_oracle import tensor_power
 
 # Frozen oracle values (computed by direct formula / inner-product evaluation).
@@ -37,6 +38,18 @@ def test_pure_state_norm_is_enforced():
         fr.PureState([1.0, 1.0])
     psi = fr.PureState([1.0, 0.0])
     assert psi.projector().dim == 2
+
+
+@pytest.mark.parametrize("dim, count", [(3, 10), (4, 40)])
+def test_stacked_draws_are_the_repeated_draws(dim, count):
+    stacked_rng, loop_rng = np.random.default_rng(14), np.random.default_rng(14)
+    states = _density_operators(dim, stacked_rng, count)
+    for state in states:
+        one = fr.random_density_operator(dim, loop_rng)
+        np.testing.assert_array_equal(state.matrix, one.matrix)
+        np.testing.assert_array_equal(state.eigenvalues(), one.eigenvalues())
+        assert not state.matrix.flags.writeable and not state.eigenvalues().flags.writeable
+    assert stacked_rng.random() == loop_rng.random()
 
 
 def test_eigenvalues_are_the_read_only_validation_spectrum():
