@@ -83,9 +83,9 @@ class ValidationReport:
 class FiniteGroupRep:
     """Finite group given by an index multiplication table and unitaries T(g).
 
-    ``table[i, j]`` is the index of ``g_i g_j``.  Construction checks shapes
-    and the order cap only; call :func:`validate_finite_rep` for the full
-    axiom/unitarity/homomorphism report.
+    ``table[i, j]`` is the index of ``g_i g_j``.  Construction checks shapes,
+    finite entries and the order cap only; call :func:`validate_finite_rep`
+    for the full axiom/unitarity/homomorphism report.
     """
 
     __slots__ = ("order", "table", "unitaries", "dim")
@@ -103,6 +103,9 @@ class FiniteGroupRep:
         dims = {u.shape for u in us}
         if len(dims) != 1 or us[0].ndim != 2 or us[0].shape[0] != us[0].shape[1]:
             raise RepresentationError(f"unitaries must share one square shape, got {dims}")
+        finite = np.isfinite(us).all(axis=(1, 2))
+        if not finite.all():
+            raise RepresentationError(f"T(g{int(finite.argmin())}) has a non-finite entry (NaN or inf)")
         t.setflags(write=False)
         for u in us:
             u.setflags(write=False)

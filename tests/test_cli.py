@@ -152,6 +152,22 @@ def test_scaling_at_the_support_cap(tmp_path):
     assert row["A_bits"] == pytest.approx(row["model_bits"], abs=1e-6)
 
 
+@pytest.mark.parametrize("levels, n", [(2, 4194304), (3, 2097152)])
+def test_scaling_beyond_the_support_cap_exits_3(tmp_path, capsys, levels, n):
+    # one copy past the cap: either law powers to a support of 2^22 + 1
+    if levels == 2:
+        args = ["--p", "0.3"]
+    else:
+        psi = fr.PureState(np.full(3, 1 / math.sqrt(3)))
+        args = ["--state", write_json(tmp_path / "psi3.json", fr.pure_state_to_json(psi)),
+                "--charges", write_json(tmp_path / "c3.json", {"dim": 3, "charges": [0, 1, 2]})]
+    out = tmp_path / "out.json"
+    assert cli.run(["scaling", *args, "--n-list", str(n), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "resource limit: convolved support 4194305 exceeds 4194304\n"
+
+
 def test_bounds_finite_and_su2(tmp_path, plus_state_file, z2_rep_file):
     payload = run_json(tmp_path, ["bounds", "--group", "finite", "--rep", z2_rep_file,
                                   "--state", plus_state_file, "--copies", "3"])

@@ -47,6 +47,13 @@ def test_group_order_cap():
         fr.FiniteGroupRep(np.zeros((65, 65), dtype=int), [np.eye(2)] * 65)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_non_finite_unitary_entries_are_rejected(bad):
+    # a NaN deviation fails every "> INPUT_TOL" test, so validation alone would call it valid
+    with pytest.raises(fr.RepresentationError, match=r"T\(g1\) has a non-finite entry"):
+        fr.FiniteGroupRep([[0, 1], [1, 0]], [np.eye(2), np.diag([bad, 1.0])])
+
+
 def test_from_unitaries_requires_closure():
     theta = 0.3
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])

@@ -66,7 +66,7 @@ def test_fft_powering_matches_the_convolution_loop(levels, shape, seed, n):
     assert profile.convolved.weights.shape == oracle.shape
     # An N-fold convolution has condition number ~N: rounding the law's weights
     # alone moves the result by ~N eps, and both the loop and the powering
-    # round that much (measured worst 1.9 N eps, for a skewed law).
+    # round that much (measured worst 1.2 N eps over 400 seeded laws).
     weight_tol = 4 * n * np.finfo(float).eps
     assert_allclose(profile.convolved.weights, oracle, rtol=0, atol=weight_tol)
     # The entropy drops weights at or below EIG_CUTOFF, which is a jump of up to
@@ -80,8 +80,11 @@ def test_million_copies_match_the_binomial_entropy():
     n, p = 10**6, 0.3
     profile = fr.convolve_copies([1.0 - p, p], n)  # constructing it passed the INPUT_TOL sum check
     assert profile.convolved.weights.size == n + 1
+    # Measured 2.8e-10 apart.  Against the exact entropy the lgamma sum reads 6.1e-9
+    # bits low (float lgamma rounding at this N), and the weights at or below
+    # EIG_CUTOFF, which the entropy drops, carry 5.8e-9 bits.
     assert fr.shannon_entropy(profile.convolved) == pytest.approx(
-        lgamma_binomial_entropy(n, p), abs=1e-8)
+        lgamma_binomial_entropy(n, p), abs=1e-9)
 
 
 def test_number_variance_examples():
@@ -126,8 +129,8 @@ def test_convolution_sum_is_checked_then_normalized(monkeypatch):
     # the stored [0.7, 0.3] sums to 1 - 5.6e-17, so its 10^6-fold law sums to 1 - 3.2e-11
     big = fr.convolve_copies([0.7, 0.3], 10**6).convolved.weights
     assert abs(big.sum() - 1.0) < 1e-13
-    fft = fr.scaling._fft_convolve
-    monkeypatch.setattr(fr.scaling, "_fft_convolve", lambda a, b: fft(a, b) * (1 + 1e-9))
+    irfft = np.fft.irfft
+    monkeypatch.setattr(fr.scaling.np.fft, "irfft", lambda a, n: irfft(a, n) * (1 + 1e-9))
     with pytest.raises(fr.FramenessError, match="sums to"):
         fr.convolve_copies([0.7, 0.3], 1000)
 
