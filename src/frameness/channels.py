@@ -170,6 +170,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def _slab_adjoint(u, xu: np.ndarray, c: int, n: int) -> np.ndarray:
+    """u[:, c:c+n]^dag xu[..., c:c+n] for xu = x u, a row slice for u = None (the identity)."""
+    if u is None:
+        return xu[..., c:c + n, c:c + n]
+    return _matmul(u[:, c:c + n].conj().T, xu[..., c:c + n])
+
+
 def _checked_unitary(u) -> np.ndarray:
     """``u`` as a square array, after checking u^dag u = I to INPUT_TOL."""
     u = np.asarray(u)
@@ -182,9 +189,9 @@ def _checked_unitary(u) -> np.ndarray:
 
 
 def _identity_blocks(rows: np.ndarray, sizes) -> list:
-    """Identity basis blocks on consecutive runs of ``rows``: U[:, c] = e_{rows[c]}."""
+    """Permutation basis blocks on consecutive runs of ``rows``: U[:, c] = e_{rows[c]}."""
     ends = np.cumsum(sizes).tolist()
-    return [(rows[t - n:t], np.arange(t - n, t), np.eye(n)) for n, t in zip(sizes, ends)]
+    return [(rows[t - n:t], np.arange(t - n, t), None) for n, t in zip(sizes, ends)]
 
 
 class BlockProjection:
@@ -195,8 +202,10 @@ class BlockProjection:
     the (m_q, n_q).  ``basis`` is U as a d x d unitary array, or as a direct sum
     of unitary blocks: a sequence of (rows, cols, u), U[rows, cols] = u, whose
     rows and whose cols each partition range(d), each slab (q, r) n_q adjacent
-    columns of one u.  Blocks keep their dtype and are checked unitary.  Unital
-    and idempotent by this form; the Kraus form is built only as a test oracle.
+    columns of one u.  Blocks keep their dtype and are checked unitary; a block
+    u = None is the identity, U[rows, cols] = I, applied by index gathers alone
+    (no check, no product).  Unital and idempotent by this form; the Kraus form
+    is built only as a test oracle.
     """
 
     __slots__ = ("dim", "basis", "blocks", "_slabs", "_kraus")
@@ -204,11 +213,13 @@ class BlockProjection:
     def __init__(self, basis, blocks):
         if isinstance(basis, np.ndarray):  # one dense block
             basis = [(np.arange(len(basis)), np.arange(len(basis)), basis)]
-        self.basis = tuple((np.asarray(r), np.asarray(c), _checked_unitary(u)) for r, c, u in basis)
+        self.basis = tuple((np.asarray(r), np.asarray(c), None if u is None else _checked_unitary(u))
+                           for r, c, u in basis)
         self.blocks = tuple((int(m), int(n)) for m, n in blocks)
         if not self.blocks or min(min(mn) for mn in self.blocks) < 1:
             raise ValueError(f"blocks must be a nonempty list of positive (m, n), got {blocks}")
-        if any(r.shape != (u.shape[0],) or c.shape != (u.shape[0],) for r, c, u in self.basis):
+        if any(r.ndim != 1 or c.shape != r.shape or (u is not None and u.shape[0] != r.size)
+               for r, c, u in self.basis):
             raise ShapeMismatchError("each basis block needs one row and one column index per side")
         rows_cols = np.concatenate([blk[:2] for blk in self.basis], axis=1)
         d = sum(m * n for m, n in self.blocks)
@@ -232,8 +243,9 @@ class BlockProjection:
 
     def _sector_blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """sigma_q = sum_r U_{q,r}^dag x U_{q,r}, stacked like x; real blocks give real GEMMs."""
-        xu = [_matmul(x[..., r[:, None], r], u) for r, _, u in self.basis]
-        return [sum(_matmul(self.basis[b][2][:, c:c + n].conj().T, xu[b][..., c:c + n]) for b, c in slabs)
+        xu = [x[..., r[:, None], r] if u is None else _matmul(x[..., r[:, None], r], u)
+              for r, _, u in self.basis]
+        return [sum(_slab_adjoint(self.basis[b][2], xu[b], c, n) for b, c in slabs)
                 for (_, n), slabs in zip(self.blocks, self._slabs)]
 
     def image_entropy(self, state: DensityOperator | PureState) -> float:
@@ -244,7 +256,7 @@ class BlockProjection:
             # sigma_q = C^T conj(C) for the m_q x n_q block C of U^dag psi; it has the
             # nonzero spectrum of C C^dag, so take the smaller Gram matrix
             psi = state.amplitudes
-            coeffs = [_matmul(u.conj().T, psi[r]) for r, _, u in self.basis]
+            coeffs = [psi[r] if u is None else _matmul(u.conj().T, psi[r]) for r, _, u in self.basis]
             cs = [np.array([coeffs[b][c:c + n] for b, c in slabs])
                   for (_, n), slabs in zip(self.blocks, self._slabs)]
             sigmas = [c @ c.conj().T if c.shape[0] <= c.shape[1] else c.T @ c.conj() for c in cs]
@@ -256,13 +268,13 @@ class BlockProjection:
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         """The dense E(x) of one operator or a (..., d, d) stack; block diagonal over the basis rows."""
         x = _operand(x, self.dim)
-        fills = [np.zeros(x.shape[:-2] + u.shape, dtype=complex) for _, _, u in self.basis]
+        fills = [np.zeros(x.shape[:-2] + (r.size, r.size), dtype=complex) for r, _, _ in self.basis]
         for (m, n), slabs, sigma in zip(self.blocks, self._slabs, self._sector_blocks(x)):
             for b, c in slabs:
                 fills[b][..., c:c + n, c:c + n] = sigma / m
         out = np.zeros_like(x)
         for (r, _, u), fill in zip(self.basis, fills):
-            out[..., r[:, None], r] = _matmul(_matmul(u, fill), u.conj().T)
+            out[..., r[:, None], r] = fill if u is None else _matmul(_matmul(u, fill), u.conj().T)
         return out
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
@@ -288,8 +300,8 @@ class BlockProjection:
                 cols = []
                 for b, c in slabs:
                     r, _, u = self.basis[b]
-                    col = np.zeros((self.dim, n), dtype=u.dtype)
-                    col[r] = u[:, c:c + n]
+                    col = np.zeros((self.dim, n), dtype=float if u is None else u.dtype)
+                    col[r] = np.eye(r.size)[:, c:c + n] if u is None else u[:, c:c + n]
                     cols.append(col)
                 kraus += [k @ k2.conj().T / math.sqrt(m) for k in cols for k2 in cols]
             self._kraus = KrausChannel(kraus)

@@ -121,11 +121,24 @@ def _count(text: str) -> int:
     return value
 
 
+def _dims(text: str) -> tuple[int, int]:
+    """argparse type of a dA,dB pair of positive dimensions: anything else is a usage error (exit 2)."""
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 2 or min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"must be two positive integers dA,dB, got {text!r}")
+    return dims
+
+
 def _meta(command: str, ns: argparse.Namespace) -> dict:
     config = {}
     for key, value in sorted(vars(ns).items()):
         if key in ("out", "format") or value is None:
             continue
+        if isinstance(value, tuple):  # recorded as written on the command line
+            value = ",".join(map(str, value))
         config[key] = value if isinstance(value, (int, float, str, bool)) else str(value)
     return {
         "command": command,
@@ -515,8 +528,9 @@ def _cmd_ree(args) -> int:
     p.add_argument("--p", type=float, help="mixing weight for the bell-diagonal family")
     p.add_argument("--sweep", help="comma-separated p values; emits one row per value")
     p.add_argument("--state", help="bipartite state JSON (overrides the family)")
-    p.add_argument("--dims", default="2,2", help="dA,dB for --state")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--dims", type=_dims, default="2,2", help="dA,dB for --state")
+    p.add_argument("--grid", type=int, default=64,
+                   help="angle spacing pi/grid x 2 pi/grid of the two-qubit scan over theta in [0, pi/4]")
     p.add_argument("--side", choices=("A", "B"), default="B",
                    help="subsystem to dephase for non-qubit inputs")
     p.add_argument("--random-trials", type=_count, default=0,
@@ -535,8 +549,7 @@ def _cmd_ree(args) -> int:
         return 0
 
     if ns.state:
-        da, db = (int(x) for x in ns.dims.split(","))
-        bip = BipartiteState(da, db, _load_state(ns.state))
+        bip = BipartiteState(*ns.dims, _load_state(ns.state))
     else:
         if ns.p is None:
             raise ValueError("ree needs --p, --sweep or --state")

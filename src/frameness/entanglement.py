@@ -16,11 +16,14 @@ sigma_+- = (rho_kept +- sum_i n_i R_i) / 2, with R_i the partial trace of rho
 against sigma_i on the measured qubit.  :func:`_bloch_coefficients` tabulates
 that affine map once per state; :func:`_dephased_entropy` evaluates it
 elementwise and takes each 2 x 2 block's eigenvalues in closed form.  The
-search is a grid scan, run in blocks of rows so its workspace stays bounded,
-then Nelder-Mead from the three best grid points.  :func:`_nelder_mead` runs
-the refinements of every start of every state in lockstep, with one batched
-kernel call per kind of trial point, and repeats scipy's Nelder-Mead step for
-step (scipy is its test oracle, not a dependency).
+search scans the bases on a grid, theta in [0, pi/4] at spacing pi / grid and
+gamma at 2 pi / grid, one point per basis and in blocks of rows so its workspace
+stays bounded.  A compass search (:func:`_compass_search`) then refines the three
+best grid points: each step scores the 8 neighbours of every start of every state
+in one kernel call, moves to a strictly lower one or halves the step, and stops at
+a step of 1e-7 radians or after 200 iterations: 20 to 50 kernel calls per state.
+Its result is never above the best grid value, and since the kernel is elementwise
+a state's result does not depend on the batch it is optimized in.
 
 Beyond two qubits :func:`optimize_dephasing_bound` scores stacks of candidate
 bases: the identity, the caller's unitaries and seeded Haar draws.  Dephasing
@@ -230,97 +233,67 @@ def _reduced_angles(theta: float, gamma: float) -> tuple[float, float]:
     return theta, gamma % (math.pi if theta == math.pi / 4 else 2.0 * math.pi)
 
 
-# scipy's Nelder-Mead with the refinement's options: the stopping tolerances and iteration
-# cap; the reflection, expansion, contraction and shrink coefficients; the initial simplex's
-# relative step, and its step along a zero coordinate
-_NM_XATOL, _NM_FATOL, _NM_MAXITER = 1e-7, 1e-10, 200
-_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
-_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+# the compass stencil: the 8 neighbours (a, b) in {-1, 0, 1}^2 other than (0, 0), in grid
+# spacings; a row stops when its step falls to _STEP_TOL radians or after _MAX_ITER iterations
+_STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b], dtype=float)
+_STEP_TOL, _MAX_ITER = 1e-7, 200
 # angle pairs per block of the grid scan: bounds its workspace to a few MB
 _GRID_BLOCK_PAIRS = 1 << 14
 
 
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
-    order = np.argsort(fsim, axis=1)  # scipy's argsort, row by row: the same ties
-    return np.take_along_axis(sim, order[..., None], 1), np.take_along_axis(fsim, order, 1)
+def _compass_search(objective, x0: np.ndarray, f0: np.ndarray, spacing):
+    """Minimize from each row of ``x0`` (B x 2, values ``f0``), all B rows in lockstep.
 
-
-def _nelder_mead(objective, x0: np.ndarray):
-    """Minimize from each row of ``x0`` (B x N), all B simplices in lockstep.
-
-    ``objective(rows, points)`` evaluates simplex ``rows[k]``'s function at ``points[k]``.
-    Step for step this is scipy.optimize.minimize(method="Nelder-Mead") with xatol 1e-7,
-    fatol 1e-10 and maxiter 200, run on each row alone: the same initial simplex, moves,
-    stopping test and per-row sort, so it returns the same (x, fun) pairs, bit for bit,
-    as long as a point's objective value does not depend on its batch.  Each iteration
-    makes at most three batched objective calls: the reflections, then the expansion and
-    contraction points, then the shrinks.
+    ``objective(rows, points)`` evaluates row ``rows[k]``'s function at each ``points[k, s]``.
+    Each row keeps a step h, 1 at the start, and each iteration evaluates the 8 stencil
+    neighbours x + h (a, b) * spacing of every active row in one objective call.  A row moves
+    to its best neighbour (the first in stencil order on a tie) if that is strictly lower, and
+    halves h otherwise; it stops once h * max(spacing) <= _STEP_TOL, or after _MAX_ITER
+    iterations.  So a row's value never rises above its start's.
     """
-    b, n = x0.shape
-    sim = np.repeat(x0[:, None, :].astype(float), n + 1, axis=1)
-    for k in range(n):
-        y = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(y != 0, (1 + _NM_NONZDELT) * y, _NM_ZDELT)
-    rows = np.repeat(np.arange(b), n + 1)
-    fsim = objective(rows, sim.reshape(-1, n)).reshape(b, n + 1)
-    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))  # scipy sorts twice here
-    active = np.ones(b, dtype=bool)
-    for _ in range(1, _NM_MAXITER):
-        active &= ~((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _NM_XATOL)
-                    & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _NM_FATOL))
-        idx = np.flatnonzero(active)
+    x, f = x0.astype(float), f0.astype(float)
+    h = np.ones(len(x))
+    step = _STENCIL * np.asarray(spacing, dtype=float)
+    for _ in range(_MAX_ITER):
+        idx = np.flatnonzero(h * step.max() > _STEP_TOL)
         if idx.size == 0:
             break
-        s, fs = sim[idx], fsim[idx]
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = objective(idx, xr)
-        expand = fxr < fs[:, 0]
-        take_r = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~take_r & (fxr < fs[:, -1])
-        inside = ~(expand | take_r | outside)
-        x2 = np.where(
-            expand[:, None], (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
-            np.where(outside[:, None], (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
-                     (1 - _NM_PSI) * xbar + _NM_PSI * worst))
-        f2 = np.full(idx.size, np.nan)
-        second = ~take_r
-        f2[second] = objective(idx[second], x2[second])
-        # the new last vertex: the expansion point if better than the reflection, the
-        # reflection, or a contraction point that passes its test; otherwise shrink
-        use2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fs[:, -1]))
-        shrink = (outside | inside) & ~use2
-        moved = ~shrink
-        s[moved, -1] = np.where(use2[moved, None], x2[moved], xr[moved])
-        fs[moved, -1] = np.where(use2[moved], f2[moved], fxr[moved])
-        if shrink.any():
-            best = s[shrink, :1]
-            s[shrink, 1:] = best + _NM_SIGMA * (s[shrink, 1:] - best)
-            fs[shrink, 1:] = objective(np.repeat(idx[shrink], n),
-                                       s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
-        sim[idx], fsim[idx] = _sort_simplices(s, fs)
-    return sim[:, 0], fsim.min(axis=1)
+        trial = x[idx, None, :] + h[idx, None, None] * step
+        values = objective(idx, trial)
+        k = np.argmin(values, axis=1)
+        best = values[np.arange(idx.size), k]
+        move = best < f[idx]
+        x[idx[move]], f[idx[move]] = trial[move, k[move]], best[move]
+        h[idx[~move]] *= 0.5
+    return x, f
 
 
 def _grid_starts(coef: np.ndarray, s_rho: float, grid: int, block_pairs: int = _GRID_BLOCK_PAIRS):
-    """The (up to) three best points of the grid x grid scan of [0, pi) x [0, 2 pi), best first.
+    """The (up to) three best bases of the grid scan, best first, as (theta, gamma) rows.
 
-    The scan runs over blocks of theta rows and keeps each block's three best, so the
-    workspace is O(max(grid, block_pairs)); merging the blocks with a stable sort gives the
-    same three points, in the same order, as a stable argsort of the whole grid.
+    The scan takes theta = k pi / grid for 0 <= k <= grid / 4 and gamma = j 2 pi / grid, the
+    range :func:`_reduced_angles` reports, with one pair per basis: gamma = 0 only at theta = 0,
+    and gamma < pi at theta = pi / 4.  It runs over blocks of theta rows and keeps each block's
+    three best, so the workspace is O(max(grid, block_pairs)); merging the blocks with a stable
+    sort gives the same three points, in the same order, as a stable argsort of the whole scan.
     """
-    thetas = np.arange(grid) * math.pi / grid
+    thetas = np.arange(grid // 4 + 1) * math.pi / grid
     gammas = np.arange(grid) * 2.0 * math.pi / grid
     rows = max(1, block_pairs // grid)
     values, flat = [], []
-    for r0 in range(0, grid, rows):
-        block = (_dephased_entropy(coef, thetas[r0:r0 + rows, None], gammas[None, :]) - s_rho).ravel()
+    for r0 in range(0, len(thetas), rows):
+        block = _dephased_entropy(coef, thetas[r0:r0 + rows, None], gammas[None, :]) - s_rho
+        if r0 == 0:
+            block[0, 1:] = np.inf  # theta = 0: one basis for every gamma
+        if 4 * (r0 + len(block) - 1) == grid:
+            block[-1, grid // 2:] = np.inf  # theta = pi / 4: gamma and gamma + pi are twins
+        block = block.ravel()
         best = np.argsort(block, kind="stable")[:3]
         values.append(block[best])
         flat.append(best + r0 * grid)
     values, flat = np.concatenate(values), np.concatenate(flat)
     keep = np.argsort(values, kind="stable")[:3]
+    keep = keep[np.isfinite(values[keep])]  # grid < 4 scans the one basis at theta = 0
     flat = flat[keep]
     return np.stack([thetas[flat // grid], gammas[flat % grid]], axis=1), values[keep]
 
@@ -328,10 +301,11 @@ def _grid_starts(coef: np.ndarray, s_rho: float, grid: int, block_pairs: int = _
 def optimize_two_qubit_bounds(states, grid: int = 64, side: str = "B") -> list[BoundReport]:
     """Minimize the dephasing bound over the two-angle family, for each two-qubit state.
 
-    Deterministic: for each state a grid x grid scan of [0, pi) x [0, 2 pi), then Nelder-Mead
-    refinement started from its three best grid points; the refinements of all states run
-    as one lockstep batch (:func:`_nelder_mead`).  The returned angles are reduced by
-    :func:`_reduced_angles`.
+    Deterministic: for each state a scan of the bases at spacing pi / grid x 2 pi / grid
+    (:func:`_grid_starts`), then a compass search (:func:`_compass_search`) from its three best
+    points at the same spacing; the searches of all states run as one lockstep batch, and a
+    state's result does not depend on its batch.  The upper bound is never above the best
+    grid value.  The returned angles are reduced by :func:`_reduced_angles`.
     """
     states = list(states)
     for rho in states:
@@ -350,18 +324,18 @@ def optimize_two_qubit_bounds(states, grid: int = 64, side: str = "B") -> list[B
     owner = np.repeat(np.arange(len(states)), per_state)
 
     def objective(rows, points):
-        return _dephased_entropy(coef[owner[rows]], points[:, 0], points[:, 1]) - s_rho[owner[rows]]
+        o = owner[rows]
+        return _dephased_entropy(coef[o, None], points[..., 0], points[..., 1]) - s_rho[o, None]
 
-    xs, funs = _nelder_mead(objective, np.concatenate([starts for starts, _ in scans]))
+    xs, funs = _compass_search(objective, np.concatenate([starts for starts, _ in scans]),
+                               np.concatenate([values for _, values in scans]),
+                               (math.pi / grid, 2.0 * math.pi / grid))
     reports = []
-    for i, (rho, (starts, values)) in enumerate(zip(states, scans)):
-        best_val, best_x = float(values[0]), starts[0]
-        for k in range(i * per_state, (i + 1) * per_state):
-            if funs[k] < best_val:
-                best_val, best_x = float(funs[k]), xs[k]
-        theta, gamma = _reduced_angles(float(best_x[0]), float(best_x[1]))
+    for i, rho in enumerate(states):
+        k = i * per_state + int(np.argmin(funs[i * per_state:(i + 1) * per_state]))
+        theta, gamma = _reduced_angles(float(xs[k, 0]), float(xs[k, 1]))
         reports.append(BoundReport(
-            upper=best_val,
+            upper=float(funs[k]),
             lower=hashing_lower_bound(rho),
             theta=theta,
             gamma=gamma,

@@ -27,7 +27,7 @@ def random_blocks(dim, rng):
 
 
 def random_basis(kind, blocks, rng):
-    """A dense unitary, or a direct sum: random groups of slabs on random rows."""
+    """A dense unitary, or a direct sum: random groups of slabs on random rows (u None: the identity)."""
     dim = sum(m * n for m, n in blocks)
     if kind == "haar":
         return fr.haar_unitary(dim, rng)
@@ -40,13 +40,14 @@ def random_basis(kind, blocks, rng):
     rows, used, basis = rng.permutation(dim), 0, []
     for group in np.split(rng.permutation(len(slabs)), cuts):
         cols = np.concatenate([slabs[i] for i in group])
-        u = fr.haar_unitary(cols.size, rng) if kind == "direct-sum" else np.eye(cols.size)
+        u = {"direct-sum": fr.haar_unitary(cols.size, rng), "identity-blocks": np.eye(cols.size),
+             "permutation": None}[kind]
         basis.append((rows[used:used + cols.size], cols, u))
         used += cols.size
     return basis
 
 
-@given(st.integers(1, 8), st.sampled_from(["haar", "real", "direct-sum", "identity-blocks"]),
+@given(st.integers(1, 8), st.sampled_from(["haar", "real", "direct-sum", "identity-blocks", "permutation"]),
        st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_blockwise_results_match_the_kraus_oracle(dim, kind, seed, pure):
@@ -163,9 +164,37 @@ def test_twirls_hold_their_bases_uncopied():
         assert u is block and not np.iscomplexobj(u) and u.shape == (rows.size, cols.size)
     assert su2.blocks == tuple((2 * s.j + 1, s.multiplicity) for s in rep.sectors)
     u1 = fr.TwirlOperation.u1(fr.ChargeGrading([2, 0, 1, 0])).channel
-    assert [rows.tolist() for rows, _, _ in u1.basis] == [[1, 3], [2], [0]]  # identity blocks per charge
-    assert all(np.array_equal(u, np.eye(rows.size)) for rows, _, u in u1.basis)
+    assert [rows.tolist() for rows, _, _ in u1.basis] == [[1, 3], [2], [0]]  # one block per charge
+    assert all(u is None for _, _, u in u1.basis)  # permutation-only: no identity matrices
     assert u1.blocks == ((1, 2), (1, 1), (1, 1))
+
+
+@pytest.mark.parametrize("build", ["u1", "conditional-expectation"])
+def test_permutation_only_projection_makes_no_product(monkeypatch, build):
+    from frameness import channels
+
+    rng = np.random.default_rng(9)
+    if build == "u1":
+        proj = fr.TwirlOperation.u1(fr.hamming_weight_grading(4)).channel
+    else:
+        proj = fr.conditional_expectation_channel([(2, 3), (1, 4), (3, 1)])
+    rho, psi = fr.random_density_operator(proj.dim, rng), fr.random_pure_state(proj.dim, rng)
+    oracle = proj.kraus_channel()  # the Kraus oracle multiplies; the projection does not
+
+    def forbidden(*args):
+        raise AssertionError("a permutation-only projection multiplied by a basis block")
+
+    monkeypatch.setattr(channels, "_matmul", forbidden)
+    monkeypatch.setattr(channels, "_checked_unitary", forbidden)
+    image = proj.apply_matrix(rho.matrix)
+    entropies = proj.image_entropy(rho), proj.image_entropy(psi)
+    rebuilt = fr.BlockProjection(proj.basis, proj.blocks)
+    monkeypatch.undo()
+    assert_allclose(image, oracle.apply_matrix(rho.matrix), atol=1e-12)
+    assert entropies[0] == pytest.approx(oracle.image_entropy(rho), abs=1e-12)
+    assert entropies[1] == pytest.approx(oracle.image_entropy(psi.projector()), abs=1e-12)
+    assert_allclose(rebuilt.apply_matrix(rho.matrix), image, atol=0)
+    assert oracle.is_unital() and oracle.is_idempotent()
 
 
 def test_dephasing_of_the_uniform_superposition():

@@ -289,6 +289,26 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys, args, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims", ["2,2,2", "a,b", "0,4", "2"])
+def test_ree_dims_must_be_two_positive_integers(tmp_path, capsys, dims):
+    state = write_json(tmp_path / "rho.json", fr.density_to_json(fr.DensityOperator(np.eye(4) / 4)))
+    out = tmp_path / "out.json"
+    assert cli.run(["ree", "--state", state, "--dims", dims, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --dims: must be two positive integers dA,dB, got '{dims}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ree_records_dims_as_written(tmp_path):
+    rho = fr.DensityOperator(np.diag([0.3, 0.1, 0.2, 0.1, 0.2, 0.1]))
+    state = write_json(tmp_path / "rho.json", fr.density_to_json(rho))
+    payload = run_json(tmp_path, ["ree", "--state", state, "--dims", "2,3"])
+    assert payload["meta"]["config"]["dims"] == "2,3"
+    assert payload["result"]["upper"] == pytest.approx(
+        fr.dephasing_upper_bound(fr.BipartiteState(2, 3, rho), np.eye(3)), abs=1e-12)
+
+
 def test_bounds_su2_design_bound_holds_only_for_small_registers(tmp_path):
     # 2 log2(N+1) bounds N-copy states; the maximal-asymmetry state is not
     # one, and from 8 qubits on its asymmetry exceeds the bound

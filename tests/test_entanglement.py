@@ -11,10 +11,10 @@ import frameness as fr
 import frameness.entanglement
 from frameness.entanglement import (
     _bloch_coefficients,
+    _compass_search,
     _dephased_entropy,
     _dephasing_gaps,
     _grid_starts,
-    _nelder_mead,
     _reduced_angles,
 )
 from frameness.sampling import _haar_stack
@@ -274,49 +274,90 @@ def test_optimizer_grid_must_be_positive(grid):
         fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.8), grid=grid)
 
 
-def _scipy_nelder_mead(fun, x0):
+def _scipy_nelder_mead_min(fun, x0):
     import scipy.optimize  # the oracle; scipy is a test dependency only
 
-    res = scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
-                                  options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 200})
-    return res.x, res.fun, res.nit
+    return scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
+                                   options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 200}).fun
 
 
-@pytest.mark.parametrize("side", ["A", "B"])
-def test_lockstep_nelder_mead_is_scipys_bit_for_bit(side):
-    rng = np.random.default_rng(12)
-    states = [fr.random_density_operator(4, rng) for _ in range(4)]
-    coef = np.stack([_bloch_coefficients(s.matrix, side) for s in states])
-    s_rho = np.array([fr.von_neumann_entropy(s) for s in states])
-    owner = np.repeat(np.arange(4), 3)
-    x0 = np.column_stack([rng.uniform(0, math.pi, 12), rng.uniform(0, 2 * math.pi, 12)])
-    x0[0] = 0.0  # the zero-step initial simplex
+def seeded_two_qubit_states(rng, count):
+    """Full-rank, rank 1 to 3, Bell-diagonal and near-product two-qubit states, in turn."""
+    states = []
+    for k in range(count):
+        kind = k % 6
+        if kind == 0:
+            m = fr.random_density_operator(4, rng).matrix
+        elif kind <= 3:
+            x = rng.normal(size=(4, kind)) + 1j * rng.normal(size=(4, kind))
+            m = x @ x.conj().T
+        elif kind == 4:
+            m = fr.bell_diagonal_state(rng.uniform(0, 1)).state.matrix
+        else:
+            a, b = fr.random_density_operator(2, rng).matrix, fr.random_density_operator(2, rng).matrix
+            m = np.kron(a, b) + 1e-3 * fr.random_density_operator(4, rng).matrix
+        states.append(fr.BipartiteState(2, 2, fr.DensityOperator(m / np.trace(m).real)))
+    return states
 
+
+@pytest.mark.parametrize("side, seed", [("A", 16), ("B", 17)])
+def test_compass_search_is_no_worse_than_scipys_nelder_mead(side, seed):
+    states = seeded_two_qubit_states(np.random.default_rng(seed), 150)
+    reports = fr.optimize_two_qubit_bounds(states, grid=64, side=side)
+    for bip, report in zip(states, reports):
+        coef, s_rho = _bloch_coefficients(bip.state.matrix, side), fr.von_neumann_entropy(bip.state)
+        starts, values = _grid_starts(coef, s_rho, 64)
+        assert report.upper <= values[0]  # never above the best grid value
+        scipy_best = min(_scipy_nelder_mead_min(lambda x: _dephased_entropy(coef, x[0], x[1]) - s_rho, x0)
+                         for x0 in starts)
+        assert report.upper <= scipy_best + 1e-12
+
+
+def test_grid_starts_are_three_distinct_bases():
+    rng = np.random.default_rng(18)
+    # a product state and a Bell-diagonal one tie on many grid points
+    states = seeded_two_qubit_states(rng, 30) + [
+        fr.bell_diagonal_state(0.8), fr.BipartiteState(2, 2, fr.DensityOperator(np.diag([0.4, 0.1, 0.3, 0.2])))]
+    for bip in states:
+        for grid in (4, 5, 16, 64):
+            starts, _ = _grid_starts(_bloch_coefficients(bip.state.matrix, "B"),
+                                     fr.von_neumann_entropy(bip.state), grid)
+            theta, gamma = starts[:, 0], starts[:, 1]
+            # the basis of (theta, gamma) is fixed by the Bloch axis +-n of its first column
+            n = np.stack([np.sin(2 * theta) * np.cos(gamma), -np.sin(2 * theta) * np.sin(gamma),
+                          np.cos(2 * theta)], axis=1)
+            overlap = np.abs(n @ n.T)
+            assert len(starts) == 3
+            assert overlap[np.triu_indices(3, 1)].max() < 1 - 1e-9
+            assert (theta >= 0).all() and (theta <= math.pi / 4 + 1e-15).all()
+    for grid in (1, 2, 3):  # the scan holds only the basis at theta = 0
+        starts, values = _grid_starts(_bloch_coefficients(states[0].state.matrix, "B"), 0.0, grid)
+        assert starts.tolist() == [[0.0, 0.0]] and len(values) == 1
+
+
+def test_compass_search_stops_rows_at_the_step_tolerance_or_the_iteration_cap():
     def objective(rows, points):
-        return _dephased_entropy(coef[owner[rows]], points[:, 0], points[:, 1]) - s_rho[owner[rows]]
+        # row 0: a bowl at (0.3, -0.2); row 1: a slope with no minimum; row 2: a flat plane
+        x, y = points[..., 0], points[..., 1]
+        bowl = (x - 0.3) ** 2 + 2.0 * (y + 0.2) ** 2
+        return np.where(rows[:, None] == 0, bowl, np.where(rows[:, None] == 1, -x, 0.0))
 
-    xs, funs = _nelder_mead(objective, x0)
-    iterations = set()
-    for k in range(12):
-        c, s = coef[owner[k]], s_rho[owner[k]]
-        x, fun, nit = _scipy_nelder_mead(lambda x: _dephased_entropy(c, x[0], x[1]) - s, x0[k])
-        assert np.array_equal(xs[k], x) and funs[k] == fun, k
-        iterations.add(nit)
-    assert len(iterations) > 1  # the simplices stop at different iterations
+    x0 = np.zeros((3, 2))
+    f0 = objective(np.arange(3), x0[:, None])[:, 0]
+    evaluated = []
 
+    def counting(rows, points):
+        evaluated.append(rows.tolist())
+        return objective(rows, points)
 
-def test_lockstep_nelder_mead_stops_rows_at_the_iteration_cap_as_scipy_does():
-    def rosenbrock(p):
-        return 100.0 * (p[..., 1] - p[..., 0] ** 2) ** 2 + (1.0 - p[..., 0]) ** 2
-
-    x0 = np.array([[-50.0, 100.0], [-1.2, 1.0], [1e4, -1e4], [1.0, 1.0], [2.0, 2.0]])
-    xs, funs = _nelder_mead(lambda rows, points: rosenbrock(points), x0)
-    iterations = []
-    for k in range(len(x0)):
-        x, fun, nit = _scipy_nelder_mead(lambda x: float(rosenbrock(x)), x0[k])
-        assert np.array_equal(xs[k], x) and funs[k] == fun, k
-        iterations.append(nit)
-    assert 200 in iterations and min(iterations) < 100
+    xs, funs = _compass_search(counting, x0, f0, (0.1, 0.1))
+    assert_allclose(xs[0], [0.3, -0.2], atol=2e-7)
+    assert funs[0] == objective(np.array([0]), xs[:1, None])[0, 0]
+    assert xs[1, 0] == pytest.approx(0.1 * 200) and funs[1] == -xs[1, 0]  # moved every iteration
+    assert xs[2].tolist() == [0.0, 0.0] and funs[2] == 0.0  # ties never move a row
+    flat_calls = sum(2 in rows for rows in evaluated)
+    assert 0.1 * 0.5 ** flat_calls <= 1e-7 < 0.1 * 0.5 ** (flat_calls - 1)  # halved to the tolerance
+    assert len(evaluated) == 200 and all(1 in rows for rows in evaluated)
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
@@ -338,10 +379,10 @@ def test_kernel_value_is_the_same_in_any_batch(side):
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_batched_optimizer_equals_the_one_state_calls(side):
     rng = np.random.default_rng(14)
-    states = [random_two_qubit_state(rng) for _ in range(3)] + [fr.bell_diagonal_state(0.7)]
-    batch = fr.optimize_two_qubit_bounds(states, grid=16, side=side)
+    states = seeded_two_qubit_states(rng, 24)
+    batch = fr.optimize_two_qubit_bounds(states, grid=64, side=side)
     for bip, report in zip(states, batch):
-        single = fr.optimize_two_qubit_bound(bip, grid=16, side=side)
+        single = fr.optimize_two_qubit_bound(bip, grid=64, side=side)
         assert (report.upper, report.lower, report.theta, report.gamma) == \
             (single.upper, single.lower, single.theta, single.gamma)
         assert np.array_equal(report.unitary, single.unitary)
@@ -351,14 +392,16 @@ def test_batched_optimizer_equals_the_one_state_calls(side):
 @pytest.mark.parametrize("grid", [16, 64])
 def test_blockwise_grid_scan_keeps_the_full_scans_starts(grid):
     rng = np.random.default_rng(15)
-    thetas = np.arange(grid) * math.pi / grid
+    thetas = np.arange(grid // 4 + 1) * math.pi / grid
     gammas = np.arange(grid) * 2.0 * math.pi / grid
     # a product state and a Bell-diagonal one tie on many grid points
     states = [random_two_qubit_state(rng), fr.bell_diagonal_state(0.8),
               fr.BipartiteState(2, 2, fr.DensityOperator(np.diag([0.4, 0.1, 0.3, 0.2])))]
     for bip in states:
         coef, s_rho = _bloch_coefficients(bip.state.matrix, "B"), fr.von_neumann_entropy(bip.state)
-        full = (_dephased_entropy(coef, thetas[:, None], gammas[None, :]) - s_rho).ravel()
+        full = _dephased_entropy(coef, thetas[:, None], gammas[None, :]) - s_rho
+        full[0, 1:] = full[-1, grid // 2:] = np.inf  # the twins at theta = 0 and theta = pi / 4
+        full = full.ravel()
         order = np.argsort(full, kind="stable")[:3]
         for block_pairs in (1, 3 * grid, 5 * grid, grid * grid):
             starts, values = _grid_starts(coef, s_rho, grid, block_pairs)

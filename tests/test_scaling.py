@@ -26,21 +26,6 @@ def convolve_copies_oracle(weights, n):
     return acc
 
 
-def lgamma_binomial_entropy(n, p):
-    """Binomial(n, p) entropy in bits from lgamma log-weights.
-
-    Only the window of 40 standard deviations around the mean is summed:
-    outside it every weight is below exp(-800), which underflows to 0.
-    """
-    lp, lq, lf = math.log(p), math.log1p(-p), math.lgamma(n + 1)
-    half = int(40 * math.sqrt(n * p * (1 - p))) + 1
-    total = 0.0
-    for k in range(max(0, int(n * p) - half), min(n, int(n * p) + half) + 1):
-        log_b = lf - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq
-        total -= math.exp(log_b) * log_b
-    return total / math.log(2)
-
-
 def _charge_law(levels, shape, seed):
     rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(levels))
@@ -76,15 +61,43 @@ def test_fft_powering_matches_the_convolution_loop(levels, shape, seed, n):
         fr.shannon_entropy(oracle), abs=1e-11 + edge * EIG_CUTOFF * math.log2(1 / EIG_CUTOFF))
 
 
+def mpmath_binomial_entropy(n, weights, cutoff=EIG_CUTOFF, digits=30):
+    """Entropy in bits of the n-fold law of the two stored ``weights``, to ``digits`` digits.
+
+    Like ``convolve_copies`` it normalises the law by its sum ((w0 + w1)^n, not 1 for the
+    doubles [0.7, 0.3]), and like the entropy it drops the weights at or below ``cutoff``.
+    The binomial law is unimodal, so the sum runs outwards from the mode and stops on each
+    side at the first weight at or below the cutoff.
+    """
+    import mpmath  # the reference; mpmath is a test dependency only
+
+    with mpmath.workdps(digits):
+        total = mpmath.mpf(weights[0]) + mpmath.mpf(weights[1])
+        q, p = mpmath.mpf(weights[0]) / total, mpmath.mpf(weights[1]) / total
+        mode = int((n + 1) * p)
+        w_mode = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(mode + 1)
+                            - mpmath.loggamma(n - mode + 1) + mode * mpmath.log(p) + (n - mode) * mpmath.log(q))
+        h = mpmath.mpf(0)
+        for direction in (1, -1):
+            k, w = mode, w_mode
+            if direction == -1:  # the mode was summed going up
+                k, w = mode - 1, w_mode * mode / (n - mode + 1) * q / p
+            while 0 <= k <= n and w > cutoff:
+                h -= w * mpmath.log(w, 2)
+                w = w * ((n - k) / mpmath.mpf(k + 1) * p / q if direction == 1 else k / mpmath.mpf(n - k + 1) * q / p)
+                k += direction
+        return float(h)
+
+
 def test_million_copies_match_the_binomial_entropy():
     n, p = 10**6, 0.3
     profile = fr.convolve_copies([1.0 - p, p], n)  # constructing it passed the INPUT_TOL sum check
     assert profile.convolved.weights.size == n + 1
-    # Measured 2.8e-10 apart.  Against the exact entropy the lgamma sum reads 6.1e-9
-    # bits low (float lgamma rounding at this N), and the weights at or below
-    # EIG_CUTOFF, which the entropy drops, carry 5.8e-9 bits.
+    # Measured 2.1e-11 apart.  The float lgamma sum would read 6.1e-9 bits low at this N,
+    # and the weights at or below EIG_CUTOFF carry 5.8e-9 bits, so the reference is exact
+    # arithmetic over the law and the cutoff the convolution and the entropy use.
     assert fr.shannon_entropy(profile.convolved) == pytest.approx(
-        lgamma_binomial_entropy(n, p), abs=1e-9)
+        mpmath_binomial_entropy(n, [1.0 - p, p]), abs=1e-10)
 
 
 def test_number_variance_examples():
