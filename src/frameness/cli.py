@@ -15,8 +15,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import struct
 import sys
+from array import array
 
 import numpy as np
 
@@ -132,6 +135,22 @@ def _dims(text: str) -> tuple[int, int]:
     return dims
 
 
+def _weights(text: str) -> str:
+    """argparse type of comma-separated weights in [0, 1]: anything else is a usage error (exit 2).
+
+    The text is returned as written, which is how the artifact records it.
+    """
+    for k, entry in enumerate(text.split(","), 1):
+        try:
+            weight = float(entry)
+        except ValueError:
+            weight = math.nan
+        if not 0.0 <= weight <= 1.0:
+            raise argparse.ArgumentTypeError(
+                f"entry {k} of {text!r} is {entry!r}, not a weight in [0, 1]")
+    return text
+
+
 def _meta(command: str, ns: argparse.Namespace) -> dict:
     config = {}
     for key, value in sorted(vars(ns).items()):
@@ -183,7 +202,10 @@ def _emit(ns, meta, result, header, rows):
 # Input files.  The numeric arrays of a state or group file (the top-level
 # values below) are nearly all of its bytes.  They are parsed flat into one
 # float64 array rather than into nested Python lists; the rest of the object
-# goes through json.loads with each array cut out.
+# goes through json.loads with each array cut out.  A large array's chunks are
+# split into contiguous parts, one per usable CPU: this process scans the
+# first, and each other part is scanned by a forked child that sends its
+# result back through a pipe.
 _ARRAY_KEYS = ("matrix", "amplitudes", "unitaries")
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
 _COLON = re.compile(rb"\s*:\s*")
@@ -192,6 +214,14 @@ _NUMBER_CHARS = b"0123456789.eE+-"
 _NUMBER_TO_ZERO = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 _CHUNK_BYTES = 1 << 20
+# Smallest part worth a child of its own, measured on a 2-vCPU VM (Python 3.11):
+# a fork, pipe and reap cost about 2.5 ms with 10 or 200 MB resident, against
+# about 35 ms to scan 1 MiB.  Two parts read a 2.7 MiB array 25% faster than
+# one, and a 1.1 MiB one (a 1 MiB part and a sliver) no faster.
+_MIN_PART_BYTES = 1 << 20
+# A child's message: misplaced flag, skeleton length, value count; then the
+# skeleton and the values as raw float64.
+_PART_HEADER = struct.Struct("<?QQ")
 
 
 def _load_json(path: str) -> dict:
@@ -205,7 +235,9 @@ def _load_json(path: str) -> dict:
     with open(path, "rb") as fh:
         data = fh.read()
     spans = _array_spans(data)
-    shapes = [_array_shape(data, key, start, end) for key, start, end in spans]
+    scans = [_scan_array(data, key, start, end) for key, start, end in spans]
+    shapes = [_array_shape(key, skeleton, misplaced)
+              for (key, _, _), (skeleton, misplaced, _, _) in zip(spans, scans)]
     pieces, cut = [], 0
     for _, start, end in spans:
         pieces += [data[cut:start], b"0"]
@@ -219,8 +251,10 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path}: {exc.msg} at byte {pos}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    for (key, start, end), shape in zip(spans, shapes):
-        obj[key] = _parse_numbers(data, key, start, end, shape)
+    for (key, _, _), shape, (_, _, values, fault) in zip(spans, shapes, scans):
+        if fault is not None:
+            raise ValueError(fault)
+        obj[key] = values.reshape(shape)
     return obj
 
 
@@ -257,31 +291,148 @@ def _array_spans(data: bytes) -> list:
     return spans
 
 
-def _chunks(data: bytes, start: int, end: int):
+def _chunks(data: bytes, start: int, end: int) -> list:
     """(a, b) pieces of data[start:end] of about _CHUNK_BYTES, split at (and without) commas."""
-    a = start
+    chunks, a = [], start
     while (b := data.find(b",", min(a + _CHUNK_BYTES, end), end)) >= 0:
-        yield a, b
+        chunks.append((a, b))
         a = b + 1
-    yield a, end
+    chunks.append((a, end))
+    return chunks
 
 
-def _array_shape(data: bytes, key: str, start: int, end: int) -> tuple:
-    """Shape of the array in data[start:end], read off its first entries.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the most parts an array is split into."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    With the numbers and whitespace stripped, the array's bracket/comma
-    skeleton must equal that of a rectangular array of this shape.  With each
-    number marked, no bracket may sit next to a comma or an empty pair: that
-    is how an empty array, a stray comma or a number outside its brackets
-    (``[1, ]2``) shows, since every entry between two commas holds one number.
+
+def _scan(data: bytes, key: str, start: int, end: int, chunks: list) -> tuple:
+    """(skeleton, misplaced, values, fault) of some chunks of the array in data[start:end].
+
+    Each chunk is marked once: with the numbers and whitespace stripped, its
+    brackets and commas are its piece of the skeleton, and with each number
+    marked, no bracket may sit next to a comma or an empty pair (how an empty
+    array, a stray comma or a number outside its brackets shows, since every
+    entry between two commas holds one number).  Its numbers are parsed by
+    json.loads with each bracket as a space, not nothing, so that ``1]2``
+    stays two numbers and fails to parse instead of reading as ``12``.
+    ``values`` holds them as an ``array("d")``; ``fault`` is the message of
+    the first number that failed to parse, or None.
     """
-    skeleton, misplaced = [], False
-    for a, b in _chunks(data, start, end):
-        marked = data[a:b].translate(_NUMBER_TO_ZERO, _WHITESPACE)
+    skeleton, misplaced, values, fault = [], False, array("d"), None
+    for a, b in chunks:
+        piece = data[a:b]
+        marked = piece.translate(_NUMBER_TO_ZERO, _WHITESPACE)
         misplaced = (misplaced or b",]" in marked or b"[," in marked or b"[]" in marked
                      or (a > start and marked[:1] == b"]") or (b < end and marked[-1:] == b"["))
         skeleton.append(marked.translate(None, b"0"))
-    skeleton = b",".join(skeleton)
+        if fault is not None:
+            continue
+        try:
+            values += array("d", json.loads(b"[" + piece.translate(_BRACKETS_TO_SPACES) + b"]"))
+        except json.JSONDecodeError as exc:
+            fault = f"'{key}' holds a malformed number in bytes {a}-{b}: {exc.msg}"
+        except OverflowError:
+            fault = f"'{key}' holds an integer too large for a float"
+        except (TypeError, ValueError) as exc:
+            # a null (which fails the skeleton check first) or an integer past the digit limit
+            fault = f"'{key}': {exc}"
+    return b",".join(skeleton), misplaced, values, fault
+
+
+def _scan_array(data: bytes, key: str, start: int, end: int) -> tuple:
+    """_scan of every chunk of data[start:end], its parts scanned side by side.
+
+    The values come back as one float64 array.  A child's result is used only
+    if the child exited 0 and its message is whole; any other part is
+    scanned here, so the result never depends on a child.
+    """
+    chunks = _chunks(data, start, end)
+    n = min((end - start) // _MIN_PART_BYTES, len(chunks))
+    n = min(n, _usable_cpus()) if n > 1 and hasattr(os, "fork") else 1
+    parts = [chunks[len(chunks) * i // n:len(chunks) * (i + 1) // n] for i in range(n)]
+    children, reaped = [], set()  # children: (pid, read end) of each later part, or None
+    try:
+        for part in parts[1:]:
+            children.append(_fork_scan(data, key, start, end, part))
+        results = [_scan(data, key, start, end, parts[0])]
+        for part, child in zip(parts[1:], children):
+            result = None
+            if child is not None:
+                result = _receive(child[1])
+                if os.waitpid(child[0], 0)[1] != 0:
+                    result = None
+                reaped.add(child[0])
+            results.append(result or _scan(data, key, start, end, part))
+    finally:
+        for pid, reader in filter(None, children):
+            if pid not in reaped:
+                import signal  # here, not at the top: it adds 2 ms to a fresh import
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            reader.close()
+    skeletons, misplaced, values, faults = zip(*results)
+    for part_values in values[1:]:
+        values[0].frombytes(memoryview(part_values).cast("B"))
+    return (b",".join(skeletons), any(misplaced), np.frombuffer(values[0]),
+            next((fault for fault in faults if fault is not None), None))
+
+
+def _fork_scan(data: bytes, key: str, start: int, end: int, part: list):
+    """(pid, read end) of a forked child that scans ``part`` and sends its result, or None.
+
+    The child writes the header, skeleton and values and exits 0 only if no
+    number in its part failed; otherwise it exits 1 and the part is scanned
+    again in the parent, which reports the fault.  None: no child could start.
+    """
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            os.close(r)
+            skeleton, misplaced, values, fault = _scan(data, key, start, end, part)
+            if fault is None:
+                with open(w, "wb") as out:
+                    out.write(_PART_HEADER.pack(misplaced, len(skeleton), len(values)))
+                    out.write(skeleton)
+                    out.write(values)
+                os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(reader) -> tuple | None:
+    """The (skeleton, misplaced, values, None) a child sent, or None if its message is short."""
+    header = reader.read(_PART_HEADER.size)
+    if len(header) < _PART_HEADER.size:
+        return None
+    misplaced, n_skeleton, n_values = _PART_HEADER.unpack(header)
+    body = reader.read(n_skeleton + 8 * n_values)
+    if len(body) < n_skeleton + 8 * n_values:
+        return None
+    return body[:n_skeleton], misplaced, memoryview(body)[n_skeleton:], None
+
+
+def _array_shape(key: str, skeleton: bytes, misplaced: bool) -> tuple:
+    """Shape of an array whose bracket/comma skeleton is ``skeleton``, read off its first entries.
+
+    The skeleton must equal that of a rectangular array of this shape, and
+    no bracket may be ``misplaced`` (see _scan).
+    """
     if skeleton.translate(None, b"[],"):
         raise ValueError(f"'{key}' must hold only finite JSON numbers (no NaN, Infinity, "
                          "true, false, null, strings or objects)")
@@ -303,27 +454,6 @@ def _array_shape(data: bytes, key: str, start: int, end: int) -> tuple:
         raise ValueError(f"'{key}' is not a rectangular array (ragged rows or unbalanced "
                          f"brackets); its first entries have shape {tuple(shape)}")
     return tuple(shape)
-
-
-def _parse_numbers(data: bytes, key: str, start: int, end: int, shape: tuple) -> np.ndarray:
-    """The numbers of a checked array, parsed by json.loads chunk by chunk, brackets as spaces.
-
-    A bracket becomes a space, not nothing, so that ``1]2`` stays two numbers
-    and fails to parse instead of reading as ``12``.
-    """
-    out = np.empty(math.prod(shape))
-    filled = 0
-    for a, b in _chunks(data, start, end):
-        try:
-            values = json.loads(b"[" + data[a:b].translate(_BRACKETS_TO_SPACES) + b"]")
-            out[filled:filled + len(values)] = values
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"'{key}' holds a malformed number in bytes {a}-{b}: "
-                             f"{exc.msg}") from None
-        except OverflowError:
-            raise ValueError(f"'{key}' holds an integer too large for a float") from None
-        filled += len(values)
-    return out.reshape(shape)
 
 
 def _read_state(path: str) -> DensityOperator | PureState:
@@ -526,7 +656,8 @@ def _cmd_ree(args) -> int:
     p = _parser("ree", "dephasing bound sandwich on the relative entropy of entanglement")
     p.add_argument("--family", choices=("bell-diagonal",), default="bell-diagonal")
     p.add_argument("--p", type=float, help="mixing weight for the bell-diagonal family")
-    p.add_argument("--sweep", help="comma-separated p values; emits one row per value")
+    p.add_argument("--sweep", type=_weights,
+                   help="comma-separated p values in [0, 1]; emits one row per value")
     p.add_argument("--state", help="bipartite state JSON (overrides the family)")
     p.add_argument("--dims", type=_dims, default="2,2", help="dA,dB for --state")
     p.add_argument("--grid", type=int, default=64,

@@ -61,7 +61,16 @@ def max_dim() -> int:
 
     A cap, not a working size: one complex 2**14 x 2**14 matrix is 4.3 GB.
     """
-    return int(os.environ.get("FRAMENESS_MAX_DIM", _DEFAULT_MAX_DIM))
+    text = os.environ.get("FRAMENESS_MAX_DIM")
+    if text is None:
+        return _DEFAULT_MAX_DIM
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"FRAMENESS_MAX_DIM must be a positive integer, got {text!r}")
+    return cap
 
 
 class DensityOperator:

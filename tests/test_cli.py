@@ -300,6 +300,34 @@ def test_ree_dims_must_be_two_positive_integers(tmp_path, capsys, dims):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep, entry", [("0.5,abc", "entry 2 of '0.5,abc' is 'abc'"),
+                                          ("0.5,1.5", "entry 2 of '0.5,1.5' is '1.5'"),
+                                          ("-0.1", "entry 1 of '-0.1' is '-0.1'"),
+                                          ("0.5,,0.6", "entry 2 of '0.5,,0.6' is ''"),
+                                          ("nan", "entry 1 of 'nan' is 'nan'")])
+def test_ree_sweep_entries_must_be_weights(tmp_path, capsys, sweep, entry):
+    out = tmp_path / "out.json"
+    assert cli.run(["ree", "--sweep", sweep, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --sweep: {entry}, not a weight in [0, 1]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ree_records_the_sweep_as_written(tmp_path):
+    payload = run_json(tmp_path, ["ree", "--sweep", "0.50,1e-0", "--grid", "8"])
+    assert payload["meta"]["config"]["sweep"] == "0.50,1e-0"
+    assert [row["p"] for row in payload["result"]] == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])
+def test_a_bad_dimension_cap_exits_2_naming_the_variable(monkeypatch, capsys, value):
+    monkeypatch.setenv("FRAMENESS_MAX_DIM", value)
+    assert cli.run(["bounds", "--group", "finite", "--copies", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: FRAMENESS_MAX_DIM must be a positive integer, got {value!r}\n"
+
+
 def test_ree_records_dims_as_written(tmp_path):
     rho = fr.DensityOperator(np.diag([0.3, 0.1, 0.2, 0.1, 0.2, 0.1]))
     state = write_json(tmp_path / "rho.json", fr.density_to_json(rho))

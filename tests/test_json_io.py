@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import time
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -374,3 +377,184 @@ def test_reader_memory_stays_near_the_file_size(tmp_path):
         tracemalloc.stop()
     assert got["matrix"].shape == (d, d, 2)
     assert peak <= 2.5 * size, f"peak {peak / size:.2f} x the {size} B file"
+
+
+# The parallel path: an array's chunks split into parts, all but the first
+# scanned by forked children.
+
+
+@pytest.fixture
+def parallel(monkeypatch):
+    """Split every array of more than one chunk into up to three parts; no child may outlive a test."""
+    monkeypatch.setattr(cli, "_MIN_PART_BYTES", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    yield
+    with pytest.raises(ChildProcessError):  # none left, running or zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(path):
+    """_load_json's result, or the message it raised."""
+    try:
+        return cli._load_json(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert set(got) == set(want)
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[key].shape == value.shape and got[key].tobytes() == value.tobytes()
+            else:
+                assert got[key] == value
+
+
+@pytest.mark.parametrize("style", DUMP_STYLES)
+def test_parallel_reader_matches_json_load_bitwise(tmp_path, monkeypatch, parallel, style):
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 64)
+    rng = np.random.default_rng(16)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    path = tmp_path / "rho16.json"
+    path.write_text(json.dumps({"dim": 16, "matrix": awkward_pairs(m, rng)}, **style))
+    assert len(cli._chunks(path.read_bytes(), 0, path.stat().st_size)) >= 3
+    assert_same_as_json_load(str(path))
+    test_reader_matches_json_load_bitwise(tmp_path, style)
+
+
+def test_parallel_reader_rejects_what_json_rejects(tmp_path, monkeypatch, parallel):
+    # 1-byte chunks: a chunk edge at every comma, a part edge at two of them
+    test_reader_rejects_what_json_rejects_and_only_shape_errors_besides(tmp_path, monkeypatch, 1)
+
+
+def test_parallel_reader_rejects_and_names_the_same_faults(tmp_path, capsys, monkeypatch, parallel):
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 5)
+    for case in sorted(REJECTED):
+        test_rejected_documents_exit_2_without_traceback(tmp_path, capsys, case)
+    test_reader_names_the_fault(tmp_path)
+
+
+def _serial_and_parallel_outcomes(tmp_path, monkeypatch, texts):
+    """(serial, parallel) outcome of each text, read with 5-byte chunks."""
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 5)
+    outcomes = []
+    for k, text in enumerate(texts):
+        path = write_text(tmp_path / f"doc{k}.json", text)
+        with monkeypatch.context() as serial:
+            serial.setattr(cli, "_MIN_PART_BYTES", 1 << 40)
+            want = outcome(path)
+        outcomes.append((want, outcome(path)))
+    return outcomes
+
+
+def _scan_in_parent(monkeypatch, in_child):
+    """Replace cli._scan: a child runs ``in_child`` on the real scan; returns the parent's scans."""
+    parent, scan, seen = os.getpid(), cli._scan, []
+
+    def patched(data, key, start, end, chunks):
+        if os.getpid() != parent:
+            return in_child(scan(data, key, start, end, chunks))
+        seen.append(chunks[0][0] > start)  # True: a later part, scanned again here
+        return scan(data, key, start, end, chunks)
+
+    monkeypatch.setattr(cli, "_scan", patched)
+    return seen
+
+
+def _documents():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    texts = [json.dumps({"dim": 3, "matrix": awkward_pairs(m, rng)}, **style)
+             for style in DUMP_STYLES]
+    texts.append('{"amplitudes": [[1, 0], [0, 1e999999]], "dim": 2, "note": "a"}')
+    texts.append('{"amplitudes": [[1, 0], [0, 1' + "0" * 5000 + ']], "dim": 2}')  # digit limit
+    return texts + [REJECTED[case] for case in sorted(REJECTED)]
+
+
+def test_a_failing_child_changes_no_result_and_no_error(tmp_path, monkeypatch, parallel):
+    seen = _scan_in_parent(monkeypatch, lambda result: os._exit(3))
+    for want, got in _serial_and_parallel_outcomes(tmp_path, monkeypatch, _documents()):
+        assert_same_outcome(got, want)
+    assert any(seen)
+
+
+class _ShortArray(array):
+    """An array("d") that claims one value more than it holds."""
+
+    def __len__(self):
+        return super().__len__() + 1
+
+
+def _short_message(result):
+    skeleton, misplaced, values, fault = result
+    return skeleton, misplaced, _ShortArray("d", values), fault
+
+
+def _wrong_values_then_exit_5(result):
+    skeleton, misplaced, values, fault = result
+    exit_now = os._exit
+    os._exit = lambda code: exit_now(5)  # this process is the child: it exits 5 after sending
+    return skeleton, misplaced, array("d", bytes(8 * len(values))), fault
+
+
+@pytest.mark.parametrize("in_child", [_short_message, _wrong_values_then_exit_5],
+                         ids=["short message", "nonzero exit"])
+def test_a_part_is_scanned_again_unless_its_message_is_whole_and_its_exit_0(
+        tmp_path, monkeypatch, parallel, in_child):
+    seen = _scan_in_parent(monkeypatch, in_child)
+    for want, got in _serial_and_parallel_outcomes(tmp_path, monkeypatch, _documents()[:3]):
+        assert_same_outcome(got, want)
+    assert any(seen)
+
+
+class _GivenUp(Exception):
+    pass
+
+
+def test_children_are_killed_and_reaped_when_the_parent_raises(tmp_path, monkeypatch, parallel):
+    parent = os.getpid()
+
+    def scan(data, key, start, end, chunks):
+        if os.getpid() != parent:
+            time.sleep(30)  # still scanning when the parent gives up
+        raise _GivenUp
+
+    monkeypatch.setattr(cli, "_scan", scan)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 5)
+    path = write_text(tmp_path / "rho.json", json.dumps({"dim": 2, "matrix": pairs(np.eye(2) / 2)}))
+    t0 = time.perf_counter()
+    with pytest.raises(_GivenUp):
+        cli._load_json(path)
+    assert time.perf_counter() - t0 < 10  # the children were killed, not waited for
+
+
+def test_parallel_and_serial_outcomes_agree_under_mutation(tmp_path, monkeypatch, parallel):
+    rng = np.random.default_rng(12)
+    bases = _documents()[:3]
+    texts = []
+    for _ in range(300):
+        text = bases[rng.integers(len(bases))]
+        i = int(rng.integers(len(text)))
+        texts.append(text[:i] + '[],0 "e'[rng.integers(7)] + text[i + 1:])
+    for want, got in _serial_and_parallel_outcomes(tmp_path, monkeypatch, texts):
+        assert_same_outcome(got, want)
+
+
+def _fork_fails():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fork", [None, _fork_fails], ids=["no fork", "fork fails"])
+def test_without_a_child_the_reader_scans_serially(tmp_path, monkeypatch, parallel, fork):
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 5)
+    test_reader_matches_json_load_bitwise(tmp_path, {})
+    for want, got in _serial_and_parallel_outcomes(tmp_path, monkeypatch, _documents()):
+        assert_same_outcome(got, want)
