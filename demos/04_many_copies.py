@@ -8,7 +8,8 @@ charge like a Gaussian, so the asymmetry grows only logarithmically:
 with V the per-copy charge variance.  Dividing by N kills it; the asymmetry
 is not extensive, so it cannot set asymptotic conversion rates the way an
 extensive resource measure would.  Three observations fill in the picture:
-a group-size ceiling for finite groups, a design-cardinality ceiling for
+a group-size ceiling for finite groups (Q8's rows on a mixed qubit climb
+toward 2 bits up to N = 100 while A/N falls), a design-cardinality ceiling for
 compact groups, and a re-linearization 2^(2A) whose per-copy limit recovers
 the variance (the quantity that does govern conversion).
 """
@@ -32,6 +33,15 @@ for rep, name in ((fr.z2_phase_flip_rep(), "Z2"), (fr.quaternion_rep(), "Q8")):
     table = fr.finite_group_bound_check(rep, plus, 3)
     rows = ", ".join(f"N={r.copies}: {r.asymmetry:.4f}" for r in table.rows)
     print(f"  {name} (bound {math.log2(rep.order):.0f} bits): {rows}")
+
+mixed = fr.DensityOperator(np.array([[0.7, 0.2], [0.2, 0.3]]))
+table = fr.finite_group_bound_check(fr.quaternion_rep(), mixed, 100)
+print(f"  Q8 on a mixed qubit, from Schur-Weyl blocks: A stays below "
+      f"{table.conjugation_bits:.0f} bits (4 distinct conjugations), so A/N -> 0")
+print(f"  {'N':>4} {'A_bits':>10} {'A/N':>9}")
+for r in table.rows:
+    if r.copies in (1, 2, 5, 10, 20, 50, 100):
+        print(f"  {r.copies:>4} {r.asymmetry:>10.5f} {r.asymmetry / r.copies:>9.5f}")
 
 print("\ncompact groups: the symmetric-subspace design bound")
 rep4 = fr.build_collective_spin_rep(4)

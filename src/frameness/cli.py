@@ -617,7 +617,11 @@ def _cmd_scaling(args) -> int:
 
 @_command("bounds")
 def _cmd_bounds(args) -> int:
-    p = _parser("bounds", "finite-group / Lie-group bound reports. --group su2 compares "
+    p = _parser("bounds", "finite-group / Lie-group bound reports. --group finite checks "
+                "A_G(rho^(x)N) <= log2|G| for N = 1..--copies and reports conjugation_bits, "
+                "log2 of the number of distinct maps U_g . U_g^dag, which no row exceeds.  On "
+                "a qubit the rows come from Schur-Weyl blocks and FRAMENESS_MAX_DIM caps "
+                "|G| (N + 1); otherwise it caps d^N.  --group su2 compares "
                 "2 log2(N+1), the symmetric-subspace design bound on the asymmetry of an "
                 "N-copy state rho^(x)N, with the measured asymmetry of the N-qubit "
                 "maximal-asymmetry state.  That state is not an N-copy state, so the bound "
@@ -625,7 +629,7 @@ def _cmd_bounds(args) -> int:
                 "qubits 7.459 > 6.919 bits, ok: false).")
     _group_args(p)
     p.add_argument("--state", help="base state for the finite-group N-copy check")
-    p.add_argument("--copies", type=int, default=3)
+    p.add_argument("--copies", type=int, default=3, help="largest N checked by --group finite")
     ns = p.parse_args(args)
     meta = _meta("bounds", ns)
     if ns.group == "finite":
@@ -633,10 +637,11 @@ def _cmd_bounds(args) -> int:
         rho = _load_state(ns.state) if ns.state else random_density_operator(
             rep.dim, np.random.default_rng(ns.seed))
         report = finite_group_bound_check(rep, rho, ns.copies)
-        header = ("N", "A_bits", "bound_bits", "ok")
-        rows = [(r.copies, r.asymmetry, r.bound, r.ok) for r in report.rows]
-        result = {"group_order": report.group_order, "ok": report.ok,
-                  "rows": [dict(zip(header, row)) for row in rows]}
+        result = {"group_order": report.group_order, "conjugation_bits": report.conjugation_bits,
+                  "ok": report.ok, "rows": [{"N": r.copies, "A_bits": r.asymmetry, "bound_bits": r.bound,
+                                             "ok": r.ok} for r in report.rows]}
+        header = ("N", "A_bits", "bound_bits", "conjugation_bits", "ok")
+        rows = [(r.copies, r.asymmetry, r.bound, report.conjugation_bits, r.ok) for r in report.rows]
         _emit(ns, meta, result, header, rows)
         return 0
     if ns.group == "su2":

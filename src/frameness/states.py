@@ -23,6 +23,7 @@ TIGHT_TOL = 1e-4     # |upper - lower| of a tight entanglement sandwich
 # Own meanings.
 PURE_NORM_TOL = 1e-12         # | ||psi|| - 1 | of a state vector
 NULL_WEIGHT_TOL = 1e-10       # weight rho may put outside supp(sigma) before S(rho||sigma) = inf
+BLOCK_SPECTRUM_CUTOFF = 0.0   # zero in a unit-trace Schur-Weyl block: its ~eps noise adds ~1e-15 bits
 ZERO_VARIANCE_CUTOFF = 1e-15  # a per-copy charge law with a smaller variance is a point mass
 CONVOLVED_SUM_EPS = 8         # |sum - (sum p)^N| of an N-fold convolution, in units of N eps
 VERIFY_TOL = 1e-8             # verify: an identity between two computed values
@@ -213,9 +214,9 @@ def within_bound(measured: float, bound: float) -> bool:
     return bool(measured <= bound + BOUND_TOL)
 
 
-def _entropy_of_spectrum(lams: np.ndarray):
-    """-sum lam log2 lam over the last axis, lam <= EIG_CUTOFF as 0; a stack gives an array."""
-    safe = np.where(lams > EIG_CUTOFF, lams, 1.0)  # 1 log2 1 = 0
+def _entropy_of_spectrum(lams: np.ndarray, cutoff: float = EIG_CUTOFF):
+    """-sum lam log2 lam over the last axis, lam <= cutoff as 0; a stack gives an array."""
+    safe = np.where(lams > cutoff, lams, 1.0)  # 1 log2 1 = 0
     terms = np.log2(safe)
     terms *= safe
     h = 0.0 - terms.sum(axis=-1)  # not -sum: a zero entropy is +0.0, never -0.0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,33 @@ for argv in json.loads(sys.argv[1]):
     assert frameness.cli.run(argv) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
 """
+
+
+def test_bounds_finite_refuses_an_oversize_qubit_workspace_before_allocating(capsys):
+    rep = fr.quaternion_rep()
+    cli.run(["bounds", "--group", "finite", "--copies", "2", "--out", os.devnull])  # warm lazy imports
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.run(["bounds", "--group", "finite", "--copies", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    workspace = rep.order * 100001  # |G| (N + 1) > FRAMENESS_MAX_DIM = 2^14
+    assert captured.err == f"resource limit: workspace {workspace} for N <= 100000 exceeds cap {fr.max_dim()}\n"
+    assert peak < 2**20  # the Schur-Weyl workspace alone would be |G| (N + 1)^2 complex entries
+
+
+def test_bounds_finite_reports_the_conjugation_ceiling(tmp_path, plus_state_file, z2_rep_file):
+    res = run_json(tmp_path, ["bounds", "--group", "finite", "--copies", "20"])["result"]
+    assert res["group_order"] == 8 and res["conjugation_bits"] == 2.0 and res["ok"] is True
+    assert [row["N"] for row in res["rows"]] == list(range(1, 21))
+    assert all(row["A_bits"] <= 2.0 + 1e-12 and row["bound_bits"] == 3.0 for row in res["rows"])
+    res = run_json(tmp_path, ["bounds", "--group", "finite", "--rep", z2_rep_file,
+                              "--state", plus_state_file, "--copies", "2"])["result"]
+    assert res["conjugation_bits"] == 1.0
 
 
 def test_no_subcommand_loads_scipy(tmp_path, plus_state_file, z2_rep_file):

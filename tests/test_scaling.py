@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frameness as fr
+from frameness.scaling import schur_weyl_weights, symmetric_powers
 from frameness.states import EIG_CUTOFF
-from ncopy_oracle import kronecker_bound_asymmetries, tensor_power
+from ncopy_oracle import kronecker_bound_asymmetries, mp_bound_asymmetries, tensor_power
 
 
 def binomial_entropy_oracle(n):
@@ -275,6 +277,101 @@ def test_finite_group_bound_needs_a_copy(n_max):
     plus = fr.PureState(np.array([1, 1]) / math.sqrt(2)).projector()
     with pytest.raises(ValueError, match="at least one copy"):
         fr.finite_group_bound_check(fr.z2_phase_flip_rep(), plus, n_max)
+
+
+_QUBIT_REPS = {"z2": fr.z2_phase_flip_rep(), "q8": fr.quaternion_rep(),
+               "z3": fr.cyclic_phase_rep([0, 1], 3)}
+
+
+def _qubit_inputs():
+    plus = fr.PureState(np.array([1, 1]) / math.sqrt(2)).projector()
+    u = fr.haar_unitary(2, np.random.default_rng(4))
+    rotated = fr.DensityOperator(u @ np.diag([1.0, 0.0]) @ u.conj().T)
+    mixed = fr.random_density_operator(2, np.random.default_rng(9))
+    return {"plus": plus, "diag": fr.DensityOperator(np.diag([0.3, 0.7])),
+            "maximally-mixed": fr.DensityOperator(np.eye(2) / 2), "rotated-pure": rotated,
+            "mixed": mixed}
+
+
+@pytest.mark.parametrize("name", sorted(_QUBIT_REPS))
+def test_qubit_schur_weyl_rows_match_the_kronecker_oracle(name):
+    rep = _QUBIT_REPS[name]
+    for label, rho in _qubit_inputs().items():
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)  # det 0, a real Z: no log2(0) or 0 * inf
+            rows = fr.finite_group_bound_check(rep, rho, 8).rows
+        assert_allclose([r.asymmetry for r in rows], kronecker_bound_asymmetries(rep, rho, 8),
+                        rtol=0, atol=1e-12, err_msg=f"{name} on {label}")
+
+
+def test_qubit_schur_weyl_rows_known_values():
+    inputs, n_max = _qubit_inputs(), 20  # past N = 14, where the 2^N mean meets the default cap
+    z2 = fr.finite_group_bound_check(_QUBIT_REPS["z2"], inputs["plus"], n_max)
+    assert_allclose([r.asymmetry for r in z2.rows], 1.0, rtol=0, atol=1e-12)  # saturates log2|Z2|
+    for name, rep in _QUBIT_REPS.items():
+        for label in ("maximally-mixed",) + (("diag",) if name != "q8" else ()):
+            rows = fr.finite_group_bound_check(rep, inputs[label], n_max).rows
+            assert_allclose([r.asymmetry for r in rows], 0.0, rtol=0, atol=1e-12, err_msg=label)
+
+
+@pytest.mark.parametrize("name", sorted(_QUBIT_REPS))
+def test_qubit_rows_at_a_hundred_copies(name):
+    rep = _QUBIT_REPS[name]
+    for label, rho in _qubit_inputs().items():
+        report = fr.finite_group_bound_check(rep, rho, 100)
+        a = np.array([r.asymmetry for r in report.rows])
+        assert np.diff(a).min() >= -1e-12, label  # tracing out a copy is covariant
+        assert a.min() >= -1e-12 and a.max() <= report.conjugation_bits + 1e-12, label
+        assert report.ok
+        weights = schur_weyl_weights(rho.eigenvalues(), 100)
+        assert weights.size == 51 and abs(math.fsum(weights) - 1.0) <= 1e-12, label
+
+
+def test_schur_weyl_weights_at_rank_one_and_far_past_float_range():
+    assert_allclose(schur_weyl_weights([0.0, 1.0], 7), [1, 0, 0, 0], rtol=0, atol=0)
+    weights = schur_weyl_weights([0.3, 0.7], 4000)  # m_j up to ~2^3990, det^k down to ~2^-4500
+    assert np.isfinite(weights).all() and abs(math.fsum(weights) - 1.0) <= 1e-12
+
+
+def test_qubit_rows_match_a_50_digit_oracle():
+    rho = fr.DensityOperator(np.array([[0.7, 0.2], [0.2, 0.3]]))
+    rep = fr.quaternion_rep()
+    rows = fr.finite_group_bound_check(rep, rho, 40).rows
+    assert_allclose([rows[29].asymmetry, rows[39].asymmetry], mp_bound_asymmetries(rep, rho, [30, 40]),
+                    rtol=0, atol=1e-10)
+
+
+def test_symmetric_powers_restrict_the_tensor_power():
+    us = np.stack([fr.haar_unitary(2, np.random.default_rng(s)) for s in range(3)] + [np.diag([1.0, -1.0])])
+    n = 3
+    dicke = np.zeros((2**n, n + 1))
+    for index in range(2**n):
+        ones = bin(index).count("1")
+        dicke[index, ones] = 1 / math.sqrt(math.comb(n, ones))
+    for u, sym in zip(us, symmetric_powers(us, n)):
+        assert_allclose(sym, dicke.T @ np.kron(np.kron(u, u), u) @ dicke, rtol=0, atol=1e-12)
+
+
+def test_symmetric_powers_stay_unitary_and_multiplicative_at_n_200():
+    rng = np.random.default_rng(6)
+    a, b = (np.stack([fr.haar_unitary(2, rng) for _ in range(4)]) for _ in range(2))
+    sa, sb, sab = (symmetric_powers(x, 200) for x in (a, b, a @ b))
+    eye = np.eye(201)
+    assert np.abs(sa @ sa.conj().transpose(0, 2, 1) - eye).max() <= 1e-12
+    assert np.abs(sa @ sb - sab).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rep, bits", [(fr.z2_phase_flip_rep(), 1.0), (fr.quaternion_rep(), 2.0),
+                                       (fr.cyclic_phase_rep([0, 1], 3), math.log2(3)),
+                                       (fr.cyclic_phase_rep([0, 1, 2], 3), math.log2(3)),
+                                       (fr.cyclic_phase_rep([1, 1], 4), 0.0)],
+                         ids=["z2", "q8", "z3", "z3-qutrit", "z4-global-phase"])
+def test_conjugation_bits_count_maps_not_elements(rep, bits):
+    rho = fr.random_density_operator(rep.dim, np.random.default_rng(1))
+    report = fr.finite_group_bound_check(rep, rho, 2)
+    assert report.conjugation_bits == pytest.approx(bits, abs=1e-12)
+    assert all(r.asymmetry <= bits + 1e-12 for r in report.rows)
+    assert all(r.bound == pytest.approx(math.log2(rep.order)) for r in report.rows)
 
 
 def test_lie_group_log_bound_values():

@@ -127,6 +127,16 @@ def test_group_closure(dev, accepted):
     assert accepts(lambda: fr.finite_group_from_unitaries(elems)) is accepted
 
 
+
+@half_and_twice(1e-8)
+def test_conjugations_equal_up_to_a_phase(dev, accepted):
+    # |Tr I^dag exp(i eps X)| = 2 cos(eps), short of d = 2 by eps^2 to leading order
+    eps = math.acos(1.0 - 0.5 * dev)
+    near = math.cos(eps) * np.eye(2) + 1j * math.sin(eps) * np.array([[0, 1], [1, 0]])
+    rep = fr.FiniteGroupRep([[0, 1], [1, 0]], [1j * np.eye(2), near])
+    report = fr.finite_group_bound_check(rep, fr.DensityOperator(np.eye(2) / 2), 1)
+    assert (report.conjugation_bits == 0.0) is accepted
+
 # -- the slack in "measured <= bound": 1e-8 ------------------------------------
 
 @half_and_twice(1e-8)
