@@ -108,8 +108,14 @@ def _command(name):
     return deco
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one stderr line naming the option (exit 2); --help prints the usage."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _parser(name: str, description: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"frameness {name}", description=description)
+    p = _Parser(prog=f"frameness {name}", description=description)
     p.add_argument("--seed", type=int, default=0, help="seed recorded in the output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
@@ -135,20 +141,46 @@ def _dims(text: str) -> tuple[int, int]:
     return dims
 
 
-def _weights(text: str) -> str:
-    """argparse type of comma-separated weights in [0, 1]: anything else is a usage error (exit 2).
+def _weight(text: str) -> float:
+    """argparse type of one weight in [0, 1]: anything else is a usage error (exit 2)."""
+    try:
+        weight = float(text)
+    except ValueError:
+        weight = math.nan
+    if not 0.0 <= weight <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a weight in [0, 1], got {text!r}")
+    return weight
 
-    The text is returned as written, which is how the artifact records it.
-    """
+
+def _copies(text: str) -> int:
+    """argparse type of a positive copy count: anything else is a usage error (exit 2)."""
+    try:
+        copies = int(text)
+    except ValueError:
+        copies = 0
+    if copies < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive copy count, got {text!r}")
+    return copies
+
+
+def _each(text: str, kind, noun: str) -> str:
+    """Check each comma-separated entry of ``text`` with the argparse type ``kind``; name the bad one."""
     for k, entry in enumerate(text.split(","), 1):
         try:
-            weight = float(entry)
-        except ValueError:
-            weight = math.nan
-        if not 0.0 <= weight <= 1.0:
-            raise argparse.ArgumentTypeError(
-                f"entry {k} of {text!r} is {entry!r}, not a weight in [0, 1]")
+            kind(entry)
+        except argparse.ArgumentTypeError:
+            raise argparse.ArgumentTypeError(f"entry {k} of {text!r} is {entry!r}, not {noun}") from None
     return text
+
+
+def _weights(text: str) -> str:
+    """argparse type of comma-separated weights in [0, 1], returned as written (as recorded)."""
+    return _each(text, _weight, "a weight in [0, 1]")
+
+
+def _copy_list(text: str) -> str:
+    """argparse type of comma-separated positive copy counts, returned as written (as recorded)."""
+    return _each(text, _copies, "a positive copy count")
 
 
 def _meta(command: str, ns: argparse.Namespace) -> dict:
@@ -590,11 +622,11 @@ def _default_n_list(n_top: int):
 @_command("scaling")
 def _cmd_scaling(args) -> int:
     p = _parser("scaling", "N-copy asymmetry against the Gaussian-entropy model")
-    p.add_argument("--p", type=float, default=0.5, help="per-copy Bernoulli weight on charge 1")
+    p.add_argument("--p", type=_weight, default=0.5, help="per-copy Bernoulli weight on charge 1")
     p.add_argument("--state", help="per-copy pure state JSON (with --charges)")
     p.add_argument("--charges", help="charge grading JSON for --state")
-    p.add_argument("--copies", type=int, default=200, help="largest N tabulated")
-    p.add_argument("--n-list", help="comma-separated copy counts, overrides the ladder")
+    p.add_argument("--copies", type=_copies, default=200, help="largest N tabulated")
+    p.add_argument("--n-list", type=_copy_list, help="comma-separated copy counts, overrides the ladder")
     p.add_argument("--constant", choices=("bits", "half"), default="bits",
                    help="additive model constant: (1/2)log2(e) or the literal 1/2")
     ns = p.parse_args(args)

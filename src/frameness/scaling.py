@@ -13,21 +13,26 @@ convention is available as ``GAUSSIAN_CONSTANT_HALF``).  Dividing by N sends
 the asymmetry to zero; re-linearizing through L(x) = 2^(2x) instead recovers
 a quantity proportional to the single-copy charge variance.
 
-The N-fold convolution is computed by powering the law's spectrum
-(:func:`convolve_copies`): one real FFT of the per-copy law at the result's
-length S = N (levels - 1) + 1, rounded up to a 2^a 3^b 5^c length, at most
-2 log2 N pointwise products of that spectrum, and one inverse FFT.  That is
-O(S log S + S log N) work, where a loop of direct convolutions costs O(N^2).
-Its rounding error is absolute and of order N eps times the largest weight,
-the conditioning of the problem itself.  The most negative weight of the
-inverse transform measures that noise, and every weight no larger in
-magnitude is set to zero.  For Bernoulli 0.3 at N = 2*10^4 the entropy
-agrees with the direct loop's to 7e-13 bits.  Against the exact binomial
-entropy (30-digit mpmath) with the weights at or below ``EIG_CUTOFF``
-dropped, as every entropy drops them, it agrees to 7e-13 bits at
-N = 2*10^4 and to 2.1e-11 bits at N = 10^6; the dropped weights carry
-7.8e-10 and 5.8e-9 bits.  At N = 10^6 one convolution takes about 0.08 s
-on a 2-vCPU x86 machine.
+The N-fold convolution is computed by powering the law's spectrum over the
+window that holds its mass (:func:`convolve_copies`).  By Hoeffding's
+inequality all but ``WRAPPED_MASS_TOL`` (1e-20) of the N-fold law of a law on
+0..D lies within t = D sqrt(N ln(2 / 1e-20) / 2), about 4.8 D sqrt N, of its
+mean, so one real FFT of length L >= min(N D + 1, 2 t + 1), rounded up to a
+2^a 3^b 5^c length, holds the law folded modulo L: 1440 points for the 20001
+of N = 2*10^4 and 9720 for the 10^6 + 1 of N = 10^6 (D = 1).  The spectrum is
+raised to the N-th power in centred polar form, N log|F| through log1p of a
+sum of nonnegative lag terms and N arg(F e^(i theta c / N)) from exactly
+reduced angles, so it keeps relative precision near theta = 0, where |F|^N
+is large; one inverse FFT and a read-back by index follow.  The transform is
+O(D sqrt N log N) work, and the result still has all N D + 1 weights, so a
+row costs O(N).  Square-and-multiply rounds N-fold instead: on the same
+window it reads 5.4e-10 bits off at N = 10^6 for Bernoulli 0.3.  Against
+the exact binomial entropy (30-digit mpmath) with the weights at or below
+``EIG_CUTOFF`` dropped, as every entropy drops them, the entropy agrees to
+2.7e-14 bits for p = 0.3 and exactly for p = 0.5 at N = 10^6, and to
+1.8e-15 bits at N = 2*10^4; the dropped weights carry 5.8e-9 and 7.8e-10
+bits.  At N = 10^6 one convolution takes about 5-8 ms on a 2-vCPU x86
+machine, against 80-100 ms for square-and-multiply over the whole support.
 """
 
 from __future__ import annotations
@@ -45,12 +50,14 @@ from .states import (
     BLOCK_SPECTRUM_CUTOFF,
     COMPOSED_TOL,
     CONVOLVED_SUM_EPS,
+    WRAPPED_MASS_TOL,
     ZERO_VARIANCE_CUTOFF,
     DensityOperator,
     FramenessError,
     ProbabilityDistribution,
     PureState,
     ResourceLimitError,
+    _STACK_ENTRIES,
     _entropy_of_spectrum,
     max_dim,
     shannon_entropy,
@@ -63,6 +70,7 @@ GAUSSIAN_CONSTANT_BITS = 0.5 * math.log2(math.e)
 GAUSSIAN_CONSTANT_HALF = 0.5  # natural-log convention, kept for literal reproduction
 
 _MAX_CONVOLVED_SUPPORT = 1 << 22
+_EPS = np.finfo(float).eps
 
 
 def number_variance(grading: ChargeGrading, state) -> float:
@@ -122,20 +130,64 @@ def _fft_size(n: int) -> int:
     return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, n)]
 
 
-def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
-    """N-fold self-convolution of ``per_copy`` by powering its spectrum.
+def _mass_window(w, n_copies: int) -> tuple[int, int, int]:
+    """(L, start, c) for the N-fold law of w on 0..D: transform length, first index, centre.
 
-    One real FFT of the law at the result's length S = N (len - 1) + 1
-    (rounded up to a fast length), the spectrum raised to the N-th power by
-    squaring and multiplying pointwise (at most 2 log2 N products), and one
-    inverse FFT: O(S log S + S log N) work.  The error is absolute, of order
-    N eps times the largest weight, so weights below ``EIG_CUTOFF`` (which
-    every entropy drops) can be rounding noise.  The raw result must sum to
-    (sum p)^N within ``CONVOLVED_SUM_EPS`` N eps.  Its most negative weight
-    measures the inverse transform's noise: every weight no larger in
-    magnitude is set to zero, and the rest is divided by its sum.  Zero
-    weights at either end of the law only shift the result, so a point mass
-    comes out exact at any N.
+    The N-fold law puts all but ``WRAPPED_MASS_TOL`` of its mass within
+    t = D sqrt(N ln(2 / tol) / 2) of its mean (Hoeffding's inequality), so
+    L = the fast length >= min(N D + 1, 2 t + 1), O(D sqrt N), and the window
+    [start, start + min(L, N D + 1)) holds [c - t, c + t] with c = round(N mean),
+    moved inside the support where it would cross an end.
+    """
+    size = n_copies * (w.size - 1) + 1
+    reach = math.ceil((w.size - 1) * math.sqrt(n_copies * math.log(2 / WRAPPED_MASS_TOL) / 2))
+    length = _fft_size(min(size, 2 * reach + 1))
+    centre = round(n_copies * float(w @ np.arange(w.size)) / math.fsum(w))
+    return length, min(max(centre - length // 2, 0), size - min(length, size)), centre
+
+
+def _log_powered_spectrum(w, total: float, j, length: int, centre: int, n_copies: int) -> np.ndarray:
+    """log(F^N e^(i theta c)) at theta = 2 pi j / L in centred polar form: N log|F| + i N phi.
+
+    N log|F| = N log(sum w) + (N / 2) log1p(-4 sum_k A_k sin^2(k theta / 2) / (sum w)^2)
+    with A_k = sum_x w_x w_(x+k): a sum of nonnegative terms, so 1 - |F|^2 / (sum w)^2
+    keeps its relative precision where |F| is near sum w, where squaring or a log of
+    |F| would lose it.  N phi = N arg sum_x w_x e^(-i theta (x - c / N)), each angle
+    2 pi j (x N - c) / (N L) reduced exactly in integers, so the heavy levels near
+    c / N have small, accurate angles.
+    """
+    lag_sums = np.correlate(w, w, "full")[w.size:]  # A_k for k = 1..D
+    lags, levels = np.nonzero(lag_sums)[0], np.nonzero(w)[0]
+    deficit = np.sin((np.pi / length) * j[:, None] * (lags + 1)) ** 2 @ lag_sums[lags]
+    x = deficit * (4.0 / total**2)  # 1 - |F / sum w|^2, 1 where F = 0
+    log_abs = np.log1p(-x, out=np.full(j.size, -np.inf), where=x < 1.0)
+    cycle = n_copies * length
+    turns = (j[:, None] * (levels * n_copies - centre) + cycle // 2) % cycle - cycle // 2
+    phase = np.angle(np.exp(turns * (-2j * np.pi / cycle)) @ w[levels])
+    return n_copies * (math.log(total) + 0.5 * log_abs) + 1j * (n_copies * phase)
+
+
+def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
+    """N-fold self-convolution of ``per_copy``, powering its spectrum over the window that holds the mass.
+
+    One real FFT of length L = O(D sqrt N) holds the N-fold law folded modulo
+    L and centred at c (:func:`_mass_window`); read back by index, it differs
+    from the law on the window by at most ``WRAPPED_MASS_TOL``, and the
+    weights outside the window are zero.  The spectrum F^N e^(i theta c) is
+    powered in centred polar form (:func:`_log_powered_spectrum`), accurate
+    to a few eps near theta = 0; frequencies where |F|^N is below
+    eps (sum w)^N stay zero, which moves no weight by more than eps.  Then
+    one inverse FFT.  The transform costs O(D sqrt N log N); the result still
+    has all N D + 1 weights, so the call is O(N).  Squaring the spectrum
+    instead rounds N-fold: on the same window at N = 10^6 it reads 5.4e-10
+    bits off for Bernoulli 0.3, where the polar form reads 2.7e-14.
+
+    The raw result must sum to (sum p)^N within ``CONVOLVED_SUM_EPS`` N eps.
+    Its most negative weight measures the inverse transform's noise: every
+    weight no larger in magnitude is set to zero, and the rest is divided by
+    its sum.  Zero weights at either end of the law only shift the result,
+    and a law on a sublattice only spreads it, so a point mass comes out
+    exact at any N and a law on every k-th charge is powered on 0..D / k.
     """
     p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
     if n_copies < 1:
@@ -143,27 +195,31 @@ def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
     support = n_copies * (len(p) - 1) + 1
     if support > _MAX_CONVOLVED_SUPPORT:
         raise ResourceLimitError(f"convolved support {support} exceeds {_MAX_CONVOLVED_SUPPORT}")
-    # zero end weights only shift the result: power the law between them
-    lo, hi = np.flatnonzero(p.weights)[[0, -1]]
-    size = n_copies * (hi - lo) + 1
-    length = _fft_size(size)
-    factor = np.fft.rfft(p.weights[lo:hi + 1], length)
-    spectrum, n = np.ones_like(factor), n_copies
-    while n:
-        if n & 1:
-            spectrum *= factor
-        n >>= 1
-        if n:
-            factor *= factor
-    acc = np.fft.irfft(spectrum, length)[:size]
+    # zero end weights only shift the result, and a law on a sublattice only spreads it:
+    # power the law on the lattice's points between them
+    levels = np.nonzero(p.weights)[0]
+    lo, spacing = int(levels[0]), max(int(np.gcd.reduce(levels - levels[0])), 1)
+    w, total = p.weights[lo:levels[-1] + 1:spacing], math.fsum(p.weights)
+    length, start, centre = _mass_window(w, n_copies)
+    factor = np.fft.rfft(w, length)
+    near = np.nonzero(np.abs(factor) > total * _EPS ** (1 / n_copies))[0]
+    spectrum = np.zeros(factor.size, dtype=complex)
+    step = max(1, _STACK_ENTRIES // w.size)  # frequencies powered at once
+    for i in range(0, near.size, step):
+        j = near[i:i + step]
+        spectrum[j] = np.exp(_log_powered_spectrum(w, total, j, length, centre, n_copies))
+    # the transform holds the law shifted by -centre and folded modulo length
+    folded = np.fft.irfft(spectrum, length)
+    cut = (start - centre) % length
+    acc = np.concatenate((folded[cut:], folded[:cut]))[:n_copies * (w.size - 1) + 1]
     # (sum p)^N is 1 - 1.3e-10 for the stored [0.7, 0.3] at N = 2^22 - 1, beyond INPUT_TOL
-    total, expected = float(acc.sum()), math.fsum(p.weights) ** n_copies
-    if abs(total - expected) > CONVOLVED_SUM_EPS * n_copies * np.finfo(float).eps:
-        raise FramenessError(f"{n_copies}-fold convolution sums to {total!r}, expected {expected!r}")
+    got, expected = float(acc.sum()), total**n_copies
+    if abs(got - expected) > CONVOLVED_SUM_EPS * n_copies * _EPS:
+        raise FramenessError(f"{n_copies}-fold convolution sums to {got!r}, expected {expected!r}")
     acc[np.abs(acc) <= -acc.min()] = 0.0  # the most negative weight's size is the transform's noise
-    acc = np.pad(acc, (n_copies * lo, n_copies * (len(p) - 1 - hi)))
-    acc /= acc.sum()
-    return NumberDistributionProfile(p, n_copies, ProbabilityDistribution(acc))
+    out = np.zeros(support)
+    out[n_copies * lo + spacing * start::spacing][:acc.size] = acc / acc.sum()
+    return NumberDistributionProfile(p, n_copies, ProbabilityDistribution(out))
 
 
 def u1_ncopy_asymmetry(per_copy, n_copies: int) -> float:
@@ -258,15 +314,19 @@ class FiniteGroupBoundReport:
         return all(r.ok for r in self.rows)
 
 
-def _conjugation_bits(rep: FiniteGroupRep) -> float:
-    """log2 of the number of distinct maps X -> U_g X U_g^dag.
+def _kernel(rep: FiniteGroupRep) -> np.ndarray:
+    """K = {k : |Tr U_k| = d}, the elements whose U_k is a phase, from |G| traces.
 
-    U_g and U_h give the same map iff U_g^dag U_h = U_(g^-1 h) is a phase,
-    iff g^-1 h lies in the kernel K = {k : |Tr U_k| = d}.  So the maps
-    number |G| / |K|, counted from |G| traces.
+    U_g and U_h give the same map X -> U_g X U_g^dag iff U_g^dag U_h = U_(g^-1 h)
+    is a phase, iff h lies in the coset gK.
     """
     traces = np.abs(np.trace(np.stack(rep.unitaries), axis1=1, axis2=2))
-    return math.log2(rep.order) - math.log2(int(np.count_nonzero(traces >= rep.dim - COMPOSED_TOL)))
+    return np.flatnonzero(traces >= rep.dim - COMPOSED_TOL)
+
+
+def _conjugation_bits(rep: FiniteGroupRep) -> float:
+    """log2 of the number of distinct maps X -> U_g X U_g^dag: |G| / |K| of them."""
+    return math.log2(rep.order) - math.log2(_kernel(rep).size)
 
 
 def _dicke_jx(n: int) -> np.ndarray:
@@ -329,7 +389,8 @@ def _qubit_block_gaps(states, eigenvalues, n_max: int) -> np.ndarray:
 
     B_n = mean_g Sym^n(sigma_g) over the orbit states sigma_g = W_g diag(hi, lo)
     W_g^dag, and Sym^n(sigma_g) = Sym^n(W_g) hi^n diag(r^k) Sym^n(W_g)^dag with
-    r = lo / hi.
+    r = lo / hi.  The states may be one per coset of the kernel: every coset
+    has |K| elements with the same state, so the mean is the same.
     """
     lo, hi = np.clip(eigenvalues, 0.0, None)
     ws = np.linalg.eigh(np.stack([s.matrix for s in states]))[1][:, :, ::-1]  # larger first
@@ -359,12 +420,13 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     average acts inside each block.  So A_G(rho^(x)N) = sum_j p_j A_j, with
     p_j the weight of block j (:func:`schur_weyl_weights`) and A_j the
     entropy gap between B_2j = mean_g Sym^2j(U_g rho U_g^dag) and Sym^2j(rho),
-    both normalized.  One (n + 1) x (n + 1) block per n <= n_max serves every
-    row: O(|G| n_max^4) time, O(|G| n_max^2) memory, and the cap bounds the
-    workspace |G| (n_max + 1).  For d > 2, each row sums the orbit's
-    Kronecker powers into one d^N x d^N mean and eigensolves it, and the cap
-    bounds d^n_max.  Neither builds an N-copy representation or channel.
-    The bound does not depend on N.
+    both normalized.  The mean takes one element per coset of the kernel
+    (elements equal up to a phase give the same state).  One (n + 1) x (n + 1)
+    block per n <= n_max serves every row: O(|G| n_max^4) time,
+    O(|G| n_max^2) memory, and the cap bounds the workspace |G| (n_max + 1).
+    For d > 2, each row sums the orbit's Kronecker powers into one d^N x d^N
+    mean and eigensolves it, and the cap bounds d^n_max.  Neither builds an
+    N-copy representation or channel.  The bound does not depend on N.
     """
     if n_max < 1:
         raise ValueError(f"need at least one copy, got {n_max}")
@@ -374,7 +436,8 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     states, bound = orbit_ensemble(rep, rho).states, math.log2(rep.order)
     if rho.dim == 2:
         lam = rho.eigenvalues()
-        gaps = _qubit_block_gaps(states, lam, n_max)
+        firsts = np.unique(rep.table[:, _kernel(rep)].min(axis=1))  # the first element of each coset gK
+        gaps = _qubit_block_gaps([states[g] for g in firsts], lam, n_max)
         values = [float(schur_weyl_weights(lam, n) @ gaps[n::-2]) for n in range(1, n_max + 1)]
     else:
         values = _orbit_mean_asymmetries(states, rho, n_max)

@@ -26,6 +26,7 @@ NULL_WEIGHT_TOL = 1e-10       # weight rho may put outside supp(sigma) before S(
 BLOCK_SPECTRUM_CUTOFF = 0.0   # zero in a unit-trace Schur-Weyl block: its ~eps noise adds ~1e-15 bits
 ZERO_VARIANCE_CUTOFF = 1e-15  # a per-copy charge law with a smaller variance is a point mass
 CONVOLVED_SUM_EPS = 8         # |sum - (sum p)^N| of an N-fold convolution, in units of N eps
+WRAPPED_MASS_TOL = 1e-20      # N-fold law's tail mass folded into the transform window (Hoeffding)
 VERIFY_TOL = 1e-8             # verify: an identity between two computed values
 KLEIN_TOL = 1e-9              # verify: how far below 0 a sampled S(rho||sigma) may read
 DEGENERATE_ANGLE_TOL = 1e-7   # |sin 2 theta| at which a qubit basis ignores gamma: ree reports (0, 0)

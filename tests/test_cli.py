@@ -315,6 +315,32 @@ def test_ree_sweep_entries_must_be_weights(tmp_path, capsys, sweep, entry):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n-list", "10,abc"], "argument --n-list: entry 2 of '10,abc' is 'abc', not a positive copy count"),
+    (["--n-list", "10,0"], "argument --n-list: entry 2 of '10,0' is '0', not a positive copy count"),
+    (["--n-list", "2.5"], "argument --n-list: entry 1 of '2.5' is '2.5', not a positive copy count"),
+    (["--p", "1.5"], "argument --p: must be a weight in [0, 1], got '1.5'"),
+    (["--p", "nan"], "argument --p: must be a weight in [0, 1], got 'nan'"),
+    (["--p", "abc"], "argument --p: must be a weight in [0, 1], got 'abc'"),
+    (["--copies", "-3"], "argument --copies: must be a positive copy count, got '-3'"),
+    (["--copies", "0"], "argument --copies: must be a positive copy count, got '0'"),
+    (["--copies", "abc"], "argument --copies: must be a positive copy count, got 'abc'"),
+])
+def test_scaling_bad_values_are_one_line_usage_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "out.json"
+    assert cli.run(["scaling", *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"frameness scaling: error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_scaling_records_its_values_as_written(tmp_path):
+    payload = run_json(tmp_path, ["scaling", "--p", "0.30", "--copies", "07", "--n-list", "10,020"])
+    assert payload["meta"]["config"] == {"constant": "bits", "copies": 7, "n_list": "10,020",
+                                         "p": 0.3, "seed": 0}
+    assert [row["N"] for row in payload["result"]["rows"]] == [10, 20]
+
+
 def test_ree_records_the_sweep_as_written(tmp_path):
     payload = run_json(tmp_path, ["ree", "--sweep", "0.50,1e-0", "--grid", "8"])
     assert payload["meta"]["config"]["sweep"] == "0.50,1e-0"

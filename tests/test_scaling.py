@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import frameness as fr
 from frameness.scaling import schur_weyl_weights, symmetric_powers
-from frameness.states import EIG_CUTOFF
+from frameness.states import EIG_CUTOFF, WRAPPED_MASS_TOL
 from ncopy_oracle import kronecker_bound_asymmetries, mp_bound_asymmetries, tensor_power
 
 
@@ -44,16 +44,17 @@ def _charge_law(levels, shape, seed):
 
 
 @given(st.integers(2, 8), st.sampled_from(["flat", "zero-ends", "skewed", "subnormal"]),
-       st.integers(0, 10**6), st.integers(1, 300))
+       st.integers(0, 10**6), st.integers(1, 1000))
 @settings(max_examples=60, deadline=None)
 def test_fft_powering_matches_the_convolution_loop(levels, shape, seed, n):
+    # above N ~ 95 the transform covers only the window that holds the mass
     per_copy = fr.ProbabilityDistribution(_charge_law(levels, shape, seed))
     oracle = convolve_copies_oracle(per_copy.weights, n)
     profile = fr.convolve_copies(per_copy, n)
     assert profile.convolved.weights.shape == oracle.shape
     # An N-fold convolution has condition number ~N: rounding the law's weights
-    # alone moves the result by ~N eps, and both the loop and the powering
-    # round that much (measured worst 1.2 N eps over 400 seeded laws).
+    # alone moves the result by ~N eps, and the loop rounds that much (measured
+    # worst 0.95 N eps over 600 seeded laws with N <= 1000, most of it the loop's).
     weight_tol = 4 * n * np.finfo(float).eps
     assert_allclose(profile.convolved.weights, oracle, rtol=0, atol=weight_tol)
     # The entropy drops weights at or below EIG_CUTOFF, which is a jump of up to
@@ -92,14 +93,78 @@ def mpmath_binomial_entropy(n, weights, cutoff=EIG_CUTOFF, digits=30):
 
 
 def test_million_copies_match_the_binomial_entropy():
-    n, p = 10**6, 0.3
-    profile = fr.convolve_copies([1.0 - p, p], n)  # constructing it passed the INPUT_TOL sum check
-    assert profile.convolved.weights.size == n + 1
-    # Measured 2.1e-11 apart.  The float lgamma sum would read 6.1e-9 bits low at this N,
-    # and the weights at or below EIG_CUTOFF carry 5.8e-9 bits, so the reference is exact
-    # arithmetic over the law and the cutoff the convolution and the entropy use.
-    assert fr.shannon_entropy(profile.convolved) == pytest.approx(
-        mpmath_binomial_entropy(n, [1.0 - p, p]), abs=1e-10)
+    n = 10**6
+    for p in (0.3, 0.5):
+        profile = fr.convolve_copies([1.0 - p, p], n)  # constructing it passed the INPUT_TOL sum check
+        assert profile.convolved.weights.size == n + 1
+        # Measured 2.7e-14 (p = 0.3) and 0 (p = 0.5) apart.  The float lgamma sum would read
+        # 6.1e-9 bits low at this N, and the weights at or below EIG_CUTOFF carry 5.8e-9 bits,
+        # so the reference is exact arithmetic over the law and the cutoff the convolution
+        # and the entropy use.
+        assert fr.shannon_entropy(profile.convolved) == pytest.approx(
+            mpmath_binomial_entropy(n, [1.0 - p, p]), abs=1e-13)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_three_level_law_matches_an_extended_precision_loop(seed):
+    # the direct loop in 64-bit-mantissa arithmetic is exact to ~N 1e-19 relative per weight;
+    # measured within 2.7e-15 bits, where squaring the spectrum read up to 3.0e-12 bits off
+    n, q = 5000, np.random.default_rng([seed, 2]).dirichlet([30.0, 30.0, 30.0])
+    w = fr.ProbabilityDistribution(q).weights
+    acc = w.astype(np.longdouble)
+    for _ in range(n - 1):
+        acc = np.convolve(acc, w.astype(np.longdouble))
+    acc = acc[acc > EIG_CUTOFF * acc.sum()] / acc.sum()
+    reference = float(-(acc * np.log2(acc)).sum())
+    assert fr.u1_ncopy_asymmetry(w, n) == pytest.approx(reference, abs=1e-13)
+
+
+@given(st.integers(2, 8), st.sampled_from(["flat", "zero-ends", "skewed", "subnormal"]),
+       st.integers(0, 10**6), st.integers(96, 1500))
+@settings(max_examples=40, deadline=None)
+def test_the_window_misses_at_most_the_wrapped_mass_tolerance(levels, shape, seed, n):
+    w = _charge_law(levels, shape, seed)
+    w = w[np.flatnonzero(w)[0]:np.flatnonzero(w)[-1] + 1]  # the law the window is set for
+    oracle = convolve_copies_oracle(w, n)  # positive sums: its tails are accurate to N eps relative
+    length, start, centre = fr.scaling._mass_window(w, n)
+    count = min(length, oracle.size)
+    assert start <= centre <= start + count - 1 and 0 <= start <= oracle.size - count
+    outside = math.fsum(oracle[:start]) + math.fsum(oracle[start + count:])
+    assert outside <= WRAPPED_MASS_TOL
+    got = fr.convolve_copies(w, n).convolved.weights
+    assert not got[:start].any() and not got[start + count:].any()
+
+
+def test_the_window_length_at_twenty_thousand_copies():
+    # t = ceil(sqrt(N ln(2 / 1e-20) / 2)) = 684 for a two-level law: 2t + 1 = 1369 of 20001
+    # points, rounded up to the fast length 1440
+    length, start, centre = fr.scaling._mass_window(np.array([0.7, 0.3]), 20000)
+    assert (length, start, centre) == (1440, 6000 - 720, 6000)
+
+
+def test_a_zero_of_the_spectrum_on_the_grid_raises_no_warning():
+    # [0.5, 0.5] has F(pi) = 0, on the grid of every even transform length
+    for n in (16, 1000, 20000):
+        length = fr.scaling._mass_window(np.array([0.5, 0.5]), n)[0]
+        assert length % 2 == 0 and np.fft.rfft([0.5, 0.5], length)[-1] == 0
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error", RuntimeWarning)
+            weights = fr.convolve_copies([0.5, 0.5], n).convolved.weights
+        assert fr.shannon_entropy(weights) == pytest.approx(mpmath_binomial_entropy(n, [0.5, 0.5]),
+                                                            abs=1e-13)
+
+
+@pytest.mark.parametrize("w", [[0.3, 0.0, 0.0, 0.7], [0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.8]])
+def test_a_law_on_a_sublattice_is_powered_on_the_lattice(w):
+    # |F| = 1 at theta = 2 pi / k as well as at 0; on the lattice only theta = 0 has it
+    n, spacing = 50000, len(w) - 1 - int(w[0] == 0.0)
+    got = fr.convolve_copies(w, n).convolved.weights
+    lo = n * int(w[0] == 0.0)
+    assert got.size == (len(w) - 1) * n + 1 and np.count_nonzero(got[lo::spacing]) > 1000
+    assert not np.delete(got, np.s_[lo::spacing]).any()
+    assert fr.shannon_entropy(got) == pytest.approx(mpmath_binomial_entropy(n, [w[-1 - spacing], w[-1]]),
+                                                    abs=1e-13)
 
 
 def test_number_variance_examples():
@@ -372,6 +437,24 @@ def test_conjugation_bits_count_maps_not_elements(rep, bits):
     assert report.conjugation_bits == pytest.approx(bits, abs=1e-12)
     assert all(r.asymmetry <= bits + 1e-12 for r in report.rows)
     assert all(r.bound == pytest.approx(math.log2(rep.order)) for r in report.rows)
+
+
+@pytest.mark.parametrize("rep, cosets", [(fr.quaternion_rep(), 4), (fr.z2_phase_flip_rep(), 2),
+                                         (fr.cyclic_phase_rep([0, 2], 4), 2),
+                                         (fr.cyclic_phase_rep([1, 1], 4), 1)],
+                         ids=["q8", "z2", "z4-kernel-z2", "z4-global-phase"])
+def test_qubit_rows_take_one_orbit_state_per_coset_of_the_kernel(monkeypatch, rep, cosets):
+    rho, n_max = fr.random_density_operator(2, np.random.default_rng(7)), 30
+    gaps, sizes = fr.scaling._qubit_block_gaps, []
+    monkeypatch.setattr(fr.scaling, "_qubit_block_gaps",
+                        lambda states, lam, n: sizes.append(len(states)) or gaps(states, lam, n))
+    report = fr.finite_group_bound_check(rep, rho, n_max)
+    assert sizes == [cosets]
+    # the oracle: the same rows from the mean over every element's orbit state
+    lam = rho.eigenvalues()
+    every = gaps(fr.orbit_ensemble(rep, rho).states, lam, n_max)
+    rows = [float(schur_weyl_weights(lam, n) @ every[n::-2]) for n in range(1, n_max + 1)]
+    assert_allclose([r.asymmetry for r in report.rows], rows, rtol=0, atol=1e-12)
 
 
 def test_lie_group_log_bound_values():
