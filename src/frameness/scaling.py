@@ -20,13 +20,16 @@ inequality all but ``WRAPPED_MASS_TOL`` (1e-20) of the N-fold law of a law on
 mean, so one real FFT of length L >= min(N D + 1, 2 t + 1), rounded up to a
 2^a 3^b 5^c length, holds the law folded modulo L: 1440 points for the 20001
 of N = 2*10^4 and 9720 for the 10^6 + 1 of N = 10^6 (D = 1).  The spectrum is
-raised to the N-th power in centred polar form, N log|F| through log1p of a
-sum of nonnegative lag terms and N arg(F e^(i theta c / N)) from exactly
-reduced angles, so it keeps relative precision near theta = 0, where |F|^N
-is large; one inverse FFT and a read-back by index follow.  The transform is
-O(D sqrt N log N) work, and the result still has all N D + 1 weights, so a
-row costs O(N).  Square-and-multiply rounds N-fold instead: on the same
-window it reads 5.4e-10 bits off at N = 10^6 for Bernoulli 0.3.  Against
+raised to the N-th power in polar form, N log|F| + i N arg F.  Where
+|F|^N > (sum w)^N / N, rounding in F would grow N-fold, so there it is taken
+from the law's m nonzero levels in centred form, N arg(F e^(i theta c / N))
+from exactly reduced angles and N log|F| through log1p of a sum of
+nonnegative terms, which keeps relative precision near theta = 0: O(m) per
+frequency, for 18 of the 4861 frequencies at N = 10^6.  One inverse FFT and
+a read-back by index follow.  The transform is O(D sqrt N log N) work, and
+the result still has all N D + 1 weights, so a row costs O(N).
+Square-and-multiply rounds N-fold instead: on the same window it reads
+5.4e-10 bits off at N = 10^6 for Bernoulli 0.3.  Against
 the exact binomial entropy (30-digit mpmath) with the weights at or below
 ``EIG_CUTOFF`` dropped, as every entropy drops them, the entropy agrees to
 2.7e-14 bits for p = 0.3 and exactly for p = 0.5 at N = 10^6, and to
@@ -142,45 +145,47 @@ def _mass_window(w, n_copies: int) -> tuple[int, int, int]:
     size = n_copies * (w.size - 1) + 1
     reach = math.ceil((w.size - 1) * math.sqrt(n_copies * math.log(2 / WRAPPED_MASS_TOL) / 2))
     length = _fft_size(min(size, 2 * reach + 1))
-    centre = round(n_copies * float(w @ np.arange(w.size)) / math.fsum(w))
+    centre = round(n_copies * float(w @ np.arange(w.size, dtype=float) / w.sum()))
     return length, min(max(centre - length // 2, 0), size - min(length, size)), centre
 
 
-def _log_powered_spectrum(w, total: float, j, length: int, centre: int, n_copies: int) -> np.ndarray:
-    """log(F^N e^(i theta c)) at theta = 2 pi j / L in centred polar form: N log|F| + i N phi.
+def _centred_log_power(weights, offsets, total: float, j, cycle: int, n_copies: int) -> np.ndarray:
+    """log(F^N e^(i theta c)) at theta = 2 pi j / L from the law's levels: N log|F| + i N phi.
 
-    N log|F| = N log(sum w) + (N / 2) log1p(-4 sum_k A_k sin^2(k theta / 2) / (sum w)^2)
-    with A_k = sum_x w_x w_(x+k): a sum of nonnegative terms, so 1 - |F|^2 / (sum w)^2
-    keeps its relative precision where |F| is near sum w, where squaring or a log of
-    |F| would lose it.  N phi = N arg sum_x w_x e^(-i theta (x - c / N)), each angle
-    2 pi j (x N - c) / (N L) reduced exactly in integers, so the heavy levels near
-    c / N have small, accurate angles.
+    ``weights`` are the nonzero w_x and ``offsets`` their x N - c, so each angle
+    a_x = theta (x - c / N) = 2 pi j (x N - c) / (N L) is reduced exactly in
+    integers modulo ``cycle`` = N L, and the heavy levels near c / N have small,
+    accurate angles.  phi = arg sum_x w_x e^(-i a_x), and
+    sum w - |F| = 2 sum_x w_x sin^2((a_x + phi) / 2) is a sum of nonnegative
+    terms, so N log|F| = N log(sum w) + N log1p(-(sum w - |F|) / sum w) keeps
+    its relative precision where |F| is near sum w, where a log of |F| would
+    lose it.  An error in phi moves that sum only in second order: phi is where
+    Re(F e^(i theta c / N) e^(-i phi)) peaks.  O(levels) per frequency.
     """
-    lag_sums = np.correlate(w, w, "full")[w.size:]  # A_k for k = 1..D
-    lags, levels = np.nonzero(lag_sums)[0], np.nonzero(w)[0]
-    deficit = np.sin((np.pi / length) * j[:, None] * (lags + 1)) ** 2 @ lag_sums[lags]
-    x = deficit * (4.0 / total**2)  # 1 - |F / sum w|^2, 1 where F = 0
-    log_abs = np.log1p(-x, out=np.full(j.size, -np.inf), where=x < 1.0)
-    cycle = n_copies * length
-    turns = (j[:, None] * (levels * n_copies - centre) + cycle // 2) % cycle - cycle // 2
-    phase = np.angle(np.exp(turns * (-2j * np.pi / cycle)) @ w[levels])
-    return n_copies * (math.log(total) + 0.5 * log_abs) + 1j * (n_copies * phase)
+    turns = (j[:, None] * offsets + cycle // 2) % cycle - cycle // 2
+    angles = turns * (2 * np.pi / cycle)
+    phase = np.angle(np.exp(-1j * angles) @ weights)
+    short = 2.0 * np.sin(0.5 * (angles + phase[:, None])) ** 2 @ weights  # sum w - |F| < sum w
+    return n_copies * (math.log(total) + np.log1p(-short / total)) + 1j * (n_copies * phase)
 
 
 def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
     """N-fold self-convolution of ``per_copy``, powering its spectrum over the window that holds the mass.
 
     One real FFT of length L = O(D sqrt N) holds the N-fold law folded modulo
-    L and centred at c (:func:`_mass_window`); read back by index, it differs
-    from the law on the window by at most ``WRAPPED_MASS_TOL``, and the
-    weights outside the window are zero.  The spectrum F^N e^(i theta c) is
-    powered in centred polar form (:func:`_log_powered_spectrum`), accurate
-    to a few eps near theta = 0; frequencies where |F|^N is below
-    eps (sum w)^N stay zero, which moves no weight by more than eps.  Then
-    one inverse FFT.  The transform costs O(D sqrt N log N); the result still
-    has all N D + 1 weights, so the call is O(N).  Squaring the spectrum
-    instead rounds N-fold: on the same window at N = 10^6 it reads 5.4e-10
-    bits off for Bernoulli 0.3, where the polar form reads 2.7e-14.
+    L (:func:`_mass_window`); read back by index, it differs from the law on
+    the window by at most ``WRAPPED_MASS_TOL``, and the weights outside the
+    window are zero.  F^N = e^(N log|F| + i N arg F) from the transform is
+    off by about N eps r^N where |F| = r sum w, so where r^N > 1 / N it is
+    taken from the m nonzero levels in centred form instead
+    (:func:`_centred_log_power`), accurate to a few eps near theta = 0, at
+    O(m) per frequency and at most about L level terms in all.  Frequencies
+    where |F|^N is below eps (sum w)^N stay zero, which moves no weight by
+    more than eps.  Then one inverse FFT.  The transforms cost
+    O(L log L) with L <= N D + 1; the result still has all N D + 1 weights,
+    so the call is O(N).  Squaring the spectrum instead rounds N-fold: on the
+    same window at N = 10^6 it reads 5.4e-10 bits off for Bernoulli 0.3,
+    where the polar form reads 2.5e-14.
 
     The raw result must sum to (sum p)^N within ``CONVOLVED_SUM_EPS`` N eps.
     Its most negative weight measures the inverse transform's noise: every
@@ -197,20 +202,32 @@ def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
         raise ResourceLimitError(f"convolved support {support} exceeds {_MAX_CONVOLVED_SUPPORT}")
     # zero end weights only shift the result, and a law on a sublattice only spreads it:
     # power the law on the lattice's points between them
-    levels = np.nonzero(p.weights)[0]
-    lo, spacing = int(levels[0]), max(int(np.gcd.reduce(levels - levels[0])), 1)
-    w, total = p.weights[lo:levels[-1] + 1:spacing], math.fsum(p.weights)
+    charges = np.flatnonzero(p.weights)
+    lo, spacing = int(charges[0]), max(int(np.gcd.reduce(charges - charges[0])), 1)
+    w, total = p.weights[lo:charges[-1] + 1:spacing], math.fsum(p.weights[charges])
+    levels = (charges - lo) // spacing  # w's nonzero entries
     length, start, centre = _mass_window(w, n_copies)
     factor = np.fft.rfft(w, length)
-    near = np.nonzero(np.abs(factor) > total * _EPS ** (1 / n_copies))[0]
+    size = np.abs(factor)
+    near = np.flatnonzero(size > total * _EPS ** (1 / n_copies))
+    # F^N in polar form from the transform: at |F| = r sum w its error is about
+    # N eps r^N, so where r^N > 1 / N it is taken from the levels instead
+    log_power = n_copies * (np.log(size[near]) + 1j * np.angle(factor[near]))
+    fine = np.flatnonzero(size[near] > total * n_copies ** (-1 / n_copies))
+    if fine.size * levels.size > length:
+        # a law with many levels that stays near a point mass: the ~L level terms
+        # go to the frequencies with the largest |F|
+        fine = fine[np.argsort(-size[near[fine]], kind="stable")[:max(1, length // levels.size)]]
+    offsets, step = levels * n_copies - centre, max(1, _STACK_ENTRIES // levels.size)
+    for k in (fine[i:i + step] for i in range(0, fine.size, step)):
+        theta_c = (2 * np.pi / length) * (near[k] * centre % length)  # reduced exactly
+        log_power[k] = _centred_log_power(w[levels], offsets, total, near[k], n_copies * length,
+                                          n_copies) - 1j * theta_c
     spectrum = np.zeros(factor.size, dtype=complex)
-    step = max(1, _STACK_ENTRIES // w.size)  # frequencies powered at once
-    for i in range(0, near.size, step):
-        j = near[i:i + step]
-        spectrum[j] = np.exp(_log_powered_spectrum(w, total, j, length, centre, n_copies))
-    # the transform holds the law shifted by -centre and folded modulo length
+    spectrum[near] = np.exp(log_power)
+    # the transform holds the law folded modulo length
     folded = np.fft.irfft(spectrum, length)
-    cut = (start - centre) % length
+    cut = start % length
     acc = np.concatenate((folded[cut:], folded[:cut]))[:n_copies * (w.size - 1) + 1]
     # (sum p)^N is 1 - 1.3e-10 for the stored [0.7, 0.3] at N = 2^22 - 1, beyond INPUT_TOL
     got, expected = float(acc.sum()), total**n_copies
@@ -329,6 +346,21 @@ def _conjugation_bits(rep: FiniteGroupRep) -> float:
     return math.log2(rep.order) - math.log2(_kernel(rep).size)
 
 
+def _conjugation_classes(rep: FiniteGroupRep) -> tuple[np.ndarray, np.ndarray]:
+    """The first element of each distinct map X -> U_g X U_g^dag, and its share of the elements.
+
+    U_g and U_h give the same map iff U_g^dag U_h is a phase, iff
+    |Tr U_g^dag U_h| = d: |G|^2 traces of the unitaries, so the classes do not
+    rely on the multiplication table.  For a representation they are the
+    cosets gK, each |K| / |G| of the elements.
+    """
+    us = np.stack(rep.unitaries)
+    same = np.abs(np.einsum("gij,hij->gh", us.conj(), us)) >= rep.dim - COMPOSED_TOL
+    label = same.argmax(axis=0)  # the first element with the same map as h
+    firsts = np.flatnonzero(label == np.arange(rep.order))
+    return firsts, np.bincount(label, minlength=rep.order)[firsts] / rep.order
+
+
 def _dicke_jx(n: int) -> np.ndarray:
     """J_x of spin n/2 in the Dicke basis |n, k> (k ones, J_z = n/2 - k): real, tridiagonal."""
     k = np.arange(1, n + 1)
@@ -384,23 +416,23 @@ def schur_weyl_weights(eigenvalues, n_copies: int) -> np.ndarray:
     return np.exp2(log2_p)
 
 
-def _qubit_block_gaps(states, eigenvalues, n_max: int) -> np.ndarray:
+def _qubit_block_gaps(states, shares, eigenvalues, n_max: int) -> np.ndarray:
     """H(B_n) - H(Sym^n(rho)) for n = 0..n_max, each spectrum normalized to unit trace.
 
-    B_n = mean_g Sym^n(sigma_g) over the orbit states sigma_g = W_g diag(hi, lo)
-    W_g^dag, and Sym^n(sigma_g) = Sym^n(W_g) hi^n diag(r^k) Sym^n(W_g)^dag with
-    r = lo / hi.  The states may be one per coset of the kernel: every coset
-    has |K| elements with the same state, so the mean is the same.
+    B_n = sum_g s_g Sym^n(sigma_g) over the orbit states sigma_g = W_g diag(hi, lo)
+    W_g^dag with shares s_g summing to 1, and Sym^n(sigma_g) = Sym^n(W_g) hi^n
+    diag(r^k) Sym^n(W_g)^dag with r = lo / hi.  One state per distinct
+    conjugation, with its share of the elements, gives the orbit mean.
     """
     lo, hi = np.clip(eigenvalues, 0.0, None)
     ws = np.linalg.eigh(np.stack([s.matrix for s in states]))[1][:, :, ::-1]  # larger first
-    gaps = np.zeros(n_max + 1)
+    gaps, roots = np.zeros(n_max + 1), np.sqrt(np.asarray(shares, dtype=float))[:, None, None]
     for n in range(1, n_max + 1):
         q = (lo / hi) ** np.arange(n + 1)
         q /= q.sum()
-        x = symmetric_powers(ws, n) * np.sqrt(q)
-        z = x.transpose(1, 0, 2).reshape(n + 1, -1)  # [X_1 X_2 ...]: B_n = z z^dag / |G|
-        spectrum = np.linalg.eigvalsh(z @ z.conj().T) / len(states)
+        x = symmetric_powers(ws, n) * np.sqrt(q) * roots
+        z = x.transpose(1, 0, 2).reshape(n + 1, -1)  # [X_1 X_2 ...]: B_n = z z^dag
+        spectrum = np.linalg.eigvalsh(z @ z.conj().T)
         # not EIG_CUTOFF: a value crossing 1e-12 from one n to the next would step the gap by 4e-11 bits
         gaps[n] = (_entropy_of_spectrum(spectrum, BLOCK_SPECTRUM_CUTOFF)
                    - _entropy_of_spectrum(q, BLOCK_SPECTRUM_CUTOFF))
@@ -420,8 +452,9 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     average acts inside each block.  So A_G(rho^(x)N) = sum_j p_j A_j, with
     p_j the weight of block j (:func:`schur_weyl_weights`) and A_j the
     entropy gap between B_2j = mean_g Sym^2j(U_g rho U_g^dag) and Sym^2j(rho),
-    both normalized.  The mean takes one element per coset of the kernel
-    (elements equal up to a phase give the same state).  One (n + 1) x (n + 1)
+    both normalized.  The mean takes one element per distinct conjugation
+    (elements equal up to a phase give the same state), found from the
+    unitaries alone (:func:`_conjugation_classes`).  One (n + 1) x (n + 1)
     block per n <= n_max serves every row: O(|G| n_max^4) time,
     O(|G| n_max^2) memory, and the cap bounds the workspace |G| (n_max + 1).
     For d > 2, each row sums the orbit's Kronecker powers into one d^N x d^N
@@ -436,8 +469,8 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     states, bound = orbit_ensemble(rep, rho).states, math.log2(rep.order)
     if rho.dim == 2:
         lam = rho.eigenvalues()
-        firsts = np.unique(rep.table[:, _kernel(rep)].min(axis=1))  # the first element of each coset gK
-        gaps = _qubit_block_gaps([states[g] for g in firsts], lam, n_max)
+        firsts, shares = _conjugation_classes(rep)
+        gaps = _qubit_block_gaps([states[g] for g in firsts], shares, lam, n_max)
         values = [float(schur_weyl_weights(lam, n) @ gaps[n::-2]) for n in range(1, n_max + 1)]
     else:
         values = _orbit_mean_asymmetries(states, rho, n_max)

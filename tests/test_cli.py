@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,23 @@ def test_scaling_from_state_file(tmp_path, uniform4_state, charges4):
     rows = payload["result"]["rows"]
     assert rows[0]["N"] == 1
     assert rows[0]["A_bits"] == pytest.approx(2.0, abs=1e-9)
+
+
+
+def test_scaling_on_widely_spread_charges(tmp_path):
+    # charges 0, 1 and 10^5: the N-fold law sits on the compositions of N draws, 15 at N = 4
+    psi = fr.PureState(np.full(3, 1 / math.sqrt(3)))
+    state = write_json(tmp_path / "psi3.json", fr.pure_state_to_json(psi))
+    charges = write_json(tmp_path / "wide.json", {"dim": 3, "charges": [0, 1, 100000]})
+    start = time.perf_counter()
+    rows = run_json(tmp_path, ["scaling", "--state", state, "--charges", charges,
+                               "--n-list", "1,4"])["result"]["rows"]
+    assert time.perf_counter() - start < 10.0
+    counts = [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)]
+    probs = [math.factorial(4) / math.prod(map(math.factorial, c)) / 81 for c in counts]
+    assert [r["N"] for r in rows] == [1, 4]
+    assert rows[0]["A_bits"] == pytest.approx(math.log2(3), abs=1e-13)
+    assert rows[1]["A_bits"] == pytest.approx(-sum(q * math.log2(q) for q in probs), abs=1e-13)
 
 
 def test_scaling_at_the_support_cap(tmp_path):

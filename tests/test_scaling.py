@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -153,6 +154,34 @@ def test_a_zero_of_the_spectrum_on_the_grid_raises_no_warning():
             weights = fr.convolve_copies([0.5, 0.5], n).convolved.weights
         assert fr.shannon_entropy(weights) == pytest.approx(mpmath_binomial_entropy(n, [0.5, 0.5]),
                                                             abs=1e-13)
+
+
+
+def sparse_convolution_oracle(weights, n):
+    """The direct loop over the law's nonzero levels only: exact positions, sums of products."""
+    levels = {int(x): float(weights[x]) for x in np.flatnonzero(weights)}
+    acc = dict(levels)
+    for _ in range(n - 1):
+        nxt = {}
+        for y, a in acc.items():
+            for x, b in levels.items():
+                nxt[x + y] = nxt.get(x + y, 0.0) + a * b
+        acc = nxt
+    out = np.zeros(n * (len(weights) - 1) + 1)
+    out[list(acc)] = list(acc.values())
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 4, 40])
+def test_a_wide_sparse_law_costs_about_one_transform(n):
+    # three levels spread over 0..10^5: the transform is as long as the support, and the
+    # powering costs O(levels) per frequency (a parent-style full transform takes ~0.05 s)
+    w = np.zeros(100001)
+    w[[0, 1, 100000]] = [0.5, 0.3, 0.2]
+    start = time.perf_counter()
+    got = fr.convolve_copies(w, n).convolved.weights
+    assert time.perf_counter() - start < 10.0
+    assert_allclose(got, sparse_convolution_oracle(w, n), rtol=0, atol=4 * n * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("w", [[0.3, 0.0, 0.0, 0.7], [0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.8]])
@@ -447,14 +476,31 @@ def test_qubit_rows_take_one_orbit_state_per_coset_of_the_kernel(monkeypatch, re
     rho, n_max = fr.random_density_operator(2, np.random.default_rng(7)), 30
     gaps, sizes = fr.scaling._qubit_block_gaps, []
     monkeypatch.setattr(fr.scaling, "_qubit_block_gaps",
-                        lambda states, lam, n: sizes.append(len(states)) or gaps(states, lam, n))
+                        lambda states, shares, lam, n: sizes.append(len(states)) or gaps(states, shares, lam, n))
     report = fr.finite_group_bound_check(rep, rho, n_max)
     assert sizes == [cosets]
-    # the oracle: the same rows from the mean over every element's orbit state
-    lam = rho.eigenvalues()
-    every = gaps(fr.orbit_ensemble(rep, rho).states, lam, n_max)
-    rows = [float(schur_weyl_weights(lam, n) @ every[n::-2]) for n in range(1, n_max + 1)]
-    assert_allclose([r.asymmetry for r in report.rows], rows, rtol=0, atol=1e-12)
+    assert_allclose([r.asymmetry for r in report.rows], _all_elements_rows(rep, rho, n_max), rtol=0, atol=1e-12)
+
+
+def _all_elements_rows(rep, rho, n_max):
+    """The qubit rows from the mean over every element's orbit state."""
+    lam, states = rho.eigenvalues(), fr.orbit_ensemble(rep, rho).states
+    every = fr.scaling._qubit_block_gaps(states, np.full(len(states), 1 / len(states)), lam, n_max)
+    return [float(schur_weyl_weights(lam, n) @ every[n::-2]) for n in range(1, n_max + 1)]
+
+
+def test_qubit_rows_do_not_read_the_multiplication_table():
+    # the conjugation classes come from the unitaries: an unvalidated rep with a wrong
+    # table (all zeros) gives the all-elements rows, and so do unitaries that are no
+    # representation, with classes of unequal size ({I, iI}, {X})
+    rho, n_max = fr.random_density_operator(2, np.random.default_rng(11)), 20
+    q8 = fr.quaternion_rep()
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    for rep in (fr.FiniteGroupRep(np.zeros((8, 8), dtype=int), q8.unitaries),
+                fr.FiniteGroupRep(np.zeros((3, 3), dtype=int), [np.eye(2), 1j * np.eye(2), x])):
+        report = fr.finite_group_bound_check(rep, rho, n_max)
+        assert_allclose([r.asymmetry for r in report.rows], _all_elements_rows(rep, rho, n_max),
+                        rtol=0, atol=1e-12)
 
 
 def test_lie_group_log_bound_values():
