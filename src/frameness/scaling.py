@@ -162,11 +162,10 @@ def _centred_log_power(weights, offsets, total: float, j, cycle: int, n_copies: 
     lose it.  An error in phi moves that sum only in second order: phi is where
     Re(F e^(i theta c / N) e^(-i phi)) peaks.  O(levels) per frequency.
     """
-    turns = (j[:, None] * offsets + cycle // 2) % cycle - cycle // 2
-    angles = turns * (2 * np.pi / cycle)
-    phase = np.angle(np.exp(-1j * angles) @ weights)
-    short = 2.0 * np.sin(0.5 * (angles + phase[:, None])) ** 2 @ weights  # sum w - |F| < sum w
-    return n_copies * (math.log(total) + np.log1p(-short / total)) + 1j * (n_copies * phase)
+    half = ((j[:, None] * offsets + cycle // 2) % cycle - cycle // 2) * (np.pi / cycle)  # a_x / 2
+    phase = np.angle(np.exp(-2j * half) @ weights)
+    short = np.sin(half + 0.5 * phase[:, None]) ** 2 @ (2.0 * weights)  # sum w - |F| < sum w
+    return n_copies * (np.log1p(-short / total) + (math.log(total) + 1j * phase))
 
 
 def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
@@ -212,17 +211,18 @@ def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
     near = np.flatnonzero(size > total * _EPS ** (1 / n_copies))
     # F^N in polar form from the transform: at |F| = r sum w its error is about
     # N eps r^N, so where r^N > 1 / N it is taken from the levels instead
-    log_power = n_copies * (np.log(size[near]) + 1j * np.angle(factor[near]))
-    fine = np.flatnonzero(size[near] > total * n_copies ** (-1 / n_copies))
+    size = size[near]
+    log_power = n_copies * (np.log(size) + 1j * np.angle(factor[near]))
+    fine = np.flatnonzero(size > total * n_copies ** (-1 / n_copies))
     if fine.size * levels.size > length:
         # a law with many levels that stays near a point mass: the ~L level terms
         # go to the frequencies with the largest |F|
-        fine = fine[np.argsort(-size[near[fine]], kind="stable")[:max(1, length // levels.size)]]
+        fine = fine[np.argsort(-size[fine], kind="stable")[:max(1, length // levels.size)]]
     offsets, step = levels * n_copies - centre, max(1, _STACK_ENTRIES // levels.size)
     for k in (fine[i:i + step] for i in range(0, fine.size, step)):
-        theta_c = (2 * np.pi / length) * (near[k] * centre % length)  # reduced exactly
-        log_power[k] = _centred_log_power(w[levels], offsets, total, near[k], n_copies * length,
-                                          n_copies) - 1j * theta_c
+        j = near[k]
+        theta_c = (2j * np.pi / length) * (j * centre % length)  # reduced exactly
+        log_power[k] = _centred_log_power(w[levels], offsets, total, j, n_copies * length, n_copies) - theta_c
     spectrum = np.zeros(factor.size, dtype=complex)
     spectrum[near] = np.exp(log_power)
     # the transform holds the law folded modulo length
@@ -331,19 +331,15 @@ class FiniteGroupBoundReport:
         return all(r.ok for r in self.rows)
 
 
-def _kernel(rep: FiniteGroupRep) -> np.ndarray:
-    """K = {k : |Tr U_k| = d}, the elements whose U_k is a phase, from |G| traces.
+def _conjugation_bits(rep: FiniteGroupRep) -> float:
+    """log2 of the number of distinct maps X -> U_g X U_g^dag.
 
-    U_g and U_h give the same map X -> U_g X U_g^dag iff U_g^dag U_h = U_(g^-1 h)
-    is a phase, iff h lies in the coset gK.
+    U_g and U_h give the same map iff U_g^dag U_h = U_(g^-1 h) is a phase,
+    iff g^-1 h lies in the kernel K = {k : |Tr U_k| = d}.  So the maps
+    number |G| / |K|, counted from |G| traces.
     """
     traces = np.abs(np.trace(np.stack(rep.unitaries), axis1=1, axis2=2))
-    return np.flatnonzero(traces >= rep.dim - COMPOSED_TOL)
-
-
-def _conjugation_bits(rep: FiniteGroupRep) -> float:
-    """log2 of the number of distinct maps X -> U_g X U_g^dag: |G| / |K| of them."""
-    return math.log2(rep.order) - math.log2(_kernel(rep).size)
+    return math.log2(rep.order) - math.log2(int(np.count_nonzero(traces >= rep.dim - COMPOSED_TOL)))
 
 
 def _conjugation_classes(rep: FiniteGroupRep) -> tuple[np.ndarray, np.ndarray]:
