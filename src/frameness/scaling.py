@@ -32,8 +32,8 @@ Square-and-multiply rounds N-fold instead: on the same window it reads
 5.4e-10 bits off at N = 10^6 for Bernoulli 0.3.  Against
 the exact binomial entropy (30-digit mpmath) with the weights at or below
 ``EIG_CUTOFF`` dropped, as every entropy drops them, the entropy agrees to
-2.7e-14 bits for p = 0.3 and exactly for p = 0.5 at N = 10^6, and to
-1.8e-15 bits at N = 2*10^4; the dropped weights carry 5.8e-9 and 7.8e-10
+2.5e-14 bits for p = 0.3 and 1.8e-15 bits for p = 0.5 at N = 10^6, and
+exactly at N = 2*10^4; the dropped weights carry 5.8e-9 and 7.8e-10
 bits.  At N = 10^6 one convolution takes about 5-8 ms on a 2-vCPU x86
 machine, against 80-100 ms for square-and-multiply over the whole support.
 """

@@ -98,7 +98,7 @@ def test_million_copies_match_the_binomial_entropy():
     for p in (0.3, 0.5):
         profile = fr.convolve_copies([1.0 - p, p], n)  # constructing it passed the INPUT_TOL sum check
         assert profile.convolved.weights.size == n + 1
-        # Measured 2.7e-14 (p = 0.3) and 0 (p = 0.5) apart.  The float lgamma sum would read
+        # Measured 2.5e-14 (p = 0.3) and 1.8e-15 (p = 0.5) apart.  The float lgamma sum would read
         # 6.1e-9 bits low at this N, and the weights at or below EIG_CUTOFF carry 5.8e-9 bits,
         # so the reference is exact arithmetic over the law and the cutoff the convolution
         # and the entropy use.
