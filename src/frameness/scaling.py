@@ -220,11 +220,12 @@ def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
         # a law with many levels that stays near a point mass: the ~L level terms
         # go to the frequencies with the largest |F|
         fine = fine[np.argsort(-size[fine], kind="stable")[:max(1, length // levels.size)]]
-    offsets, step = levels * n_copies - centre, max(1, _STACK_ENTRIES // levels.size)
+    weights, offsets = w[levels], levels * n_copies - centre
+    step = max(1, _STACK_ENTRIES // levels.size)
     for k in (fine[i:i + step] for i in range(0, fine.size, step)):
         j = near[k]
         theta_c = (2j * np.pi / length) * (j * centre % length)  # reduced exactly
-        log_power[k] = _centred_log_power(w[levels], offsets, total, j, n_copies * length, n_copies) - theta_c
+        log_power[k] = _centred_log_power(weights, offsets, total, j, n_copies * length, n_copies) - theta_c
     spectrum = np.zeros(factor.size, dtype=complex)
     spectrum[near] = np.exp(log_power)
     # the transform holds the law folded modulo length
