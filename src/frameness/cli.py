@@ -601,6 +601,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _per_copy_distribution(ns) -> ProbabilityDistribution:
+    if ns.charges and not ns.state:
+        raise ValueError("--charges also needs --state, the per-copy state the grading applies to")
     if ns.state:
         if not ns.charges:
             raise ValueError("--state also needs --charges to define the per-copy distribution")
@@ -738,12 +740,16 @@ def _cmd_estimate(args) -> int:
     p = _parser("estimate", "Holevo-bound estimation report for a group orbit")
     p.add_argument("--rep", help="finite group JSON; defaults to the qubit Z2 {I, Z}")
     p.add_argument("--charges", help="charge grading JSON for a u1 phase subgroup")
-    p.add_argument("--subgroup", type=int, default=0,
+    p.add_argument("--subgroup", type=_count, default=0,
                    help="order M of the Z_M phase subgroup (with --charges)")
     p.add_argument("--state", required=True)
     p.add_argument("--povms", type=_count, default=0, help="extra random POVMs to try")
     ns = p.parse_args(args)
-    if ns.charges and ns.subgroup:
+    if ns.rep and (ns.charges or ns.subgroup):
+        p.error("--rep cannot be combined with --charges or --subgroup")
+    if bool(ns.charges) != bool(ns.subgroup):
+        p.error("--charges and --subgroup M go together: the Z_M phase subgroup needs both")
+    if ns.charges:
         grading = charge_grading_from_json(_load_json(ns.charges))
         rep = cyclic_phase_rep(grading.charges, ns.subgroup)
     elif ns.rep:

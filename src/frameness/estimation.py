@@ -67,14 +67,18 @@ class OrbitEnsemble:
 def orbit_ensemble(rep: FiniteGroupRep, rho: DensityOperator) -> OrbitEnsemble:
     """The orbit of rho under a unitary rep; a non-unitary T(g) raises RepresentationError.
 
-    Each T(g) rho T(g)^dag shares rho's checked spectrum: no eigensolve per orbit state.
+    The states T(g) rho T(g)^dag come from one batched product over the unitary stack,
+    and each shares rho's checked spectrum: no eigensolve per orbit state.
     """
     if rho.dim != rep.dim:
         raise ShapeMismatchError(f"state dim {rho.dim} does not match rep dim {rep.dim}")
     dev = float(rep.unitarity_deviations().max())
     if dev > INPUT_TOL:
         raise RepresentationError(f"representation is not unitary: max |T^dag T - I| = {dev:.3e}")
-    return OrbitEnsemble(tuple(DensityOperator._conjugate_of(rho, u) for u in rep.unitaries))
+    us = rep.unitaries
+    orbit = us @ rho.matrix @ us.conj().swapaxes(1, 2)
+    orbit = 0.5 * (orbit + orbit.conj().swapaxes(1, 2))
+    return OrbitEnsemble(tuple(DensityOperator._of_checked(m, rho.eigenvalues()) for m in orbit))
 
 
 class DiscretePOVM:

@@ -83,9 +83,10 @@ class ValidationReport:
 class FiniteGroupRep:
     """Finite group given by an index multiplication table and unitaries T(g).
 
-    ``table[i, j]`` is the index of ``g_i g_j``.  Construction checks shapes,
-    finite entries and the order cap only; call :func:`validate_finite_rep`
-    for the full axiom/unitarity/homomorphism report.
+    ``table[i, j]`` is the index of ``g_i g_j``, and ``unitaries`` is one
+    read-only (|G|, d, d) stack with ``unitaries[i]`` = T(g_i).  Construction
+    checks shapes, finite entries and the order cap only; call
+    :func:`validate_finite_rep` for the full axiom/unitarity/homomorphism report.
     """
 
     __slots__ = ("order", "table", "unitaries", "dim")
@@ -103,20 +104,20 @@ class FiniteGroupRep:
         dims = {u.shape for u in us}
         if len(dims) != 1 or us[0].ndim != 2 or us[0].shape[0] != us[0].shape[1]:
             raise RepresentationError(f"unitaries must share one square shape, got {dims}")
+        us = np.array(us)
         finite = np.isfinite(us).all(axis=(1, 2))
         if not finite.all():
             raise RepresentationError(f"T(g{int(finite.argmin())}) has a non-finite entry (NaN or inf)")
         t.setflags(write=False)
-        for u in us:
-            u.setflags(write=False)
+        us.setflags(write=False)
         self.order = n
         self.table = t
-        self.unitaries = tuple(us)
-        self.dim = us[0].shape[0]
+        self.unitaries = us
+        self.dim = us.shape[1]
 
     def unitarity_deviations(self) -> np.ndarray:
         """max |T(g)^dag T(g) - I| entrywise, for each element g."""
-        us = np.stack(self.unitaries)
+        us = self.unitaries
         return np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(self.dim)).max(axis=(1, 2))
 
     def identity_index(self) -> int | None:
@@ -161,7 +162,7 @@ def validate_finite_rep(rep: FiniteGroupRep) -> ValidationReport:
         if dev > INPUT_TOL:
             report.add("unitarity", f"T(g{i}) is not unitary", dev)
 
-    us, worst, first = np.stack(rep.unitaries), 0.0, None
+    us, worst, first = rep.unitaries, 0.0, None
     for i, j, prods in _pair_products(us, max(1, _STACK_ENTRIES // rep.dim**2)):
         dev = np.abs(prods - us[t[i, j]]).max(axis=(1, 2))
         k = int(np.argmax(dev))  # the first worst pair of the block, in row-major order
@@ -201,7 +202,21 @@ def finite_group_from_unitaries(unitaries) -> FiniteGroupRep:
         raise RepresentationError(
             f"product T(g{i})T(g{j}) matches {counts[bad[0]]} elements; set not closed"
         )
-    return FiniteGroupRep(hits.argmax(axis=1).reshape(n, n), list(us))
+    return FiniteGroupRep(hits.argmax(axis=1).reshape(n, n), us)
+
+
+def _distinct_conjugations(rep: FiniteGroupRep) -> tuple[np.ndarray, np.ndarray]:
+    """The first element of each distinct map X -> U_g X U_g^dag, and its share of the elements.
+
+    U_g and U_h give the same map iff U_g^dag U_h is a phase, iff |Tr U_g^dag U_h| = d:
+    |G|^2 traces of the unitaries, not the multiplication table.  For a representation the
+    classes are the cosets of the kernel K = {k : |Tr U_k| = d}, each |K| / |G| of the elements.
+    """
+    us = rep.unitaries
+    same = np.abs(np.einsum("gij,hij->gh", us.conj(), us)) >= rep.dim - COMPOSED_TOL
+    label = same.argmax(axis=0)  # the first element with the same map as h
+    firsts = np.flatnonzero(label == np.arange(rep.order))
+    return firsts, np.bincount(label, minlength=rep.order)[firsts] / rep.order
 
 
 def z2_phase_flip_rep() -> FiniteGroupRep:

@@ -48,10 +48,10 @@ import numpy as np
 
 from .asymmetry import TwirlOperation, g_asymmetry
 from .estimation import orbit_ensemble
-from .groups import ChargeGrading, CollectiveSpinRep, FiniteGroupRep, symmetric_subspace_dimension
+from .groups import (ChargeGrading, CollectiveSpinRep, FiniteGroupRep, _distinct_conjugations,
+                     symmetric_subspace_dimension)
 from .states import (
     BLOCK_SPECTRUM_CUTOFF,
-    COMPOSED_TOL,
     CONVOLVED_SUM_EPS,
     WRAPPED_MASS_TOL,
     ZERO_VARIANCE_CUTOFF,
@@ -253,7 +253,7 @@ def _u1_ladder(per_copy, n_list) -> tuple[float, list[tuple[int, float]]]:
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
         raise ValueError("n_list must contain positive copy counts")
-    return convolve_copies(p, 1).variance(), [(n, u1_ncopy_asymmetry(p, n)) for n in ns]
+    return NumberDistributionProfile(p, 1, p).variance(), [(n, u1_ncopy_asymmetry(p, n)) for n in ns]
 
 
 def gaussian_entropy_model(variance: float, n_copies: int,
@@ -327,37 +327,11 @@ class BoundRow:
 class FiniteGroupBoundReport:
     group_order: int
     rows: list[BoundRow]
-    conjugation_bits: float  # log2 of the number of distinct conjugations X -> U_g X U_g^dag
+    conjugation_bits: float  # log2 of the number of classes the rows' orbit means take one state from
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.rows)
-
-
-def _conjugation_bits(rep: FiniteGroupRep) -> float:
-    """log2 of the number of distinct maps X -> U_g X U_g^dag.
-
-    U_g and U_h give the same map iff U_g^dag U_h = U_(g^-1 h) is a phase,
-    iff g^-1 h lies in the kernel K = {k : |Tr U_k| = d}.  So the maps
-    number |G| / |K|, counted from |G| traces.
-    """
-    traces = np.abs(np.trace(np.stack(rep.unitaries), axis1=1, axis2=2))
-    return math.log2(rep.order) - math.log2(int(np.count_nonzero(traces >= rep.dim - COMPOSED_TOL)))
-
-
-def _conjugation_classes(rep: FiniteGroupRep) -> tuple[np.ndarray, np.ndarray]:
-    """The first element of each distinct map X -> U_g X U_g^dag, and its share of the elements.
-
-    U_g and U_h give the same map iff U_g^dag U_h is a phase, iff
-    |Tr U_g^dag U_h| = d: |G|^2 traces of the unitaries, so the classes do not
-    rely on the multiplication table.  For a representation they are the
-    cosets gK, each |K| / |G| of the elements.
-    """
-    us = np.stack(rep.unitaries)
-    same = np.abs(np.einsum("gij,hij->gh", us.conj(), us)) >= rep.dim - COMPOSED_TOL
-    label = same.argmax(axis=0)  # the first element with the same map as h
-    firsts = np.flatnonzero(label == np.arange(rep.order))
-    return firsts, np.bincount(label, minlength=rep.order)[firsts] / rep.order
 
 
 def _dicke_jx(n: int) -> np.ndarray:
@@ -442,46 +416,51 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
                              n_max: int) -> FiniteGroupBoundReport:
     """Check A_G(rho^(x)N) <= log2|G| for N = 1..n_max from the single-copy orbit.
 
-    G(rho^(x)N) is the orbit average (1/|G|) sum_g (U_g rho U_g^dag)^(x)N.  It
-    mixes at most ``conjugation_bits`` worth of distinct product states, so
-    every row also stays below that, often tighter than log2|G|.
+    G(rho^(x)N) is the orbit average (1/|G|) sum_g (U_g rho U_g^dag)^(x)N.
+    Elements equal up to a phase give the same orbit state, so on both paths
+    below the average takes one state per distinct conjugation, weighted by
+    its share of the elements (:func:`groups._distinct_conjugations`, from
+    the unitaries alone).  It mixes at most that many product states, so every
+    row also stays below ``conjugation_bits``, log2 of the class count, often
+    tighter than log2|G|.
 
     On a qubit, Schur-Weyl duality splits rho^(x)N into blocks
     det(rho)^(N/2-j) Sym^2j(rho) (x) I_(m_j), one per spin j, and the orbit
     average acts inside each block.  So A_G(rho^(x)N) = sum_j p_j A_j, with
     p_j the weight of block j (:func:`schur_weyl_weights`) and A_j the
     entropy gap between B_2j = mean_g Sym^2j(U_g rho U_g^dag) and Sym^2j(rho),
-    both normalized.  The mean takes one element per distinct conjugation
-    (elements equal up to a phase give the same state), found from the
-    unitaries alone (:func:`_conjugation_classes`).  One (n + 1) x (n + 1)
-    block per n <= n_max serves every row: O(|G| n_max^4) time,
-    O(|G| n_max^2) memory, and the cap bounds the workspace |G| (n_max + 1).
-    For d > 2, each row sums the orbit's Kronecker powers into one d^N x d^N
-    mean and eigensolves it, and the cap bounds d^n_max.  Neither builds an
-    N-copy representation or channel.  The bound does not depend on N.
+    both normalized.  One (n + 1) x (n + 1) block per n <= n_max serves every
+    row: O(|G| n_max^4) time, O(|G| n_max^2) memory, and the cap bounds the
+    workspace |G| (n_max + 1).  For d > 2, each row sums the class states'
+    Kronecker powers into one d^N x d^N mean and eigensolves it, and the cap
+    bounds d^n_max.  Neither builds an N-copy representation or channel.
+    The bound does not depend on N.
     """
     if n_max < 1:
         raise ValueError(f"need at least one copy, got {n_max}")
     workspace = rep.order * (n_max + 1) if rho.dim == 2 else rho.dim**n_max
     if workspace > max_dim():
         raise ResourceLimitError(f"workspace {workspace} for N <= {n_max} exceeds cap {max_dim()}")
-    states, bound = orbit_ensemble(rep, rho).states, math.log2(rep.order)
+    orbit = orbit_ensemble(rep, rho).states
+    firsts, shares = _distinct_conjugations(rep)
+    states = [orbit[g] for g in firsts]
     if rho.dim == 2:
         lam = rho.eigenvalues()
-        firsts, shares = _conjugation_classes(rep)
-        gaps = _qubit_block_gaps([states[g] for g in firsts], shares, lam, n_max)
+        gaps = _qubit_block_gaps(states, shares, lam, n_max)
         values = [float(schur_weyl_weights(lam, n) @ gaps[n::-2]) for n in range(1, n_max + 1)]
     else:
-        values = _orbit_mean_asymmetries(states, rho, n_max)
+        values = _orbit_mean_asymmetries(states, shares, rho, n_max)
+    bound = math.log2(rep.order)
     rows = [BoundRow(n, a, bound) for n, a in enumerate(values, 1)]
-    return FiniteGroupBoundReport(rep.order, rows, _conjugation_bits(rep))
+    # log2 of the class count, as log2|G| - log2|K|: for a representation |G| / classes is |K|
+    return FiniteGroupBoundReport(rep.order, rows, bound - math.log2(rep.order / firsts.size))
 
 
-def _orbit_mean_asymmetries(states, rho: DensityOperator, n_max: int) -> list[float]:
-    """S((1/|G|) sum_g sigma_g^(x)N) - N S(rho) for N = 1..n_max, one d^N x d^N mean per N."""
+def _orbit_mean_asymmetries(states, shares, rho: DensityOperator, n_max: int) -> list[float]:
+    """S(sum_c s_c sigma_c^(x)N) - N S(rho) for N = 1..n_max, one d^N x d^N mean per N."""
     means = [np.zeros((rho.dim**n, rho.dim**n), dtype=complex) for n in range(1, n_max + 1)]
-    for state in states:
-        power = state.matrix
+    for state, share in zip(states, shares):
+        power = share * state.matrix  # the share rides on the first factor
         for n, mean in enumerate(means, 1):
             if n > 1:
                 power = np.kron(power, state.matrix)  # P_n = P_(n-1) (x) sigma: one Kronecker per N
@@ -489,7 +468,7 @@ def _orbit_mean_asymmetries(states, rho: DensityOperator, n_max: int) -> list[fl
     s_in, out = von_neumann_entropy(rho), []
     for n in range(1, n_max + 1):
         mean, means[n - 1] = means[n - 1], None  # released once solved
-        out.append(_entropy_of_spectrum(np.linalg.eigvalsh(mean) / len(states)) - n * s_in)
+        out.append(_entropy_of_spectrum(np.linalg.eigvalsh(mean)) - n * s_in)
     return out
 
 

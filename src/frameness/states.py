@@ -107,12 +107,6 @@ class DensityOperator:
         state.dim, state.matrix, state._spectrum = int(m.shape[0]), m, spectrum
         return state
 
-    @classmethod
-    def _conjugate_of(cls, rho: "DensityOperator", u: np.ndarray) -> "DensityOperator":
-        """u rho u^dag for a u already checked unitary to INPUT_TOL: rho's spectrum, no eigensolve."""
-        m = u @ rho.matrix @ u.conj().T
-        return cls._of_checked(0.5 * (m + m.conj().T), rho._spectrum)
-
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum (read-only; computed once, on construction)."""
         return self._spectrum

@@ -246,6 +246,37 @@ def test_ree_state_file(tmp_path):
     assert payload["result"]["upper"] == pytest.approx(1 - fr.binary_entropy(0.9), abs=1e-4)
 
 
+def test_scaling_charges_without_a_state_is_an_error(tmp_path, capsys):
+    # mirror of "--state also needs --charges": the grading is not silently dropped
+    charges = write_json(tmp_path / "c2.json", {"dim": 2, "charges": [0, 1]})
+    out = tmp_path / "out.json"
+    assert cli.run(["scaling", "--charges", charges, "--copies", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --charges also needs --state, the per-copy state the grading applies to\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--subgroup", "4"], "--charges and --subgroup M go together"),
+    (["--charges", "CHARGES"], "--charges and --subgroup M go together"),
+    (["--charges", "CHARGES", "--subgroup", "0"], "--charges and --subgroup M go together"),
+    (["--rep", "REP", "--charges", "CHARGES", "--subgroup", "3"], "--rep cannot be combined with --charges"),
+    (["--rep", "REP", "--subgroup", "3"], "--rep cannot be combined with --charges or --subgroup"),
+    (["--rep", "REP", "--charges", "CHARGES"], "--rep cannot be combined with --charges or --subgroup"),
+    (["--subgroup", "-3"], "argument --subgroup: must be a nonnegative count, got -3"),
+])
+def test_estimate_options_that_would_be_dropped_are_usage_errors(tmp_path, capsys, args, message):
+    qutrit = write_json(tmp_path / "q3.json", fr.pure_state_to_json(fr.PureState(np.ones(3) / math.sqrt(3))))
+    files = {"CHARGES": write_json(tmp_path / "c3.json", {"dim": 3, "charges": [0, 1, 2]}),
+             "REP": write_json(tmp_path / "q8.json", fr.finite_rep_to_json(fr.quaternion_rep()))}
+    out = tmp_path / "out.json"
+    argv = ["estimate", "--state", qutrit, *(files.get(a, a) for a in args), "--out", str(out)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("frameness estimate: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
+
 def test_estimate(tmp_path, plus_state_file):
     payload = run_json(tmp_path, ["estimate", "--state", plus_state_file, "--povms", "2"])
     res = payload["result"]

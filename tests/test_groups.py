@@ -54,6 +54,28 @@ def test_non_finite_unitary_entries_are_rejected(bad):
         fr.FiniteGroupRep([[0, 1], [1, 0]], [np.eye(2), np.diag([bad, 1.0])])
 
 
+def test_unitaries_are_one_read_only_stack():
+    rep = fr.quaternion_rep()
+    assert isinstance(rep.unitaries, np.ndarray) and rep.unitaries.shape == (8, 2, 2)
+    assert rep.unitaries.dtype == complex and not rep.unitaries.flags.writeable
+    given = [np.eye(2), np.diag([1.0, -1.0])]
+    rep = fr.FiniteGroupRep([[0, 1], [1, 0]], given)
+    given[1][0, 0] = 5.0  # the stack is a copy
+    assert_allclose(rep.unitaries, [np.eye(2), np.diag([1.0, -1.0])], rtol=0, atol=0)
+    assert fr.FiniteGroupRep(rep.table, rep.unitaries).unitaries.shape == (2, 2, 2)
+
+
+@pytest.mark.parametrize("unitaries, message", [
+    ([np.eye(2), np.eye(3)], r"unitaries must share one square shape, got \{\(2, 2\), \(3, 3\)\}|"
+                             r"unitaries must share one square shape, got \{\(3, 3\), \(2, 2\)\}"),
+    ([np.ones((2, 3)), np.ones((2, 3))], r"unitaries must share one square shape, got \{\(2, 3\)\}"),
+    ([np.eye(2)], r"1 unitaries for a table of order 2"),
+])
+def test_malformed_unitaries_keep_their_messages(unitaries, message):
+    with pytest.raises(fr.RepresentationError, match=message):
+        fr.FiniteGroupRep([[0, 1], [1, 0]], unitaries)
+
+
 def test_from_unitaries_requires_closure():
     theta = 0.3
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])

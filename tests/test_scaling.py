@@ -474,8 +474,11 @@ def test_symmetric_powers_stay_unitary_and_multiplicative_at_n_200():
 @pytest.mark.parametrize("rep, bits", [(fr.z2_phase_flip_rep(), 1.0), (fr.quaternion_rep(), 2.0),
                                        (fr.cyclic_phase_rep([0, 1], 3), math.log2(3)),
                                        (fr.cyclic_phase_rep([0, 1, 2], 3), math.log2(3)),
-                                       (fr.cyclic_phase_rep([1, 1], 4), 0.0)],
-                         ids=["z2", "q8", "z3", "z3-qutrit", "z4-global-phase"])
+                                       (fr.cyclic_phase_rep([1, 1], 4), 0.0),
+                                       # no representation: two maps, from classes of 2 and 1 elements
+                                       (fr.FiniteGroupRep(np.zeros((3, 3), dtype=int),
+                                                          [np.eye(2), 1j * np.eye(2), np.eye(2)[::-1]]), 1.0)],
+                         ids=["z2", "q8", "z3", "z3-qutrit", "z4-global-phase", "unequal-classes"])
 def test_conjugation_bits_count_maps_not_elements(rep, bits):
     rho = fr.random_density_operator(rep.dim, np.random.default_rng(1))
     report = fr.finite_group_bound_check(rep, rho, 2)
@@ -496,6 +499,19 @@ def test_qubit_rows_take_one_orbit_state_per_coset_of_the_kernel(monkeypatch, re
     report = fr.finite_group_bound_check(rep, rho, n_max)
     assert sizes == [cosets]
     assert_allclose([r.asymmetry for r in report.rows], _all_elements_rows(rep, rho, n_max), rtol=0, atol=1e-12)
+
+
+def test_qudit_rows_take_one_orbit_state_per_coset_of_the_kernel(monkeypatch):
+    # Q8 (x) I_3 on d = 6: the kernel {I, -I} leaves 4 classes, as on a qubit
+    rep = fr.finite_group_from_unitaries([np.kron(u, np.eye(3)) for u in fr.quaternion_rep().unitaries])
+    rho, n_max = fr.random_density_operator(6, np.random.default_rng(3)), 3
+    means, sizes = fr.scaling._orbit_mean_asymmetries, []
+    monkeypatch.setattr(fr.scaling, "_orbit_mean_asymmetries",
+                        lambda states, shares, r, n: sizes.append(len(states)) or means(states, shares, r, n))
+    report = fr.finite_group_bound_check(rep, rho, n_max)
+    assert sizes == [4] and report.conjugation_bits == 2.0
+    assert_allclose([r.asymmetry for r in report.rows], kronecker_bound_asymmetries(rep, rho, n_max),
+                    rtol=0, atol=1e-12)
 
 
 def _all_elements_rows(rep, rho, n_max):
