@@ -624,7 +624,7 @@ def _default_n_list(n_top: int):
 @_command("scaling")
 def _cmd_scaling(args) -> int:
     p = _parser("scaling", "N-copy asymmetry against the Gaussian-entropy model")
-    p.add_argument("--p", type=_weight, default=0.5, help="per-copy Bernoulli weight on charge 1")
+    p.add_argument("--p", type=_weight, help="per-copy Bernoulli weight on charge 1 (default 0.5)")
     p.add_argument("--state", help="per-copy pure state JSON (with --charges)")
     p.add_argument("--charges", help="charge grading JSON for --state")
     p.add_argument("--copies", type=_copies, default=200, help="largest N tabulated")
@@ -632,6 +632,10 @@ def _cmd_scaling(args) -> int:
     p.add_argument("--constant", choices=("bits", "half"), default="bits",
                    help="additive model constant: (1/2)log2(e) or the literal 1/2")
     ns = p.parse_args(args)
+    if ns.state and ns.p is not None:
+        p.error("--p sets the Bernoulli law, which --state replaces")
+    if not ns.state and ns.p is None:
+        ns.p = 0.5  # recorded as the Bernoulli law's weight
     per_copy = _per_copy_distribution(ns)
     n_list = ([int(x) for x in ns.n_list.split(",")] if ns.n_list else _default_n_list(ns.copies))
     constant = GAUSSIAN_CONSTANT_BITS if ns.constant == "bits" else GAUSSIAN_CONSTANT_HALF

@@ -37,9 +37,10 @@ from .states import (
 
 @dataclass
 class OrbitEnsemble:
-    """States T(g) rho T(g)^dag for all g, with the uniform prior."""
+    """States T(g) rho T(g)^dag for all g, with the uniform prior; ``matrices`` stacks them, (|G|, d, d)."""
 
     states: tuple[DensityOperator, ...]
+    matrices: np.ndarray | None = field(default=None, repr=False, compare=False)
     _average: DensityOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -48,6 +49,8 @@ class OrbitEnsemble:
         d = self.states[0].dim
         if any(s.dim != d for s in self.states):
             raise ShapeMismatchError("ensemble states differ in dimension")
+        if self.matrices is None:
+            self.matrices = np.stack([s.matrix for s in self.states])
 
     @property
     def size(self) -> int:
@@ -78,7 +81,8 @@ def orbit_ensemble(rep: FiniteGroupRep, rho: DensityOperator) -> OrbitEnsemble:
     us = rep.unitaries
     orbit = us @ rho.matrix @ us.conj().swapaxes(1, 2)
     orbit = 0.5 * (orbit + orbit.conj().swapaxes(1, 2))
-    return OrbitEnsemble(tuple(DensityOperator._of_checked(m, rho.eigenvalues()) for m in orbit))
+    orbit.setflags(write=False)  # the states are views of it
+    return OrbitEnsemble(tuple(DensityOperator._of_checked(m, rho.eigenvalues()) for m in orbit), orbit)
 
 
 class DiscretePOVM:
@@ -116,8 +120,7 @@ def mutual_information(ens: OrbitEnsemble, povm: DiscretePOVM) -> float:
     """H(g' : g) = H(g) + H(g') - H(g, g') in bits, for the uniform prior over the orbit."""
     if povm.dim != ens.dim:
         raise ShapeMismatchError(f"POVM dim {povm.dim} does not match ensemble dim {ens.dim}")
-    states = np.stack([s.matrix for s in ens.states])
-    cond = np.einsum("gij,eji->ge", states, povm.effects).real  # Tr(rho_g E_e)
+    cond = np.einsum("gij,eji->ge", ens.matrices, povm.effects).real  # Tr(rho_g E_e)
     joint = np.clip(cond, 0.0, None) / ens.size
     total = (_entropy_of_spectrum(joint.sum(axis=1)) + _entropy_of_spectrum(joint.sum(axis=0))
              - _entropy_of_spectrum(joint.ravel()))
@@ -135,8 +138,7 @@ def square_root_measurement(ens: OrbitEnsemble) -> DiscretePOVM:
     keep = lams > EIG_CUTOFF
     inv_sqrt = (vecs[:, keep] / np.sqrt(lams[keep])) @ vecs[:, keep].conj().T
     null = vecs[:, ~keep] @ vecs[:, ~keep].conj().T
-    states = np.stack([st.matrix for st in ens.states])
-    e = inv_sqrt @ (states / ens.size) @ inv_sqrt + null / ens.size
+    e = inv_sqrt @ (ens.matrices / ens.size) @ inv_sqrt + null / ens.size
     return DiscretePOVM(0.5 * (e + e.conj().swapaxes(1, 2)))
 
 

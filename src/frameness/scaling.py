@@ -26,22 +26,26 @@ from the law's m nonzero levels in centred form, N arg(F e^(i theta c / N))
 from exactly reduced angles and N log|F| through log1p of a sum of
 nonnegative terms, which keeps relative precision near theta = 0: O(m) per
 frequency, for 17 of the 4861 frequencies at N = 10^6.  One inverse FFT and
-a read-back by index follow.  The transform is O(D sqrt N log N) work, and
-the result still has all N D + 1 weights, so a row costs O(N).
-Square-and-multiply rounds N-fold instead: on the same window it reads
-5.4e-10 bits off at N = 10^6 for Bernoulli 0.3.  Against
-the exact binomial entropy (30-digit mpmath) with the weights at or below
-``EIG_CUTOFF`` dropped, as every entropy drops them, the entropy agrees to
-2.5e-14 bits for p = 0.3 and 1.8e-15 bits for p = 0.5 at N = 10^6, and
-exactly at N = 2*10^4; the dropped weights carry 5.8e-9 and 7.8e-10
-bits.  At N = 10^6 one convolution takes about 5-8 ms on a 2-vCPU x86
-machine, against 80-100 ms for square-and-multiply over the whole support.
+a read-back by index follow.  The transform is O(D sqrt N log N) work.  A
+table prepares the law once, and each row takes its entropy from the window
+alone, so a row also costs O(D sqrt N log N); :func:`convolve_copies` still
+returns all N D + 1 weights, which is O(N).  Square-and-multiply rounds
+N-fold instead: on the same window it reads 5.4e-10 bits off at N = 10^6
+for Bernoulli 0.3.  Against the exact binomial entropy (30-digit mpmath)
+with the weights at or below ``EIG_CUTOFF`` dropped, as every entropy drops
+them, a row agrees to 2.7e-14 bits for p = 0.3 and exactly for p = 0.5 at
+N = 10^6; the dropped weights carry 5.8e-9 and 7.8e-10 bits.  On a 2-vCPU
+x86 machine one convolution at N = 10^6 takes about 5-8 ms, against 80-100
+ms for square-and-multiply over the whole support; its table row takes
+0.5-0.6 ms, against 13-21 ms when the row read the whole support, and a
+12-row ladder to N = 2*10^4 takes 1.0-1.1 ms against 1.4-2.0 ms.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +67,6 @@ from .states import (
     _STACK_ENTRIES,
     _entropy_of_spectrum,
     max_dim,
-    shannon_entropy,
     trace_distance,
     von_neumann_entropy,
     within_bound,
@@ -74,6 +77,8 @@ GAUSSIAN_CONSTANT_HALF = 0.5  # natural-log convention, kept for literal reprodu
 
 _MAX_CONVOLVED_SUPPORT = 1 << 22
 _EPS = np.finfo(float).eps
+# what every N of a ladder shares (_prepare_law): the law p, its weights w on the lattice lo + spacing k
+_Law = namedtuple("_Law", "p lo spacing w total levels level_weights mean")
 
 
 def number_variance(grading: ChargeGrading, state) -> float:
@@ -133,8 +138,8 @@ def _fft_size(n: int) -> int:
     return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, n)]
 
 
-def _mass_window(w, n_copies: int) -> tuple[int, int, int]:
-    """(L, start, c) for the N-fold law of w on 0..D: transform length, first index, centre.
+def _mass_window(law, n_copies: int) -> tuple[int, int, int]:
+    """(L, start, c) for the N-fold law of ``law.w`` on 0..D: transform length, first index, centre.
 
     The N-fold law puts all but ``WRAPPED_MASS_TOL`` of its mass within
     t = D sqrt(N ln(2 / tol) / 2) of its mean (Hoeffding's inequality), so
@@ -142,10 +147,10 @@ def _mass_window(w, n_copies: int) -> tuple[int, int, int]:
     [start, start + min(L, N D + 1)) holds [c - t, c + t] with c = round(N mean),
     moved inside the support where it would cross an end.
     """
-    size = n_copies * (w.size - 1) + 1
-    reach = math.ceil((w.size - 1) * math.sqrt(n_copies * math.log(2 / WRAPPED_MASS_TOL) / 2))
+    size = n_copies * (law.w.size - 1) + 1
+    reach = math.ceil((law.w.size - 1) * math.sqrt(n_copies * math.log(2 / WRAPPED_MASS_TOL) / 2))
     length = _fft_size(min(size, 2 * reach + 1))
-    centre = round(n_copies * float(w @ np.arange(w.size, dtype=float) / w.sum()))
+    centre = round(n_copies * law.mean)
     return length, min(max(centre - length // 2, 0), size - min(length, size)), centre
 
 
@@ -166,6 +171,60 @@ def _centred_log_power(weights, offsets, total: float, j, cycle: int, n_copies: 
     phase = np.angle(np.exp(-2j * half) @ weights)
     short = np.sin(half + 0.5 * phase[:, None]) ** 2 @ (2.0 * weights)  # sum w - |F| < sum w
     return n_copies * (np.log1p(-short / total) + (math.log(total) + 1j * phase))
+
+
+def _prepare_law(per_copy) -> _Law:
+    p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
+    # zero end weights only shift the result, and a law on a sublattice only spreads it:
+    # power the law on the lattice's points between them
+    charges = np.flatnonzero(p.weights)
+    lo, spacing = int(charges[0]), max(int(np.gcd.reduce(charges - charges[0])), 1)
+    w, levels = p.weights[lo:charges[-1] + 1:spacing], (charges - lo) // spacing
+    return _Law(p, lo, spacing, w, math.fsum(p.weights[charges]), levels, w[levels],
+                float(w @ np.arange(w.size, dtype=float) / w.sum()))
+
+
+def _power_window(law: _Law, n_copies: int) -> tuple[np.ndarray, int]:
+    """The normalized N-fold law of ``law.w`` on its mass window, and its start: see convolve_copies."""
+    if n_copies < 1:
+        raise ValueError("need at least one copy")
+    support = n_copies * (len(law.p) - 1) + 1
+    if support > _MAX_CONVOLVED_SUPPORT:
+        raise ResourceLimitError(f"convolved support {support} exceeds {_MAX_CONVOLVED_SUPPORT}")
+    w, total, levels = law.w, law.total, law.levels
+    length, start, centre = _mass_window(law, n_copies)
+    factor = np.fft.rfft(w, length)
+    size = np.abs(factor)
+    near = np.flatnonzero(size > total * _EPS ** (1 / n_copies))
+    # F^N in polar form from the transform: at |F| = r sum w its error is about
+    # N eps r^N, so where r^N > 1 / N it is taken from the levels instead, except
+    # at theta = 0 (near[0]), where F^N = (sum w)^N
+    size = size[near]
+    log_power = n_copies * (np.log(size) + 1j * np.angle(factor[near]))
+    log_power[0] = n_copies * math.log(total)
+    fine = 1 + np.flatnonzero(size[1:] > total * n_copies ** (-1 / n_copies))
+    if fine.size * levels.size > length:
+        # a law with many levels that stays near a point mass: the ~L level terms
+        # go to the frequencies with the largest |F|
+        fine = fine[np.argsort(-size[fine], kind="stable")[:max(1, length // levels.size)]]
+    weights, offsets = law.level_weights, levels * n_copies - centre
+    step = max(1, _STACK_ENTRIES // levels.size)
+    for k in (fine[i:i + step] for i in range(0, fine.size, step)):
+        j = near[k]
+        theta_c = (2j * np.pi / length) * (j * centre % length)  # reduced exactly
+        log_power[k] = _centred_log_power(weights, offsets, total, j, n_copies * length, n_copies) - theta_c
+    spectrum = np.zeros(factor.size, dtype=complex)
+    spectrum[near] = np.exp(log_power)
+    # the transform holds the law folded modulo length
+    folded = np.fft.irfft(spectrum, length)
+    cut = start % length
+    acc = np.concatenate((folded[cut:], folded[:cut]))[:n_copies * (w.size - 1) + 1]
+    # (sum p)^N is 1 - 1.3e-10 for the stored [0.7, 0.3] at N = 2^22 - 1, beyond INPUT_TOL
+    got, expected = float(acc.sum()), total**n_copies
+    if not abs(got - expected) <= CONVOLVED_SUM_EPS * n_copies * _EPS:  # a NaN or inf sum fails too
+        raise FramenessError(f"{n_copies}-fold convolution sums to {got!r}, expected {expected!r}")
+    acc[np.abs(acc) <= -acc.min()] = 0.0  # the most negative weight's size is the transform's noise
+    return acc / acc.sum(), start
 
 
 def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
@@ -193,67 +252,26 @@ def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
     and a law on a sublattice only spreads it, so a point mass comes out
     exact at any N and a law on every k-th charge is powered on 0..D / k.
     """
-    p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    support = n_copies * (len(p) - 1) + 1
-    if support > _MAX_CONVOLVED_SUPPORT:
-        raise ResourceLimitError(f"convolved support {support} exceeds {_MAX_CONVOLVED_SUPPORT}")
-    # zero end weights only shift the result, and a law on a sublattice only spreads it:
-    # power the law on the lattice's points between them
-    charges = np.flatnonzero(p.weights)
-    lo, spacing = int(charges[0]), max(int(np.gcd.reduce(charges - charges[0])), 1)
-    w, total = p.weights[lo:charges[-1] + 1:spacing], math.fsum(p.weights[charges])
-    levels = (charges - lo) // spacing  # w's nonzero entries
-    length, start, centre = _mass_window(w, n_copies)
-    factor = np.fft.rfft(w, length)
-    size = np.abs(factor)
-    near = np.flatnonzero(size > total * _EPS ** (1 / n_copies))
-    # F^N in polar form from the transform: at |F| = r sum w its error is about
-    # N eps r^N, so where r^N > 1 / N it is taken from the levels instead, except
-    # at theta = 0 (near[0]), where F^N = (sum w)^N
-    size = size[near]
-    log_power = n_copies * (np.log(size) + 1j * np.angle(factor[near]))
-    log_power[0] = n_copies * math.log(total)
-    fine = 1 + np.flatnonzero(size[1:] > total * n_copies ** (-1 / n_copies))
-    if fine.size * levels.size > length:
-        # a law with many levels that stays near a point mass: the ~L level terms
-        # go to the frequencies with the largest |F|
-        fine = fine[np.argsort(-size[fine], kind="stable")[:max(1, length // levels.size)]]
-    weights, offsets = w[levels], levels * n_copies - centre
-    step = max(1, _STACK_ENTRIES // levels.size)
-    for k in (fine[i:i + step] for i in range(0, fine.size, step)):
-        j = near[k]
-        theta_c = (2j * np.pi / length) * (j * centre % length)  # reduced exactly
-        log_power[k] = _centred_log_power(weights, offsets, total, j, n_copies * length, n_copies) - theta_c
-    spectrum = np.zeros(factor.size, dtype=complex)
-    spectrum[near] = np.exp(log_power)
-    # the transform holds the law folded modulo length
-    folded = np.fft.irfft(spectrum, length)
-    cut = start % length
-    acc = np.concatenate((folded[cut:], folded[:cut]))[:n_copies * (w.size - 1) + 1]
-    # (sum p)^N is 1 - 1.3e-10 for the stored [0.7, 0.3] at N = 2^22 - 1, beyond INPUT_TOL
-    got, expected = float(acc.sum()), total**n_copies
-    if abs(got - expected) > CONVOLVED_SUM_EPS * n_copies * _EPS:
-        raise FramenessError(f"{n_copies}-fold convolution sums to {got!r}, expected {expected!r}")
-    acc[np.abs(acc) <= -acc.min()] = 0.0  # the most negative weight's size is the transform's noise
-    out = np.zeros(support)
-    out[n_copies * lo + spacing * start::spacing][:acc.size] = acc / acc.sum()
-    return NumberDistributionProfile(p, n_copies, ProbabilityDistribution(out))
+    window, start = _power_window(law := _prepare_law(per_copy), n_copies)
+    out = np.zeros(n_copies * (len(law.p) - 1) + 1)
+    out[n_copies * law.lo + law.spacing * start::law.spacing][:window.size] = window
+    return NumberDistributionProfile(law.p, n_copies, ProbabilityDistribution(out))
 
 
 def u1_ncopy_asymmetry(per_copy, n_copies: int) -> float:
-    """Asymmetry of N copies of a pure state, from its charge distribution alone."""
-    return shannon_entropy(convolve_copies(per_copy, n_copies).convolved)
+    """Asymmetry of N copies of a pure state, from its charge distribution (or prepared law) alone."""
+    law = per_copy if isinstance(per_copy, _Law) else _prepare_law(per_copy)
+    return _entropy_of_spectrum(_power_window(law, n_copies)[0])
 
 
 def _u1_ladder(per_copy, n_list) -> tuple[float, list[tuple[int, float]]]:
     """The per-copy law's variance and (N, A(N)) for each distinct N in ``n_list``, ascending."""
-    p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
+    law = _prepare_law(per_copy)  # once for the whole ladder
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
         raise ValueError("n_list must contain positive copy counts")
-    return NumberDistributionProfile(p, 1, p).variance(), [(n, u1_ncopy_asymmetry(p, n)) for n in ns]
+    return NumberDistributionProfile(law.p, 1, law.p).variance(), [(n, u1_ncopy_asymmetry(law, n))
+                                                                     for n in ns]
 
 
 def gaussian_entropy_model(variance: float, n_copies: int,

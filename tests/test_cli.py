@@ -144,6 +144,19 @@ def test_scaling_from_state_file(tmp_path, uniform4_state, charges4):
     rows = payload["result"]["rows"]
     assert rows[0]["N"] == 1
     assert rows[0]["A_bits"] == pytest.approx(2.0, abs=1e-9)
+    assert "p" not in payload["meta"]["config"]  # the Bernoulli weight plays no part
+
+
+def test_scaling_refuses_p_with_a_state(tmp_path, capsys, uniform4_state, charges4):
+    # --p would be dropped: the state's charge law replaces the Bernoulli law
+    out = tmp_path / "out.json"
+    args = ["scaling", "--state", uniform4_state, "--charges", charges4, "--p", "0.3", "--out", str(out)]
+    assert cli.run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "frameness scaling: error: --p sets the Bernoulli law, which --state replaces\n"
+    assert captured.out == "" and not out.exists()
+    # without --p the Bernoulli law's weight is recorded as 0.5
+    assert run_json(tmp_path, ["scaling", "--copies", "2"])["meta"]["config"]["p"] == 0.5
 
 
 
@@ -182,6 +195,15 @@ def test_scaling_beyond_the_support_cap_exits_3(tmp_path, capsys, levels, n):
                 "--charges", write_json(tmp_path / "c3.json", {"dim": 3, "charges": [0, 1, 2]})]
     out = tmp_path / "out.json"
     assert cli.run(["scaling", *args, "--n-list", str(n), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "resource limit: convolved support 4194305 exceeds 4194304\n"
+
+
+def test_scaling_ladder_past_the_support_cap_exits_3(tmp_path, capsys):
+    # the default ladder runs 1..1000 and then 2^22 copies, whose support is 2^22 + 1
+    out = tmp_path / "out.json"
+    assert cli.run(["scaling", "--p", "0.3", "--copies", "4194304", "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == "resource limit: convolved support 4194305 exceeds 4194304\n"
@@ -284,6 +306,24 @@ def test_estimate(tmp_path, plus_state_file):
     assert res["best_info"] == pytest.approx(1.0, abs=1e-9)
     assert res["ok"] is True
     assert res["povm"] == "srm"
+
+
+def test_estimate_on_q8_reads_the_orbit_stack_bit_for_bit(tmp_path):
+    # the SRM and every mutual information read the stack orbit_ensemble built; the orbit
+    # states stacked anew for each POVM give the same bits
+    rep = fr.quaternion_rep()
+    rho = fr.random_density_operator(2, np.random.default_rng(4))
+    rep_file = write_json(tmp_path / "q8.json", fr.finite_rep_to_json(rep))
+    state_file = write_json(tmp_path / "rho.json", fr.density_to_json(rho))
+    tried = run_json(tmp_path, ["estimate", "--rep", rep_file, "--state", state_file,
+                                "--povms", "6", "--seed", "3"])["result"]["tried"]
+    ens = fr.orbit_ensemble(cli._load_finite_rep(rep_file), cli._load_state(state_file))
+    assert all(s.matrix.base is ens.matrices for s in ens.states)
+    restacked = fr.OrbitEnsemble(ens.states)
+    assert restacked.matrices is not ens.matrices
+    rng = np.random.default_rng(3)
+    povms = [fr.square_root_measurement(restacked)] + [fr.random_povm(2, 8, rng) for _ in range(6)]
+    assert [t["info"] for t in tried] == [fr.mutual_information(restacked, m) for m in povms]
 
 
 def test_estimate_u1_subgroup(tmp_path, uniform4_state, charges4):

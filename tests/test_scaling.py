@@ -128,7 +128,7 @@ def test_the_window_misses_at_most_the_wrapped_mass_tolerance(levels, shape, see
     w = _charge_law(levels, shape, seed)
     w = w[np.flatnonzero(w)[0]:np.flatnonzero(w)[-1] + 1]  # the law the window is set for
     oracle = convolve_copies_oracle(w, n)  # positive sums: its tails are accurate to N eps relative
-    length, start, centre = fr.scaling._mass_window(w, n)
+    length, start, centre = fr.scaling._mass_window(fr.scaling._prepare_law(w), n)
     count = min(length, oracle.size)
     assert start <= centre <= start + count - 1 and 0 <= start <= oracle.size - count
     outside = math.fsum(oracle[:start]) + math.fsum(oracle[start + count:])
@@ -140,14 +140,14 @@ def test_the_window_misses_at_most_the_wrapped_mass_tolerance(levels, shape, see
 def test_the_window_length_at_twenty_thousand_copies():
     # t = ceil(sqrt(N ln(2 / 1e-20) / 2)) = 684 for a two-level law: 2t + 1 = 1369 of 20001
     # points, rounded up to the fast length 1440
-    length, start, centre = fr.scaling._mass_window(np.array([0.7, 0.3]), 20000)
+    length, start, centre = fr.scaling._mass_window(fr.scaling._prepare_law([0.7, 0.3]), 20000)
     assert (length, start, centre) == (1440, 6000 - 720, 6000)
 
 
 def test_a_zero_of_the_spectrum_on_the_grid_raises_no_warning():
     # [0.5, 0.5] has F(pi) = 0, on the grid of every even transform length
     for n in (16, 1000, 20000):
-        length = fr.scaling._mass_window(np.array([0.5, 0.5]), n)[0]
+        length = fr.scaling._mass_window(fr.scaling._prepare_law([0.5, 0.5]), n)[0]
         assert length % 2 == 0 and np.fft.rfft([0.5, 0.5], length)[-1] == 0
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error", RuntimeWarning)
@@ -195,7 +195,7 @@ def test_a_law_with_many_levels_near_a_point_mass_refines_a_few_frequencies(monk
     monkeypatch.setattr(fr.scaling, "_centred_log_power",
                         lambda weights, *rest: terms.append(weights.size * rest[2].size) or refine(weights, *rest))
     got = fr.convolve_copies(w, n).convolved.weights
-    length = fr.scaling._mass_window(w, n)[0]
+    length = fr.scaling._mass_window(fr.scaling._prepare_law(w), n)[0]
     assert 0 < sum(terms) <= length
     assert_allclose(got, convolve_copies_oracle(w, n), rtol=0,
                     atol=4 * n * math.log2(length) * np.finfo(float).eps)
@@ -258,6 +258,10 @@ def test_convolution_sum_is_checked_then_normalized(monkeypatch):
     monkeypatch.setattr(fr.scaling.np.fft, "irfft", lambda a, n: irfft(a, n) * (1 + 1e-9))
     with pytest.raises(fr.FramenessError, match="sums to"):
         fr.convolve_copies([0.7, 0.3], 1000)
+    # a table row builds no ProbabilityDistribution: the sum check refuses a NaN itself
+    monkeypatch.setattr(fr.scaling.np.fft, "irfft", lambda a, n: np.full(n, np.nan))
+    with pytest.raises(fr.FramenessError, match="sums to nan"):
+        fr.u1_ncopy_asymmetry([0.7, 0.3], 1000)
 
 
 def test_fft_size_is_scipys_fast_real_length():
@@ -325,6 +329,44 @@ def test_regularized_asymmetry_table():
     invariant = fr.regularized_asymmetry_table([0.0, 1.0], [1, 10, 100])
     assert all(r.asymmetry == pytest.approx(0.0, abs=1e-12) for r in invariant.rows)
     assert all(r.gap == pytest.approx(0.0, abs=1e-12) for r in invariant.rows)
+
+
+def _ladder_law(levels, zero_ends, seed):
+    w = np.random.default_rng(seed).dirichlet(np.ones(levels))
+    if zero_ends:
+        w = np.concatenate(([0.0], w, [0.0]))
+    return w
+
+
+# rows from N = 500 on (D = 1) are powered on a window shorter than the support
+_TABLE_LADDER = [1, 2, 5, 20, 100, 500, 1000]
+
+
+@given(st.one_of(st.builds(_ladder_law, st.integers(2, 5), st.booleans(), st.integers(0, 10**6)),
+                 st.sampled_from([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [1.0]])))
+@settings(max_examples=30, deadline=None)
+def test_table_rows_match_the_full_support_entropy(w):
+    # the table reads each row's entropy off the window of a law prepared once per ladder
+    law = fr.scaling._prepare_law(w)
+    if law.w.size > 1:
+        assert fr.scaling._mass_window(law, _TABLE_LADDER[-1])[0] < _TABLE_LADDER[-1] * (law.w.size - 1) + 1
+    rows = fr.regularized_asymmetry_table(w, _TABLE_LADDER).rows
+    assert [r.copies for r in rows] == _TABLE_LADDER
+    per_copy = fr.ProbabilityDistribution(w).weights
+    for row in rows:
+        full = fr.shannon_entropy(fr.convolve_copies(w, row.copies).convolved)
+        assert abs(row.asymmetry - full) <= 1e-14
+        oracle = convolve_copies_oracle(per_copy, row.copies)
+        oracle = oracle / oracle.sum()
+        # a weight this close to EIG_CUTOFF may fall on either side of it (see above)
+        edge = np.count_nonzero(np.abs(oracle - EIG_CUTOFF) <= 1e-15)
+        assert row.asymmetry == pytest.approx(
+            fr.shannon_entropy(oracle), abs=1e-13 + edge * EIG_CUTOFF * math.log2(1 / EIG_CUTOFF))
+
+
+def test_a_table_past_the_support_cap_raises():
+    with pytest.raises(fr.ResourceLimitError, match="convolved support 4194305 exceeds 4194304"):
+        fr.regularized_asymmetry_table([0.7, 0.3], [10, 1000, 2**22])
 
 
 def test_finite_group_bound_check():
