@@ -8,9 +8,9 @@ Three families are supported:
   number operator);
 * the collective SU(2) representation on a register of qubits, with its
   Schur basis ``|j, m, alpha>`` (irrep (x) multiplicity per total-spin
-  sector) built and stored as one real orthogonal block per Hamming weight.
-  The ladder operators J+ and J- exist only as dense 0/1 blocks between
-  adjacent weights (:func:`_raising_blocks`); no d x d operator is formed.
+  sector) built and stored as one real orthogonal block per Hamming weight,
+  by coupling one qubit at a time with closed-form Clebsch-Gordan
+  coefficients; no ladder operator and no d x d matrix is formed.
 
 Desk-scale caps: finite groups of order <= 64 (so the group axioms stay
 exhaustively checkable) and registers of at most 12 qubits.
@@ -350,29 +350,6 @@ def _check_even_qubits(n_qubits: int):
         raise ResourceLimitError(f"{n_qubits} qubits exceeds cap {MAX_QUBITS}")
 
 
-def _raising_blocks(n_qubits: int):
-    """The strings of each Hamming weight, and J+ from each weight k to k - 1 (|0> = spin up).
-
-    ``rows[k]`` lists the weight-k strings in ascending order.  For k >= 1,
-    ``raising[k]`` is the dense C(N, k-1) x C(N, k) 0/1 block of J+, indexed by
-    each string's position within its weight class; ``raising[0]`` is the empty
-    0 x 1 block.  J- from weight k - 1 to k is the transpose of ``raising[k]``.
-    """
-    weights = _hamming_weights(n_qubits)
-    rows = [np.flatnonzero(weights == k) for k in range(n_qubits + 1)]
-    position = np.empty_like(weights)
-    for r in rows:
-        position[r] = np.arange(r.size)
-    raising = [np.zeros((0, 1))]
-    for k in range(1, n_qubits + 1):
-        # J+ flips a down spin (bit q of string b is 1) up: m -> m + 1
-        col, q = np.nonzero((rows[k][:, None] >> np.arange(n_qubits)) & 1)
-        block = np.zeros((rows[k - 1].size, rows[k].size))
-        block[position[rows[k][col] ^ (1 << q)], col] = 1.0
-        raising.append(block)
-    return rows, raising
-
-
 @dataclass
 class SpinSector:
     """One total-spin block: (2j+1) * multiplicity consecutive Schur columns."""
@@ -391,6 +368,14 @@ class CollectiveSpinRep:
     ``m_index = 0`` at ``m = j``.  ``labels[k] = (j, m, alpha)`` for column k.
     Column (j, m, alpha) lives on the strings of Hamming weight N/2 - m, so the
     basis U is ``weight_blocks[k] = (rows, cols, u)``, U[rows, cols] = u, per k.
+
+    alpha indexes the coupling paths that reach spin j when the qubits join one
+    at a time, lowest bit first: the spins j_1 = 1/2, j_2, ..., j_N = j after
+    1, 2, ..., N qubits, each step moving the spin by 1/2.  At each step the
+    paths from j_n - 1/2 come first and then those from j_n + 1/2, each in the
+    order of the step before.  The multiplicity label is therefore the same
+    vector at every m, and J- maps (j, m, alpha) to
+    sqrt(j(j+1) - m(m-1)) (j, m - 1, alpha).
     """
 
     __slots__ = ("n_qubits", "dim", "weight_blocks", "labels", "sectors")
@@ -415,66 +400,53 @@ class CollectiveSpinRep:
         raise ValueError(f"no sector with j={j}")
 
 
-def _highest_weight_space(raising, want: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``raising``, J+ from weight k to k - 1.
-
-    The kernel is the null space of J+^T J+ = J- J+, whose eigenvalue on a weight-k vector
-    of spin j is j(j+1) - m(m+1): 0 at the highest weight m = j and at least 2 otherwise,
-    so the eigenvectors of eigenvalue below 1 span it.  It is then re-based
-    deterministically: the weight-k computational basis vectors, in ascending order, are
-    projected onto the kernel, and each is kept when its part orthogonal to the vectors
-    already kept (two passes of classical Gram-Schmidt) has norm above COMPOSED_TOL, so the
-    alpha labels are reproducible across runs.  Rows index the weight-k strings.
-    """
-    lams, vecs = np.linalg.eigh(raising.T @ raising)
-    kernel = vecs[:, lams < 1.0]
-    if kernel.shape[1] != want:
-        raise FramenessError(f"highest-weight space has dim {kernel.shape[1]}, expected {want}")
-    proj = kernel @ kernel.T
-    chosen = np.empty((proj.shape[0], want))
-    found = 0
-    for i in range(proj.shape[0]):
-        q, v = chosen[:, :found], proj[:, i]
-        v = v - q @ (q.T @ v)
-        v = v - q @ (q.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > COMPOSED_TOL:
-            chosen[:, found] = v / norm
-            found += 1
-            if found == want:
-                return chosen
-    raise FramenessError(f"re-basing kept {found} of {want} highest-weight vectors")
-
-
 def build_collective_spin_rep(n_qubits: int) -> CollectiveSpinRep:
-    """Construct the Schur basis for an even-size qubit register, one weight block at a time.
+    """Construct the Schur basis for an even-size qubit register by coupling one qubit at a time.
 
-    Each spin sector is generated from its highest-weight space (the kernel of
-    J+ restricted from weight k = N/2 - j to k - 1) by repeated application of
-    the lowering operator restricted from weight k to k + 1:
-    |j, m-1, a> = J- |j, m, a> / sqrt(j(j+1) - m(m-1)).
+    Qubit n joins as the next higher bit: the weight-k strings at n qubits are
+    those at n - 1 (the new qubit up, |0>), then the weight-(k - 1) ones plus
+    2^(n-1) (down, |1>), in ascending order.  Column (j, m, alpha) joins column
+    (j', m - 1/2) of weight k with column (j', m + 1/2) of weight k - 1, at
+    j' = j - s/2 for s = +-1, by the Condon-Shortley Clebsch-Gordan coefficients
+    of j' (x) 1/2: up s sqrt((j' + s m + 1/2) / (2j' + 1)), down
+    sqrt((j' - s m + 1/2) / (2j' + 1)).  Only closed-form coefficients: no
+    eigensolver and no tolerance.  At n qubits the spin-j columns of every
+    weight block are the slab [C(n, a - 1), C(n, a)) with a = n/2 - j, so
+    spin j' = j - 1/2 is slab a at n - 1 qubits and j' = j + 1/2 slab a - 1.
     """
     _check_even_qubits(n_qubits)
-    rows, raising = _raising_blocks(n_qubits)
-    vecs = [[] for _ in rows]
-    labels = []
-    sectors = []
+    empty = (np.zeros(0, dtype=int), np.zeros((0, 0)))
+    level = [(np.zeros(1, dtype=int), np.ones((1, 1)))]  # no qubits: the empty string, spin 0
+    for n in range(1, n_qubits + 1):
+        # new slab a takes old slab a (j' = j - 1/2, s = +1), then old slab a - 1 (j' = j + 1/2, s = -1):
+        # column c at n qubits couples old column source[c], of doubled spin old[c], by sign[c]
+        edges = [0] + [math.comb(n - 1, b) for b in range(n // 2 + 1)]
+        paths = [(b, s) for a in range(n // 2 + 1) for b, s in ((a, 1), (a - 1, -1)) if b >= 0]
+        source = np.concatenate([np.arange(edges[b], edges[b + 1]) for b, _ in paths])
+        lengths = [edges[b + 1] - edges[b] for b, _ in paths]
+        old = np.repeat([n - 1 - 2 * b for b, _ in paths], lengths)
+        sign = np.repeat([s for _, s in paths], lengths)
+        padded, level = [empty, *level, empty], []
+        for k in range(n + 1):
+            (down_rows, down), (up_rows, up) = padded[k], padded[k + 1]
+            width = up_rows.size + down_rows.size
+            s, j2, sg = source[:width], old[:width], sign[:width]
+            sm = sg * (n - 2 * k)  # s 2m
+            coef_up = sg * np.sqrt((j2 + sm + 1) / (2 * j2 + 2))
+            coef_down = np.sqrt((j2 - sm + 1) / (2 * j2 + 2))
+            u = np.zeros((width, width))
+            has = s < up.shape[1]  # a column the old block lacks has coefficient 0
+            u[:up_rows.size, has] = up[:, s[has]] * coef_up[has]
+            has = s < down.shape[1]
+            u[up_rows.size:, has] = down[:, s[has]] * coef_down[has]
+            level.append((np.concatenate((up_rows, down_rows + (1 << (n - 1)))), u))
+    labels, sectors = [], []
     for j in range(n_qubits // 2, -1, -1):
         mult = multiplicity_dimension(n_qubits, j)
-        k = n_qubits // 2 - j
-        level = np.ones((1, 1)) if k == 0 else _highest_weight_space(raising[k], mult)
         start = len(labels)
-        for m in range(j, -j - 1, -1):
-            k = n_qubits // 2 - m
-            vecs[k].append(level)
-            labels += [(j, m, alpha) for alpha in range(mult)]
-            if m > -j:
-                level = (raising[k + 1].T @ level) / math.sqrt(j * (j + 1) - m * (m - 1))
+        labels += [(j, m, alpha) for m in range(j, -j - 1, -1) for alpha in range(mult)]
         sectors.append(SpinSector(j, mult, start, len(labels)))
     # a block's columns are the labels at its m, in label order: j descending, then alpha
     ms = np.array([m for _, m, _ in labels])
-    blocks = [(r, np.flatnonzero(ms == n_qubits // 2 - k), np.hstack(v))
-              for k, (r, v) in enumerate(zip(rows, vecs))]
-    if any(u.shape != (r.size, r.size) for r, _, u in blocks):
-        raise FramenessError(f"Schur blocks are {[u.shape for _, _, u in blocks]}, not square")
+    blocks = [(r, np.flatnonzero(ms == n_qubits // 2 - k), u) for k, (r, u) in enumerate(level)]
     return CollectiveSpinRep(n_qubits, blocks, labels, sectors)

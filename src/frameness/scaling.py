@@ -184,13 +184,18 @@ def _prepare_law(per_copy) -> _Law:
                 float(w @ np.arange(w.size, dtype=float) / w.sum()))
 
 
+def _check_support(law: _Law, n_copies: int):
+    """Raise ResourceLimitError when the N-fold law has more than 2^22 weights."""
+    support = n_copies * (len(law.p) - 1) + 1
+    if support > _MAX_CONVOLVED_SUPPORT:
+        raise ResourceLimitError(f"convolved support {support} exceeds {_MAX_CONVOLVED_SUPPORT}")
+
+
 def _power_window(law: _Law, n_copies: int) -> tuple[np.ndarray, int]:
     """The normalized N-fold law of ``law.w`` on its mass window, and its start: see convolve_copies."""
     if n_copies < 1:
         raise ValueError("need at least one copy")
-    support = n_copies * (len(law.p) - 1) + 1
-    if support > _MAX_CONVOLVED_SUPPORT:
-        raise ResourceLimitError(f"convolved support {support} exceeds {_MAX_CONVOLVED_SUPPORT}")
+    _check_support(law, n_copies)
     w, total, levels = law.w, law.total, law.levels
     length, start, centre = _mass_window(law, n_copies)
     factor = np.fft.rfft(w, length)
@@ -270,6 +275,7 @@ def _u1_ladder(per_copy, n_list) -> tuple[float, list[tuple[int, float]]]:
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
         raise ValueError("n_list must contain positive copy counts")
+    _check_support(law, ns[-1])  # before any row is powered
     return NumberDistributionProfile(law.p, 1, law.p).variance(), [(n, u1_ncopy_asymmetry(law, n))
                                                                      for n in ns]
 
@@ -407,16 +413,17 @@ def schur_weyl_weights(eigenvalues, n_copies: int) -> np.ndarray:
     return np.exp2(log2_p)
 
 
-def _qubit_block_gaps(states, shares, eigenvalues, n_max: int) -> np.ndarray:
+def _qubit_block_gaps(states: np.ndarray, shares, eigenvalues, n_max: int) -> np.ndarray:
     """H(B_n) - H(Sym^n(rho)) for n = 0..n_max, each spectrum normalized to unit trace.
 
     B_n = sum_g s_g Sym^n(sigma_g) over the orbit states sigma_g = W_g diag(hi, lo)
     W_g^dag with shares s_g summing to 1, and Sym^n(sigma_g) = Sym^n(W_g) hi^n
     diag(r^k) Sym^n(W_g)^dag with r = lo / hi.  One state per distinct
-    conjugation, with its share of the elements, gives the orbit mean.
+    conjugation, with its share of the elements, gives the orbit mean; ``states``
+    stacks them, (C, 2, 2).
     """
     lo, hi = np.clip(eigenvalues, 0.0, None)
-    ws = np.linalg.eigh(np.stack([s.matrix for s in states]))[1][:, :, ::-1]  # larger first
+    ws = np.linalg.eigh(states)[1][:, :, ::-1]  # larger first
     gaps, roots = np.zeros(n_max + 1), np.sqrt(np.asarray(shares, dtype=float))[:, None, None]
     for n in range(1, n_max + 1):
         q = (lo / hi) ** np.arange(n + 1)
@@ -459,9 +466,8 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     workspace = rep.order * (n_max + 1) if rho.dim == 2 else rho.dim**n_max
     if workspace > max_dim():
         raise ResourceLimitError(f"workspace {workspace} for N <= {n_max} exceeds cap {max_dim()}")
-    orbit = orbit_ensemble(rep, rho).states
     firsts, shares = _distinct_conjugations(rep)
-    states = [orbit[g] for g in firsts]
+    states = orbit_ensemble(rep, rho).matrices[firsts]
     if rho.dim == 2:
         lam = rho.eigenvalues()
         gaps = _qubit_block_gaps(states, shares, lam, n_max)
@@ -474,14 +480,14 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     return FiniteGroupBoundReport(rep.order, rows, bound - math.log2(rep.order / firsts.size))
 
 
-def _orbit_mean_asymmetries(states, shares, rho: DensityOperator, n_max: int) -> list[float]:
-    """S(sum_c s_c sigma_c^(x)N) - N S(rho) for N = 1..n_max, one d^N x d^N mean per N."""
+def _orbit_mean_asymmetries(states: np.ndarray, shares, rho: DensityOperator, n_max: int) -> list[float]:
+    """S(sum_c s_c sigma_c^(x)N) - N S(rho) for N = 1..n_max over the (C, d, d) ``states``, one mean per N."""
     means = [np.zeros((rho.dim**n, rho.dim**n), dtype=complex) for n in range(1, n_max + 1)]
     for state, share in zip(states, shares):
-        power = share * state.matrix  # the share rides on the first factor
+        power = share * state  # the share rides on the first factor
         for n, mean in enumerate(means, 1):
             if n > 1:
-                power = np.kron(power, state.matrix)  # P_n = P_(n-1) (x) sigma: one Kronecker per N
+                power = np.kron(power, state)  # P_n = P_(n-1) (x) sigma: one Kronecker per N
             mean += power
     s_in, out = von_neumann_entropy(rho), []
     for n in range(1, n_max + 1):

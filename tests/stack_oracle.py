@@ -1,10 +1,8 @@
 """Per-element references for the stacked searches, statistics and tables.
 
 The package scores dephasing bases, POVM statistics and group products on
-whole stacks, and takes the Schur build's highest-weight spaces from an
-eigensolve and two-pass Gram-Schmidt.  These are the loops they replaced, one
-candidate, (state, effect) pair, product or vector at a time, kept as their
-oracles.
+whole stacks.  These are the loops they replaced, one candidate,
+(state, effect) pair or product at a time, kept as their oracles.
 """
 
 import math
@@ -13,7 +11,7 @@ import numpy as np
 
 import frameness as fr
 from frameness.groups import RepresentationError
-from frameness.states import COMPOSED_TOL, FramenessError, _entropy_of_spectrum
+from frameness.states import COMPOSED_TOL, _entropy_of_spectrum
 
 
 def per_candidate_dephasing_search(rho, unitaries=None, random_trials=0, seed=0, side="B"):
@@ -80,25 +78,3 @@ def per_product_homomorphism_deviation(rep):
             if dev > worst:
                 worst, first = dev, (i, j)
     return worst, first
-
-
-def svd_gram_schmidt_highest_weight_space(raising, want):
-    """The kernel of J+ by SVD, re-based by projecting the weight-k basis vectors in
-    ascending order and Gram-Schmidt'ing them one vector at a time."""
-    _, s, vh = np.linalg.svd(raising)
-    rank = int((s > max(raising.shape) * np.finfo(float).eps * s.max()).sum())
-    kernel = vh[rank:].T
-    if kernel.shape[1] != want:
-        raise FramenessError(f"highest-weight space has dim {kernel.shape[1]}, expected {want}")
-    proj = kernel @ kernel.T
-    chosen = []
-    for i in range(proj.shape[0]):
-        v = proj[:, i].copy()
-        for u in chosen:
-            v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > COMPOSED_TOL:
-            chosen.append(v / norm)
-        if len(chosen) == want:
-            break
-    return np.column_stack(chosen)

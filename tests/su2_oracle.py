@@ -4,7 +4,9 @@
 dense Pauli sums: the highest-weight vectors of each spin j are the kernel of
 J+ on the strings of weight N/2 - j (by SVD, then the projected computational
 basis vectors Gram-Schmidt'ed in order), lowered by J-.  It is the oracle for
-N <= 8; the package builds the same basis as one block per Hamming weight.
+N <= 8.  The package builds the same sectors by Clebsch-Gordan coupling, one
+block per Hamming weight; its multiplicity label differs from this one by one
+orthogonal rotation per spin sector, the same at every m.
 """
 
 import functools

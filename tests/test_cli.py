@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import frameness as fr
-from frameness import cli
+from frameness import cli, scaling
 
 
 def write_json(path, payload):
@@ -200,13 +200,18 @@ def test_scaling_beyond_the_support_cap_exits_3(tmp_path, capsys, levels, n):
     assert captured.err == "resource limit: convolved support 4194305 exceeds 4194304\n"
 
 
-def test_scaling_ladder_past_the_support_cap_exits_3(tmp_path, capsys):
-    # the default ladder runs 1..1000 and then 2^22 copies, whose support is 2^22 + 1
+def test_scaling_ladder_past_the_support_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # the default ladder runs 1..1000 and then 2^22 copies, whose support is 2^22 + 1:
+    # it fails before any row is powered
+    powered = []
+    power_window = scaling._power_window
+    monkeypatch.setattr(scaling, "_power_window", lambda *a: powered.append(a) or power_window(*a))
     out = tmp_path / "out.json"
     assert cli.run(["scaling", "--p", "0.3", "--copies", "4194304", "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == "resource limit: convolved support 4194305 exceeds 4194304\n"
+    assert powered == []
 
 
 def test_bounds_finite_and_su2(tmp_path, plus_state_file, z2_rep_file):

@@ -8,12 +8,7 @@ from numpy.testing import assert_allclose
 
 import frameness as fr
 import frameness.groups
-from frameness.groups import _highest_weight_space, _raising_blocks
-from stack_oracle import (
-    per_product_group_table,
-    per_product_homomorphism_deviation,
-    svd_gram_schmidt_highest_weight_space,
-)
+from stack_oracle import per_product_group_table, per_product_homomorphism_deviation
 from su2_oracle import collective_rotation, dense_collective_ops, dense_schur_basis, scattered_basis
 
 
@@ -253,32 +248,68 @@ def test_weight_blocks_match_the_dense_schur_basis(n_qubits):
     rep = fr.build_collective_spin_rep(n_qubits)
     assert rep.labels == labels and rep.sectors == sectors
     weights = np.array([bin(b).count("1") for b in range(rep.dim)])
+    built = scattered_basis(rep)
     for k, (rows, cols, u) in enumerate(rep.weight_blocks):
+        assert u.dtype == np.float64
         assert rows.tolist() == np.flatnonzero(weights == k).tolist()
         # columns by j descending, then alpha, all at m = N/2 - k
         assert [labels[c] for c in cols] == sorted((labels[c] for c in cols), key=lambda l: (-l[0], l[2]))
         assert {labels[c][1] for c in cols} == {n_qubits // 2 - k}
-        for c, column in zip(cols, u.T):
-            assert np.abs(basis[rows, c] - column).max() < 1e-12
-            assert not np.delete(basis[:, c], rows).any()  # zero off the weight-k strings
+    # the bases differ by one orthogonal change of the multiplicity label per sector, the same at every m
+    for s in sectors:
+        top = slice(s.start, s.start + s.multiplicity)  # m = j
+        rotation = basis[:, top].T @ built[:, top]
+        assert np.abs(rotation.T @ rotation - np.eye(s.multiplicity)).max() < 1e-13
+        for start in range(s.start, s.stop, s.multiplicity):
+            cols = slice(start, start + s.multiplicity)
+            assert np.abs(basis[:, cols] @ rotation - built[:, cols]).max() < 1e-13
 
 
-@pytest.mark.parametrize("n_qubits", [4, 6, 8, 10])
-def test_highest_weight_spaces_match_the_svd_gram_schmidt_oracle(n_qubits):
-    _, raising = _raising_blocks(n_qubits)
-    for j in range(n_qubits // 2 - 1, -1, -1):
-        k, want = n_qubits // 2 - j, fr.multiplicity_dimension(n_qubits, j)
-        space = _highest_weight_space(raising[k], want)
-        assert np.abs(space - svd_gram_schmidt_highest_weight_space(raising[k], want)).max() < 1e-13
-        with pytest.raises(fr.FramenessError, match=f"has dim {want}, expected {want + 1}"):
-            _highest_weight_space(raising[k], want + 1)
+def _raising_block(rows_from, rows_to, n_qubits):
+    """J+ from the strings ``rows_from`` of weight k to ``rows_to`` of weight k - 1 (|0> = spin up)."""
+    position = {b: i for i, b in enumerate(rows_to.tolist())}
+    block = np.zeros((rows_to.size, rows_from.size))
+    for c, b in enumerate(rows_from.tolist()):
+        for q in range(n_qubits):
+            if b >> q & 1:  # J+ flips a down spin up
+                block[position[b ^ 1 << q], c] = 1.0
+    return block
 
 
-def test_highest_weight_space_never_returns_unfilled_columns(monkeypatch):
-    _, raising = _raising_blocks(6)
-    monkeypatch.setattr(frameness.groups, "COMPOSED_TOL", 2.0)  # no projected vector is kept
-    with pytest.raises(fr.FramenessError, match="re-basing kept 0 of 9 highest-weight vectors"):
-        _highest_weight_space(raising[2], 9)
+@pytest.mark.parametrize("n_qubits", [10, 12])
+def test_weight_blocks_are_orthogonal_spin_ladders_without_a_dense_basis(n_qubits):
+    rep = fr.build_collective_spin_rep(n_qubits)
+    blocks = rep.weight_blocks
+    index = {label: k for k, label in enumerate(rep.labels)}
+    for k, (rows, cols, u) in enumerate(blocks):
+        assert np.abs(u.T @ u - np.eye(rows.size)).max() < 1e-13
+        labels = [rep.labels[c] for c in cols]
+        if 0 < k <= n_qubits // 2:  # J+ kills the highest weights m = j
+            top = [i for i, (j, m, _) in enumerate(labels) if m == j]
+            raised = _raising_block(rows, blocks[k - 1][0], n_qubits) @ u[:, top]
+            assert np.abs(raised).max() < 1e-13
+        if k < n_qubits:  # J- = J+^T lowers (j, m, alpha) to (j, m - 1, alpha)
+            rows_next, cols_next, u_next = blocks[k + 1]
+            below = {c: i for i, c in enumerate(cols_next.tolist())}
+            lowered = _raising_block(rows_next, rows, n_qubits).T @ u
+            for i, (j, m, alpha) in enumerate(labels):
+                target = np.zeros(rows_next.size)
+                if m > -j:
+                    target = math.sqrt(j * (j + 1) - m * (m - 1)) * u_next[:, below[index[(j, m - 1, alpha)]]]
+                assert np.abs(lowered[:, i] - target).max() < 1e-13
+
+
+def test_building_the_rep_calls_no_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError, match="numpy.linalg called"):
+        np.linalg.eigh(np.eye(2))
+    for n_qubits in range(2, 13, 2):
+        fr.build_collective_spin_rep(n_qubits)
 
 
 def test_building_the_rep_allocates_no_dense_basis():
@@ -307,23 +338,23 @@ def test_schur_vectors_are_joint_eigenvectors(n_qubits):
 
 def test_lowering_operator_ladder_consistency():
     for n_qubits in (2, 4, 6):
-        rows, raising = _raising_blocks(n_qubits)
         ops = dense_collective_ops(n_qubits)
-        assert raising[0].shape == (0, 1)
-        jp = np.zeros((2**n_qubits, 2**n_qubits))
-        for k in range(1, n_qubits + 1):
-            jp[np.ix_(rows[k - 1], rows[k])] = raising[k]
-        # the blocks between adjacent weights are all of J+, and their transposes all of J-
-        assert_allclose(jp, ops["x"] + 1j * ops["y"], atol=0)
-        assert_allclose(jp.T, ops["x"] - 1j * ops["y"], atol=0)
-        basis, labels, _ = dense_schur_basis(n_qubits)
-        index = {label: k for k, label in enumerate(labels)}
+        jp = (ops["x"] + 1j * ops["y"]).real  # exact 0/1 entries
+        rep = fr.build_collective_spin_rep(n_qubits)
+        basis = scattered_basis(rep)
+        index = {label: k for k, label in enumerate(rep.labels)}
         for (j, m, alpha), k in index.items():
+            raised = jp @ basis[:, k]
+            if m == j:
+                assert np.abs(raised).max() < 1e-13
+            else:
+                target = math.sqrt(j * (j + 1) - m * (m + 1)) * basis[:, index[(j, m + 1, alpha)]]
+                assert np.abs(raised - target).max() < 1e-13
             if m == -j:
                 continue
             lowered = jp.T @ basis[:, k]
             target = math.sqrt(j * (j + 1) - m * (m - 1)) * basis[:, index[(j, m - 1, alpha)]]
-            assert np.abs(lowered - target).max() < 1e-8
+            assert np.abs(lowered - target).max() < 1e-13
 
 
 def test_collective_rotations_preserve_sectors():

@@ -382,6 +382,25 @@ def test_finite_group_bound_check():
     assert all(abs(r.asymmetry) <= 1e-9 for r in report.rows)
 
 
+# rows of the per-state path that the class stack replaced, as float.hex; the one d^N = 1296
+# eigensolve (d = 6, N = 4) rounds with the BLAS thread count (8 ulp between 1 and 2 threads)
+@pytest.mark.parametrize("dim, n_max, seed, rows, last_ulps", [
+    (2, 8, 2024, ["0x1.e6c86fc4568b1p-2", "0x1.8b224ae8a3528p-1", "0x1.fa29a1ede3728p-1",
+                  "0x1.2539d6f1c4464p+0", "0x1.443dc8a32ef18p+0", "0x1.5c47a6006852dp+0",
+                  "0x1.6fbe48893fea7p+0", "0x1.7fa0f9ecd4f22p+0"], 0),
+    (6, 4, 0, ["0x1.3945a00659db8p-1", "0x1.1b4da0c2bf20cp+0", "0x1.767b9dccc49a8p+0",
+               "0x1.ada3ef9186760p+0"], 16),
+])
+def test_q8_bound_rows_hold_their_bits(dim, n_max, seed, rows, last_ulps):
+    q8 = fr.quaternion_rep()
+    rep = q8 if dim == 2 else fr.finite_group_from_unitaries([np.kron(u, np.eye(3)) for u in q8.unitaries])
+    rho = fr.random_density_operator(dim, np.random.default_rng(seed))
+    got = [r.asymmetry for r in fr.finite_group_bound_check(rep, rho, n_max).rows]
+    want = [float.fromhex(h) for h in rows]
+    assert got[:-1] == want[:-1]
+    assert abs(got[-1] - want[-1]) <= last_ulps * np.spacing(want[-1])
+
+
 def test_finite_group_bound_respects_dimension_cap(monkeypatch):
     monkeypatch.setenv("FRAMENESS_MAX_DIM", "8")
     plus = fr.PureState(np.array([1, 1]) / math.sqrt(2)).projector()
@@ -558,7 +577,7 @@ def test_qudit_rows_take_one_orbit_state_per_coset_of_the_kernel(monkeypatch):
 
 def _all_elements_rows(rep, rho, n_max):
     """The qubit rows from the mean over every element's orbit state."""
-    lam, states = rho.eigenvalues(), fr.orbit_ensemble(rep, rho).states
+    lam, states = rho.eigenvalues(), fr.orbit_ensemble(rep, rho).matrices
     every = fr.scaling._qubit_block_gaps(states, np.full(len(states), 1 / len(states)), lam, n_max)
     return [float(schur_weyl_weights(lam, n) @ every[n::-2]) for n in range(1, n_max + 1)]
 
