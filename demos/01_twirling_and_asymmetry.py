@@ -74,9 +74,9 @@ print(f"  singlet (rotationally invariant): A = "
 print(f"  sqrt(3)/2 |triplet> + 1/2 |singlet>: A = "
       f"{fr.g_asymmetry(twirl_su2, optimal).asymmetry:.6f} bits (the two-qubit maximum)")
 
-# every twirl is a projection: unital, idempotent, image = fixed points
+# every twirl is a block projection: unital, idempotent, image = fixed points
 for name, tw in (("Z2", twirl), ("U(1)", twirl_u1), ("SU(2)", twirl_su2)):
-    ch = tw.kraus_channel()
+    ch = tw.channel
     report = fr.image_fix_equivalence_check(ch, samples=25, seed=0)
     print(f"  {name}: unital={ch.is_unital()}, idempotent={ch.is_idempotent()}, "
           f"image=fix consistent={report.consistent}")

@@ -31,10 +31,7 @@ from .channels import (
     commutant_fixed_point_check,
     conditional_expectation_channel,
     dephasing_channel,
-    identity_channel,
     image_fix_equivalence_check,
-    kraus_channel_from_json,
-    kraus_channel_to_json,
     pinching_channel,
     random_unital_idempotent_channel,
     relative_entropy_to_image,

@@ -10,20 +10,17 @@ equals the minimum relative-entropy distance from rho to the invariant set
 :func:`g_asymmetry` returns and what :func:`invariant_state_oracle`
 brackets by brute-force search.
 
-Realized actions:
+Every realized action is a :class:`~frameness.channels.BlockProjection`, the
+one conditional-expectation type, idempotent by its form:
 
-* finite groups: uniform average over the |G| conjugations, Kraus-only
-  (idempotence checked on the Choi matrices, O(d^4 min(|G|^2 + |G|, d^2)));
-* U(1): pinching across charge sectors (intra-sector coherence survives);
-* collective SU(2): per spin sector, scramble the irrep factor to the
-  maximally mixed state while leaving the multiplicity factor untouched,
-  killing cross-sector blocks.
+* finite groups: the projection onto the commutant of the action, sectors
+  (d_lam, m_lam) per irrep, certified against the orbit average;
+* U(1): pinching across charge sectors, identity basis blocks with sectors
+  (1, n_c) (intra-sector coherence survives);
+* collective SU(2): the Schur basis's Hamming-weight blocks with sectors
+  (2j+1, mult_j): the irrep factor scrambled, the multiplicity factor kept.
 
-The U(1) and SU(2) twirls are each a :class:`~frameness.channels.BlockProjection`,
-the one conditional-expectation type, idempotent by its form: identity basis
-blocks on the charge sectors with sectors (1, n_c), and the Schur basis's
-Hamming-weight blocks with sectors (2j+1, mult_j).  So :func:`g_asymmetry`
-takes S(G(rho)) from the small sector blocks, or for a
+So :func:`g_asymmetry` takes S(G(rho)) from the small sector blocks, or for a
 :class:`~frameness.states.PureState` (S(psi) = 0) from its sector
 coefficients, and never forms the d x d matrix G(rho); that is formed only
 when :attr:`AsymmetryResult.twirled_state` is read.
@@ -35,7 +32,7 @@ import math
 
 import numpy as np
 
-from .channels import BlockProjection, KrausChannel, _identity_blocks, twirl_channel
+from .channels import BlockProjection, _identity_blocks, twirl_channel
 from .groups import ChargeGrading, CollectiveSpinRep, FiniteGroupRep, multiplicity_dimension
 from .sampling import random_density_operator, random_pure_state
 from .states import (
@@ -59,7 +56,7 @@ class TwirlOperation:
 
     __slots__ = ("kind", "rep", "channel")
 
-    def __init__(self, kind: str, rep, channel: KrausChannel | BlockProjection):
+    def __init__(self, kind: str, rep, channel: BlockProjection):
         self.kind = kind
         self.rep = rep
         self.channel = channel
@@ -90,10 +87,6 @@ class TwirlOperation:
 
     def __call__(self, rho: DensityOperator) -> DensityOperator:
         return DensityOperator(self.apply_matrix(rho.matrix))
-
-    def kraus_channel(self) -> KrausChannel:
-        """The same map in explicit Kraus form (for the channel-calculus checks)."""
-        return self.channel.kraus_channel()
 
 
 class AsymmetryResult:
@@ -127,13 +120,10 @@ def g_asymmetry(twirl: TwirlOperation, state: DensityOperator | PureState) -> As
     """A_G(state) = S(G(state)) - S(state), along with both entropies and the twirled state.
 
     ``state`` is a density operator or a pure state.  S(G(state)) is the
-    twirl channel's image entropy: blockwise for u1/su2 (see the module
-    docstring), from the dense twirl for a finite group.
+    twirl channel's image entropy, block by block (see the module docstring).
     """
     if not isinstance(state, (DensityOperator, PureState)):
         raise TypeError(f"expected a DensityOperator or PureState, got {type(state).__name__}")
-    if isinstance(state, PureState) and isinstance(twirl.channel, KrausChannel):
-        state = state.projector()  # a Kraus sum twirls the dense projector
     s_in = 0.0 if isinstance(state, PureState) else von_neumann_entropy(state)
     s_out = twirl.channel.image_entropy(state)
     return AsymmetryResult(s_out - s_in, s_in, s_out, twirl, state)

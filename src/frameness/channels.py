@@ -5,17 +5,16 @@ idempotent, the minimum relative-entropy distance from a state rho to the
 channel's image is the entropy gap S(E(rho)) - S(rho), attained at E(rho)
 itself.  :func:`relative_entropy_to_image` evaluates that gap after checking
 both preconditions.  :class:`BlockProjection` is the one conditional-expectation
-type (u1/su2 twirls, block algebras, dephasing): its basis is a direct sum of
-unitary blocks, it is idempotent by its form and its entropy comes block by
-block; a pinching is one, with blocks (1, rank P_k).  Finite twirls and user
-channels stay Kraus-only; their idempotence is checked on the Choi matrices
-of E o E and E, whose difference is a product with inner dimension n^2 + n
-for n Kraus operators, or on the d^2 x d^2 superoperator when that is the
-smaller product: O(d^4 min(n^2 + n, d^2)) time, in row blocks of constant
-size.  Both types apply to one operator or to a (..., d, d) stack, and
-:func:`image_fix_equivalence_check` validates and maps its sampled states in
-stacks of bounded size.  The generators at the bottom produce test channels
-going beyond group twirls.
+type (every group twirl, pinchings, block algebras, dephasing): its basis is a
+direct sum of unitary blocks, it is idempotent by its form and its entropy
+comes block by block.  User channels stay Kraus sums; their idempotence is
+checked on the Choi matrices of E o E and E, whose difference is a product
+with inner dimension n^2 + n for n Kraus operators, or on the d^2 x d^2
+superoperator when that is the smaller product: O(d^4 min(n^2 + n, d^2))
+time, in row blocks of constant size.  Both types apply to one operator or
+to a (..., d, d) stack, and :func:`image_fix_equivalence_check` validates and
+maps its sampled states in stacks of bounded size.  The generators at the
+bottom produce test channels going beyond group twirls.
 """
 
 from __future__ import annotations
@@ -28,25 +27,25 @@ import numpy as np
 from .sampling import _density_stack, haar_unitary
 from .states import (
     COMPOSED_TOL,
+    COPY_SPLIT_EPS,
     EIG_CUTOFF,
     IDENTITY_TOL,
     INPUT_TOL,
+    INTERTWINER_TOL,
     _STACK_ENTRIES,
     DensityOperator,
     FramenessError,
     PureState,
     ShapeMismatchError,
-    _declared_int,
     _entropy_of_spectrum,
     _validated_density,
-    complex_matrix_from_json,
-    complex_matrix_to_json,
     von_neumann_entropy,
 )
 
 # Rows of one Choi or superoperator block in the Kraus idempotence test, a constant
 # workspace bound rather than an option.
 _ROW_BLOCK = 32
+_EPS = np.finfo(float).eps
 
 
 class ChannelPreconditionError(FramenessError):
@@ -308,23 +307,6 @@ class BlockProjection:
         return self._kraus
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel([np.eye(dim)])
-
-
-def kraus_channel_to_json(ch: KrausChannel | BlockProjection) -> dict:
-    ops = ch.kraus_channel().kraus
-    return {"dim": ch.dim, "kraus": [complex_matrix_to_json(k) for k in ops]}
-
-
-def kraus_channel_from_json(obj: dict) -> KrausChannel:
-    ch = KrausChannel([complex_matrix_from_json(k) for k in obj["kraus"]])
-    dim = _declared_int(obj, "dim", ShapeMismatchError)
-    if dim is not None and dim != ch.dim:
-        raise ShapeMismatchError(f"declared dim {dim} but operators are {ch.dim}x{ch.dim}")
-    return ch
-
-
 def commutant_fixed_point_check(ch: KrausChannel | BlockProjection, tau: np.ndarray) -> bool:
     """True iff tau commutes with every Kraus operator and its adjoint.
 
@@ -455,11 +437,59 @@ def conditional_expectation_channel(block_dims, unitary: np.ndarray | None = Non
     return BlockProjection(basis, block_dims)
 
 
-def twirl_channel(unitaries) -> KrausChannel:
-    """Uniform average over a finite set of unitaries, rho -> mean U rho U^dag."""
-    us = [np.asarray(u, dtype=complex) for u in unitaries]
-    n = len(us)
-    return KrausChannel([u / np.sqrt(n) for u in us])
+def _orbit_mean(us: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T(x) = mean_g U_g x U_g^dag over the (n, d, d) stack, in stacks of at most _STACK_ENTRIES."""
+    per = max(1, _STACK_ENTRIES // x.size)
+    return sum((u @ x @ u.conj().transpose(0, 2, 1)).sum(0)
+               for u in np.split(us, range(per, len(us), per))) / len(us)
+
+
+def twirl_channel(unitaries) -> BlockProjection:
+    """rho -> mean_g U_g rho U_g^dag over a finite group's unitaries, as the projection onto the commutant.
+
+    Numerical block-diagonalization (Murota, Kanno, Kojima & Kojima 2010) from one seeded draw:
+    T(h) = (+)_lam I_(d_lam) (x) h_lam for Hermitian h, so each eigenvalue run of T(h) (gaps at most
+    COPY_SPLIT_EPS d eps ||h||_F, as the orbit sum rounds with h) is one irrep copy, and by Schur's
+    lemma block (b, a) of V^dag T(r) V is zero unless copies a and b are equivalent, and then c times
+    a unitary that aligns b with a.  Each build is certified on a third seeded X against the orbit
+    average, max |E(X) - T(X)| <= COMPOSED_TOL, with one more draw from the next seed; a list that
+    is neither a group nor a uniform multiset of one raises.
+    """
+    us = np.asarray(unitaries, dtype=complex)
+    if us.ndim != 3 or us.shape[1] != us.shape[2] or not len(us):
+        raise ShapeMismatchError(f"expected a nonempty stack of square unitaries, got shape {us.shape}")
+    d = us.shape[1]
+    for seed in (0, 1):
+        g = np.random.default_rng(seed).standard_normal((3, 2, d, d))
+        h, r, x = g[:, 0] + 1j * g[:, 1]
+        h += h.conj().T
+        norm = np.linalg.norm(h)
+        # T(h) + ||h||_F I is PSD: its SVD is its eigendecomposition, descending.  Not eigh, whose
+        # divide-and-conquer merge stalls ~16 ms a call under two OpenBLAS threads at 26 <= d <= 40
+        v, lams = np.linalg.svd(_orbit_mean(us, h) + norm * np.eye(d))[:2]
+        starts = np.flatnonzero(np.diff(lams, prepend=np.inf) < -COPY_SPLIT_EPS * d * _EPS * norm)
+        sizes, k = np.diff(starts, append=d), v.conj().T @ _orbit_mean(us, r) @ v
+        norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(k)**2, starts, axis=0), starts, axis=1))
+        same = (norms > INTERTWINER_TOL * np.linalg.norm(r)) & (sizes[:, None] == sizes)
+        np.fill_diagonal(same, True)
+        first = same.argmax(axis=1)  # each copy's class: the first copy equivalent to it
+        copy = np.repeat(np.arange(starts.size), sizes)  # the copy of each column of V
+        offset = np.arange(d) - starts[copy]
+        align = np.where(copy[:, None] == copy, k[:, starts[first][copy] + offset], 0)
+        roots, cls = np.unique(first, return_inverse=True)
+        basis = (v @ (align * (np.sqrt(sizes) / norms[range(starts.size), first])[copy])
+                 )[:, np.lexsort((copy, offset, cls[copy]))]  # slabs: class, then r < d_lam, then copy
+        try:
+            proj = BlockProjection(basis, zip(sizes[roots], np.bincount(cls)))
+        except ValueError as exc:  # a misaligned basis is not unitary
+            failure = str(exc)
+            continue
+        dev = float(np.abs(proj.apply_matrix(x) - _orbit_mean(us, x)).max())
+        if dev <= COMPOSED_TOL:
+            return proj
+        failure = f"deviates from the orbit average by {dev:.3e}"
+    raise FramenessError(f"the projection onto the commutant of these {len(us)} unitaries {failure} "
+                         f"(tol {COMPOSED_TOL:.0e}): they are not a group")
 
 
 def _random_block_dims(dim: int, rng: np.random.Generator, with_multiplicity: bool):
@@ -478,29 +508,20 @@ def _random_block_dims(dim: int, rng: np.random.Generator, with_multiplicity: bo
     return blocks
 
 
-def random_unital_idempotent_channel(dim: int, rng: np.random.Generator) -> KrausChannel | BlockProjection:
+def random_unital_idempotent_channel(dim: int, rng: np.random.Generator) -> BlockProjection:
     """Sample one unital idempotent channel: pinching, finite twirl, or block projection.
 
     The twirl branch averages over a random cyclic phase group (order <= 8)
-    conjugated by a Haar unitary; the other branches build pinchings and
-    conditional expectations with random block structure.
+    conjugated by a Haar unitary; the other branches project onto random block
+    structures in that rotated basis, a pinching onto sectors (1, n_q).
     """
     kind = rng.integers(0, 3)
     u = haar_unitary(dim, rng)
-    if kind == 0:
-        # pinching onto a random partition of a rotated basis
-        dims = [m for m, _ in _random_block_dims(dim, rng, with_multiplicity=False)]
-        projectors = []
-        offset = 0
-        for m in dims:
-            block = u[:, offset:offset + m]
-            projectors.append(block @ block.conj().T)
-            offset += m
-        return pinching_channel(projectors)
     if kind == 1:
         order = int(rng.integers(2, 9))
         charges = rng.integers(0, order, size=dim)
         gens = [u @ np.diag(np.exp(2j * np.pi * k * charges / order)) @ u.conj().T
                 for k in range(order)]
         return twirl_channel(gens)
-    return conditional_expectation_channel(_random_block_dims(dim, rng, with_multiplicity=True), u)
+    blocks = _random_block_dims(dim, rng, with_multiplicity=kind == 2)
+    return conditional_expectation_channel(blocks if kind == 2 else [(1, m) for m, _ in blocks], u)

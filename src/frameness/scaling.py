@@ -44,6 +44,7 @@ ms for square-and-multiply over the whole support; its table row takes
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -76,6 +77,7 @@ GAUSSIAN_CONSTANT_BITS = 0.5 * math.log2(math.e)
 GAUSSIAN_CONSTANT_HALF = 0.5  # natural-log convention, kept for literal reproduction
 
 _MAX_CONVOLVED_SUPPORT = 1 << 22
+_QUBIT_BOUND_WORK = 1 << 35  # |G| N^4 of the qubit finite-group check: Q8 to N = 256, ~4 s on 2 cores
 _EPS = np.finfo(float).eps
 # what every N of a ladder shares (_prepare_law): the law p, its weights w on the lattice lo + spacing k
 _Law = namedtuple("_Law", "p lo spacing w total levels level_weights mean")
@@ -455,17 +457,26 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     p_j the weight of block j (:func:`schur_weyl_weights`) and A_j the
     entropy gap between B_2j = mean_g Sym^2j(U_g rho U_g^dag) and Sym^2j(rho),
     both normalized.  One (n + 1) x (n + 1) block per n <= n_max serves every
-    row: O(|G| n_max^4) time, O(|G| n_max^2) memory, and the cap bounds the
-    workspace |G| (n_max + 1).  For d > 2, each row sums the class states'
-    Kronecker powers into one d^N x d^N mean and eigensolves it, and the cap
-    bounds d^n_max.  Neither builds an N-copy representation or channel.
-    The bound does not depend on N.
+    row: O(|G| n_max^4) time, capped at |G| n_max^4 <= 2^35, and the cap bounds
+    the workspace |G| (n_max + 1).  For d > 2, each row sums the class states'
+    Kronecker powers into one D x D mean, D = d^N, and eigensolves it: at most
+    two D x D arrays at once, which must fit in one complex cap x cap matrix.
+    All limits are checked before any allocation.  Neither builds an N-copy
+    representation or channel.  The bound does not depend on N.
     """
     if n_max < 1:
         raise ValueError(f"need at least one copy, got {n_max}")
-    workspace = rep.order * (n_max + 1) if rho.dim == 2 else rho.dim**n_max
-    if workspace > max_dim():
-        raise ResourceLimitError(f"workspace {workspace} for N <= {n_max} exceeds cap {max_dim()}")
+    if rho.dim == 2 and rep.order * (n_max + 1) > max_dim():
+        raise ResourceLimitError(f"workspace {rep.order * (n_max + 1)} for N <= {n_max} "
+                                 f"exceeds cap {max_dim()}")
+    if rho.dim == 2 and rep.order * n_max**4 > _QUBIT_BOUND_WORK:
+        raise ResourceLimitError(f"work |G| N^4 = {rep.order * n_max**4:.3g} for N <= {n_max} exceeds 2^35 "
+                                 "(Q8 to N = 256, about 4 s)")
+    top = rho.dim**n_max  # the d > 2 peak: the top mean and one Kronecker power, or the solver's copy
+    peak = 16 * (2 * top**2 + (top // rho.dim)**2) if top <= max_dim() else math.inf
+    if rho.dim > 2 and peak > 16 * max_dim()**2:
+        raise ResourceLimitError(f"peak {peak:.3g} bytes for N <= {n_max}, D = {rho.dim}^{n_max}, exceeds "
+                                 f"{16 * max_dim()**2:.3g}, one complex {max_dim()}-square matrix")
     firsts, shares = _distinct_conjugations(rep)
     states = orbit_ensemble(rep, rho).matrices[firsts]
     if rho.dim == 2:
@@ -481,17 +492,12 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
 
 
 def _orbit_mean_asymmetries(states: np.ndarray, shares, rho: DensityOperator, n_max: int) -> list[float]:
-    """S(sum_c s_c sigma_c^(x)N) - N S(rho) for N = 1..n_max over the (C, d, d) ``states``, one mean per N."""
-    means = [np.zeros((rho.dim**n, rho.dim**n), dtype=complex) for n in range(1, n_max + 1)]
-    for state, share in zip(states, shares):
-        power = share * state  # the share rides on the first factor
-        for n, mean in enumerate(means, 1):
-            if n > 1:
-                power = np.kron(power, state)  # P_n = P_(n-1) (x) sigma: one Kronecker per N
-            mean += power
+    """S(sum_c s_c sigma_c^(x)N) - N S(rho) for N = 1..n_max over the (C, d, d) ``states``, a mean per N."""
     s_in, out = von_neumann_entropy(rho), []
     for n in range(1, n_max + 1):
-        mean, means[n - 1] = means[n - 1], None  # released once solved
+        mean = np.zeros((rho.dim**n, rho.dim**n), dtype=complex)
+        for state, share in zip(states, shares):  # each power built afresh, released once added
+            mean += functools.reduce(np.kron, [state] * (n - 1), share * state)  # share on the first factor
         out.append(_entropy_of_spectrum(np.linalg.eigvalsh(mean)) - n * s_in)
     return out
 

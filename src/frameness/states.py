@@ -30,6 +30,8 @@ WRAPPED_MASS_TOL = 1e-20      # N-fold law's tail mass folded into the transform
 VERIFY_TOL = 1e-8             # verify: an identity between two computed values
 KLEIN_TOL = 1e-9              # verify: how far below 0 a sampled S(rho||sigma) may read
 DEGENERATE_ANGLE_TOL = 1e-7   # |sin 2 theta| at which a qubit basis ignores gamma: ree reports (0, 0)
+COPY_SPLIT_EPS = 64           # twirl build: eigenvalues of T(H) within 64 d eps ||H||_F are one irrep copy
+INTERTWINER_TOL = 1e-6        # twirl build: a block of V^dag T(R) V below 1e-6 ||R||_F is zero (Schur)
 
 _DEFAULT_MAX_DIM = 2**14
 # Workspace bound of one stacked computation, in complex entries (1 MiB), a constant

@@ -1,10 +1,10 @@
 """Dense N-copy references: Kronecker-built tensor powers and N-copy twirls.
 
 ``tensor_power`` forms psi^(x)N as one d^N vector.  ``kronecker_bound_asymmetries``
-twirls rho^(x)N with the Kronecker-built N-copy representation T(g)^(x)N as a
-finite Kraus channel, one new representation and channel per N.  The package
-takes the finite-group N-copy check from the single-copy orbit instead; these
-are its oracles for small N.  For a qubit at N in the tens,
+twirls rho^(x)N with the Kronecker-built N-copy representation T(g)^(x)N as the
+|G|-term Kraus sum, one new channel per N.  The package takes the finite-group
+N-copy check from the single-copy orbit instead; these are its oracles for
+small N.  For a qubit at N in the tens,
 ``mp_bound_asymmetries`` takes the Schur-Weyl blocks at 50 digits, with
 Sym^n built by the monomial recursion rather than the package's Euler form.
 """
@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 import frameness as fr
+from channel_oracle import kraus_twirl
 
 
 def tensor_power(psi, n):
@@ -36,8 +37,8 @@ def kronecker_bound_asymmetries(rep, rho, n_max):
         if n > 1:
             state = np.kron(state, rho.matrix)
             unitaries = [np.kron(u, base) for u, base in zip(unitaries, rep.unitaries)]
-        twirl = fr.TwirlOperation.finite(fr.FiniteGroupRep(rep.table, unitaries))
-        out.append(fr.g_asymmetry(twirl, fr.DensityOperator(state)).asymmetry)
+        rho_n = fr.DensityOperator(state)
+        out.append(kraus_twirl(unitaries).image_entropy(rho_n) - fr.von_neumann_entropy(rho_n))
     return out
 
 

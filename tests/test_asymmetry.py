@@ -219,7 +219,7 @@ def test_twirls_are_unital_idempotent_channels():
               fr.TwirlOperation.u1(grading),
               fr.TwirlOperation.su2(fr.build_collective_spin_rep(2))]
     for tw in twirls:
-        ch = tw.kraus_channel()
+        ch = tw.channel.kraus_channel()
         assert ch.is_unital()
         assert ch.is_idempotent()
         assert fr.image_fix_equivalence_check(ch, samples=20, seed=0).consistent

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 import frameness as fr
 import frameness.channels
-from channel_oracle import kraus_pinching, per_sample_image_fix_check
+from channel_oracle import (identity_channel, kraus_channel_from_json, kraus_channel_to_json, kraus_pinching,
+                            kraus_twirl, per_sample_image_fix_check)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -40,7 +41,7 @@ def test_kraus_completeness_is_enforced():
 
 def test_apply_examples():
     rho = fr.random_density_operator(3, np.random.default_rng(0))
-    assert_allclose(fr.identity_channel(3).apply(rho).matrix, rho.matrix, atol=1e-15)
+    assert_allclose(identity_channel(3).apply(rho).matrix, rho.matrix, atol=1e-15)
 
     deph = fr.dephasing_channel(np.eye(2))
     assert_allclose(deph.apply(plus_state()).matrix, np.eye(2) / 2, atol=1e-12)
@@ -119,7 +120,7 @@ def test_idempotence_is_decided_once_per_channel(monkeypatch):
                         lambda self: builds.append(self) or superoperator(self))
     monkeypatch.setattr(fr.KrausChannel, "_idempotence_deviation",
                         lambda self: deviations.append(self) or deviation(self))
-    ch = z2_twirl_channel()
+    ch = kraus_twirl([np.eye(2), Z])
     fr.relative_entropy_to_image(ch, plus_state())
     assert fr.image_fix_equivalence_check(ch, samples=2).idempotent
     assert builds == [ch]
@@ -141,10 +142,10 @@ def random_pinching(dim, parts, rng):
 
 
 def phase_twirl(dim, order, rng):
+    """A rotated cyclic phase twirl as its Kraus oracle: a Kraus channel for the Kraus calculus."""
     u = fr.haar_unitary(dim, rng)
     charges = rng.integers(0, order, size=dim)
-    return fr.twirl_channel([(u * np.exp(2j * np.pi * k * charges / order)) @ u.conj().T
-                             for k in range(order)])
+    return kraus_twirl([(u * np.exp(2j * np.pi * k * charges / order)) @ u.conj().T for k in range(order)])
 
 
 def mixed_with_identity(ch, dev):
@@ -201,7 +202,7 @@ def test_image_fix_equivalence():
     assert not report.idempotent and not report.all_image_states_fixed
     assert report.consistent
 
-    report = fr.image_fix_equivalence_check(fr.identity_channel(3), samples=10, seed=0)
+    report = fr.image_fix_equivalence_check(identity_channel(3), samples=10, seed=0)
     assert report.consistent
 
 
@@ -247,16 +248,16 @@ def test_channel_json_round_trip():
     import json
 
     ch = fr.random_unital_idempotent_channel(3, np.random.default_rng(6))
-    back = fr.kraus_channel_from_json(json.loads(json.dumps(fr.kraus_channel_to_json(ch))))
+    back = kraus_channel_from_json(json.loads(json.dumps(kraus_channel_to_json(ch))))
     rho = fr.random_density_operator(3, np.random.default_rng(7))
     assert_allclose(back.apply(rho).matrix, ch.apply(rho).matrix, atol=1e-12)
-    tampered = fr.kraus_channel_to_json(fr.identity_channel(3))
+    tampered = kraus_channel_to_json(identity_channel(3))
     tampered["dim"] = 5
     with pytest.raises(fr.ShapeMismatchError):
-        fr.kraus_channel_from_json(tampered)
+        kraus_channel_from_json(tampered)
     with pytest.raises(fr.FramenessError):
-        fr.kraus_channel_from_json({"dim": 2, "kraus": [[[[0.5, 0.0], [0.0, 0.0]],
-                                                         [[0.0, 0.0], [0.5, 0.0]]]]})  # incomplete
+        kraus_channel_from_json({"dim": 2, "kraus": [[[[0.5, 0.0], [0.0, 0.0]],
+                                                      [[0.0, 0.0], [0.5, 0.0]]]]})  # incomplete
 
 
 def test_minimum_distance_oracle_against_image_samples():

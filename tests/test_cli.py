@@ -501,6 +501,35 @@ def test_bounds_finite_refuses_an_oversize_qubit_workspace_before_allocating(cap
     assert peak < 2**20  # the Schur-Weyl workspace alone would be |G| (N + 1)^2 complex entries
 
 
+@pytest.mark.parametrize("dim, copies", [(4, 7), (128, 2)])
+def test_bounds_finite_refuses_an_oversize_qudit_mean_before_allocating(tmp_path, capsys, monkeypatch,
+                                                                        dim, copies):
+    rep = write_json(tmp_path / "rep.json", fr.finite_rep_to_json(fr.cyclic_phase_rep(np.arange(dim) % 2, 2)))
+    state = write_json(tmp_path / "rho.json", fr.density_to_json(fr.DensityOperator(np.eye(dim) / dim)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the estimate")
+
+    monkeypatch.setattr(np, "zeros", forbidden)
+    monkeypatch.setattr(np, "kron", forbidden)
+    assert cli.run(["bounds", "--group", "finite", "--rep", rep, "--state", state,
+                    "--copies", str(copies)]) == 3
+    top = dim**copies  # 16384: the mean and one power are 2 x 4.3 GB
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource limit: peak {16 * (2 * top**2 + (top // dim)**2):.3g} bytes")
+    assert f"D = {dim}^{copies}" in err and err.count("\n") == 1
+
+
+def test_bounds_finite_caps_the_qubit_work_before_any_block(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a block was formed before the work cap")
+
+    monkeypatch.setattr(scaling, "_qubit_block_gaps", forbidden)
+    assert cli.run(["bounds", "--group", "finite", "--copies", "257"]) == 3  # Q8: 8 * 257^4 > 2^35
+    assert capsys.readouterr().err == ("resource limit: work |G| N^4 = 3.49e+10 for N <= 257 exceeds "
+                                       "2^35 (Q8 to N = 256, about 4 s)\n")
+
+
 def test_bounds_finite_reports_the_conjugation_ceiling(tmp_path, plus_state_file, z2_rep_file):
     res = run_json(tmp_path, ["bounds", "--group", "finite", "--copies", "20"])["result"]
     assert res["group_order"] == 8 and res["conjugation_bits"] == 2.0 and res["ok"] is True

