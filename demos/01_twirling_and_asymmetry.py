@@ -34,9 +34,16 @@ print(f"  entropy in/out: {res.entropy_in:.6f} / {res.entropy_out:.6f}")
 print(f"  asymmetry A = {res.asymmetry:.6f} bits")
 print(f"  S(rho || G(rho)) = {fr.relative_entropy(plus, res.twirled_state):.6f} bits")
 
-# the minimization over invariant states cannot do better
-oracle = fr.invariant_state_oracle(twirl, plus, trials=200, seed=1)
-print(f"  brute-force min over invariant states: {oracle:.6f}\n")
+# the minimization over invariant states cannot do better: try twirls of
+# random states, and their mixtures with G(rho)
+rng = np.random.default_rng(1)
+best = fr.relative_entropy(plus, res.twirled_state)
+for _ in range(200):
+    sigma = twirl.apply(fr.random_density_operator(2, rng)).matrix
+    lam = rng.uniform(0.05, 0.95)
+    for tau in (sigma, lam * sigma + (1 - lam) * res.twirled_state.matrix):
+        best = min(best, fr.relative_entropy(plus, fr.DensityOperator(tau)))
+print(f"  brute-force min over invariant states: {best:.6f}\n")
 
 # --- a phase reference: U(1) acting through charge sectors ----------------
 
@@ -76,7 +83,6 @@ print(f"  sqrt(3)/2 |triplet> + 1/2 |singlet>: A = "
 
 # every twirl is a block projection: unital, idempotent, image = fixed points
 for name, tw in (("Z2", twirl), ("U(1)", twirl_u1), ("SU(2)", twirl_su2)):
-    ch = tw.channel
-    report = fr.image_fix_equivalence_check(ch, samples=25, seed=0)
-    print(f"  {name}: unital={ch.is_unital()}, idempotent={ch.is_idempotent()}, "
+    report = fr.image_fix_equivalence_check(tw, samples=25, seed=0)
+    print(f"  {name}: unital={tw.is_unital()}, idempotent={tw.is_idempotent()}, "
           f"image=fix consistent={report.consistent}")

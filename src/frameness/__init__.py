@@ -16,7 +16,6 @@ from .asymmetry import (
     ClosedFormInapplicableError,
     TwirlOperation,
     g_asymmetry,
-    invariant_state_oracle,
     max_su2_asymmetry_value,
     max_u1_asymmetry_value,
     maximal_asymmetry_state,
@@ -28,7 +27,6 @@ from .channels import (
     ChannelPreconditionError,
     ImageFixReport,
     KrausChannel,
-    commutant_fixed_point_check,
     conditional_expectation_channel,
     dephasing_channel,
     image_fix_equivalence_check,

@@ -7,11 +7,11 @@ the invariant states, and the entropy it adds,
 
 equals the minimum relative-entropy distance from rho to the invariant set
 (the minimizer being G(rho) itself).  That identity is what
-:func:`g_asymmetry` returns and what :func:`invariant_state_oracle`
-brackets by brute-force search.
+:func:`g_asymmetry` returns.
 
-Every realized action is a :class:`~frameness.channels.BlockProjection`, the
-one conditional-expectation type, idempotent by its form:
+A :class:`TwirlOperation` is a :class:`~frameness.channels.BlockProjection`,
+the one conditional-expectation type, idempotent by its form; its
+constructors lay out the sectors of each group family:
 
 * finite groups: the projection onto the commutant of the action, sectors
   (d_lam, m_lam) per irrep, certified against the orbit average;
@@ -34,14 +34,12 @@ import numpy as np
 
 from .channels import BlockProjection, _identity_blocks, twirl_channel
 from .groups import ChargeGrading, CollectiveSpinRep, FiniteGroupRep, multiplicity_dimension
-from .sampling import random_density_operator, random_pure_state
 from .states import (
     DensityOperator,
     FramenessError,
     ProbabilityDistribution,
     PureState,
     ShapeMismatchError,
-    relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -51,42 +49,26 @@ class ClosedFormInapplicableError(FramenessError):
     """A closed-form asymmetry formula does not cover the given representation."""
 
 
-class TwirlOperation:
-    """The group-averaging channel ``channel`` of one of the supported group families."""
+class TwirlOperation(BlockProjection):
+    """The group-averaging channel of one of the supported group families, built by its constructors."""
 
-    __slots__ = ("kind", "rep", "channel")
-
-    def __init__(self, kind: str, rep, channel: BlockProjection):
-        self.kind = kind
-        self.rep = rep
-        self.channel = channel
+    __slots__ = ()
 
     @classmethod
     def finite(cls, rep: FiniteGroupRep) -> "TwirlOperation":
-        return cls("finite", rep, twirl_channel(rep.unitaries))
+        proj = twirl_channel(rep.unitaries)
+        return cls(proj.basis, proj.blocks)
 
     @classmethod
     def u1(cls, grading: ChargeGrading) -> "TwirlOperation":
         order = np.argsort(grading.charges, kind="stable")
         counts = np.unique(grading.charges, return_counts=True)[1].tolist()
-        proj = BlockProjection(_identity_blocks(order, counts), [(1, n) for n in counts])
-        return cls("u1", grading, proj)
+        return cls(_identity_blocks(order, counts), [(1, n) for n in counts])
 
     @classmethod
     def su2(cls, rep: CollectiveSpinRep) -> "TwirlOperation":
         # the real weight blocks of the Schur basis stay uncopied
-        blocks = [(2 * sec.j + 1, sec.multiplicity) for sec in rep.sectors]
-        return cls("su2", rep, BlockProjection(rep.weight_blocks, blocks))
-
-    @property
-    def dim(self) -> int:
-        return self.channel.dim
-
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.channel.apply_matrix(x)
-
-    def __call__(self, rho: DensityOperator) -> DensityOperator:
-        return DensityOperator(self.apply_matrix(rho.matrix))
+        return cls(rep.weight_blocks, [(2 * sec.j + 1, sec.multiplicity) for sec in rep.sectors])
 
 
 class AsymmetryResult:
@@ -108,7 +90,7 @@ class AsymmetryResult:
         """The dense G(state); the first read does the d x d twirl."""
         if self._twirled is None:
             state = self._state
-            self._twirled = self._twirl(state.projector() if isinstance(state, PureState) else state)
+            self._twirled = self._twirl.apply(state.projector() if isinstance(state, PureState) else state)
         return self._twirled
 
     def __repr__(self):
@@ -125,35 +107,8 @@ def g_asymmetry(twirl: TwirlOperation, state: DensityOperator | PureState) -> As
     if not isinstance(state, (DensityOperator, PureState)):
         raise TypeError(f"expected a DensityOperator or PureState, got {type(state).__name__}")
     s_in = 0.0 if isinstance(state, PureState) else von_neumann_entropy(state)
-    s_out = twirl.channel.image_entropy(state)
+    s_out = twirl.image_entropy(state)
     return AsymmetryResult(s_out - s_in, s_in, s_out, twirl, state)
-
-
-def invariant_state_oracle(twirl: TwirlOperation, rho: DensityOperator,
-                           trials: int = 100, seed: int = 0) -> float:
-    """Brute-force the minimization over invariant states.
-
-    Candidates are twirls of random states (invariant because the twirl is
-    idempotent), convex mixtures of those with G(rho), and G(rho) itself, so
-    the result can never exceed the closed-form value and bounds it from
-    above within numerical tolerance.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    g_rho = twirl(rho)
-    best = relative_entropy(rho, g_rho)
-    for t in range(trials):
-        if t % 2 == 0:
-            tau = random_density_operator(twirl.dim, rng)
-        else:
-            tau = random_pure_state(twirl.dim, rng).projector()
-        sigma = twirl(tau)
-        best = min(best, relative_entropy(rho, sigma))
-        lam = float(rng.uniform(0.05, 0.95))
-        mixed = DensityOperator(lam * sigma.matrix + (1 - lam) * g_rho.matrix)
-        best = min(best, relative_entropy(rho, mixed))
-    return best
 
 
 def u1_asymmetry_closed_form(grading: ChargeGrading, rho: DensityOperator) -> float:

@@ -7,7 +7,8 @@ itself.  :func:`relative_entropy_to_image` evaluates that gap after checking
 both preconditions.  :class:`BlockProjection` is the one conditional-expectation
 type (every group twirl, pinchings, block algebras, dephasing): its basis is a
 direct sum of unitary blocks, it is idempotent by its form and its entropy
-comes block by block.  User channels stay Kraus sums; their idempotence is
+comes block by block (its Kraus form is a test oracle, never built here).
+User channels stay Kraus sums; their idempotence is
 checked on the Choi matrices of E o E and E, whose difference is a product
 with inner dimension n^2 + n for n Kraus operators, or on the d^2 x d^2
 superoperator when that is the smaller product: O(d^4 min(n^2 + n, d^2))
@@ -19,7 +20,6 @@ bottom produce test channels going beyond group twirls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ from .sampling import _density_stack, haar_unitary
 from .states import (
     COMPOSED_TOL,
     COPY_SPLIT_EPS,
-    EIG_CUTOFF,
     IDENTITY_TOL,
     INPUT_TOL,
     INTERTWINER_TOL,
@@ -117,10 +116,6 @@ class KrausChannel:
             m += np.kron(k, k.conj())
         return m
 
-    def kraus_channel(self) -> "KrausChannel":
-        """The channel's Kraus form: itself."""
-        return self
-
     def is_unital(self) -> bool:
         eye = np.eye(self.dim)
         return float(np.abs(self.apply_matrix(eye) - eye).max()) <= IDENTITY_TOL
@@ -203,11 +198,11 @@ class BlockProjection:
     rows and whose cols each partition range(d), each slab (q, r) n_q adjacent
     columns of one u.  Blocks keep their dtype and are checked unitary; a block
     u = None is the identity, U[rows, cols] = I, applied by index gathers alone
-    (no check, no product).  Unital and idempotent by this form; the Kraus form
-    is built only as a test oracle.
+    (no check, no product).  Unital and idempotent by this form; its Kraus form
+    is a test oracle and not built here.
     """
 
-    __slots__ = ("dim", "basis", "blocks", "_slabs", "_kraus")
+    __slots__ = ("dim", "basis", "blocks", "_slabs")
 
     def __init__(self, basis, blocks):
         if isinstance(basis, np.ndarray):  # one dense block
@@ -226,7 +221,7 @@ class BlockProjection:
             raise ShapeMismatchError(f"blocks cover dimension {d}, basis has {rows_cols.shape[1]}")
         if (np.sort(rows_cols) != np.arange(d)).any():
             raise ValueError("the rows and the columns of the basis blocks must each partition range(d)")
-        self.dim, self._kraus = d, None
+        self.dim = d
         # key[c] = d * (basis block) + (column within it), for column c of U
         key = np.empty(d, dtype=int)
         for b, (_, c, _) in enumerate(self.basis):
@@ -290,47 +285,6 @@ class BlockProjection:
     def is_idempotent(self) -> bool:
         """Structural: E fixes each I_{m_q}/m_q (x) sigma_q it produces."""
         return True
-
-    def kraus_channel(self) -> KrausChannel:
-        """Kraus form {U_{q,r} U_{q,s}^dag / sqrt(m_q)} (U_{q,r}: slab r's columns), built once."""
-        if self._kraus is None:
-            kraus = []
-            for (m, n), slabs in zip(self.blocks, self._slabs):
-                cols = []
-                for b, c in slabs:
-                    r, _, u = self.basis[b]
-                    col = np.zeros((self.dim, n), dtype=float if u is None else u.dtype)
-                    col[r] = np.eye(r.size)[:, c:c + n] if u is None else u[:, c:c + n]
-                    cols.append(col)
-                kraus += [k @ k2.conj().T / math.sqrt(m) for k in cols for k2 in cols]
-            self._kraus = KrausChannel(kraus)
-        return self._kraus
-
-
-def commutant_fixed_point_check(ch: KrausChannel | BlockProjection, tau: np.ndarray) -> bool:
-    """True iff tau commutes with every Kraus operator and its adjoint.
-
-    For unital channels the commutant of {E_a, E_a^dag} is exactly the fixed
-    point algebra, so a True verdict is cross-checked against the Schrodinger
-    action on tau/Tr(tau).
-    """
-    if not ch.is_unital():
-        raise ChannelPreconditionError("commutant fixed-point test needs a unital channel")
-    tau = np.asarray(tau, dtype=complex)
-    for k in ch.kraus_channel().kraus:
-        for e in (k, k.conj().T):
-            if float(np.abs(tau @ e - e @ tau).max()) > IDENTITY_TOL:
-                return False
-    tr = complex(np.trace(tau))
-    if abs(tr) > EIG_CUTOFF:
-        state = tau / tr
-        dev = float(np.abs(ch.apply_matrix(state) - state).max())
-        if dev > IDENTITY_TOL:
-            raise FramenessError(
-                f"commuting operator not fixed by the channel (dev {dev:.3e}); tolerances inconsistent"
-            )
-    return True
-
 
 @dataclass
 class ImageFixReport:

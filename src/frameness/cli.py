@@ -578,7 +578,7 @@ def _cmd_twirl(args) -> int:
 def _cmd_extremal(args) -> int:
     p = _parser("extremal", "maximal-asymmetry state and its value")
     p.add_argument("--group", choices=("u1", "su2"), required=True)
-    p.add_argument("--n-max", type=int, help="largest charge for the u1 family")
+    p.add_argument("--n-max", type=_count, help="largest charge for the u1 family")
     p.add_argument("--qubits", type=int, help="register size for su2")
     ns = p.parse_args(args)
     if ns.group == "u1":
@@ -669,7 +669,7 @@ def _cmd_bounds(args) -> int:
                 "qubits 7.459 > 6.919 bits, ok: false).")
     _group_args(p)
     p.add_argument("--state", help="base state for the finite-group N-copy check")
-    p.add_argument("--copies", type=int, default=3, help="largest N checked by --group finite")
+    p.add_argument("--copies", type=_copies, default=3, help="largest N checked by --group finite")
     ns = p.parse_args(args)
     meta = _meta("bounds", ns)
     if ns.group == "finite":

@@ -16,7 +16,7 @@ import numpy as np
 # Tolerance table: every numerical threshold, grouped by what it guards.
 EIG_CUTOFF = 1e-12   # treated as zero: eigenvalue, probability, trace, asymmetry; above eigensolver noise
 INPUT_TOL = 1e-10    # an input's defining identity, entrywise: states, weights, Kraus, unitaries, effects
-IDENTITY_TOL = 1e-9  # a channel or POVM identity: E(I) = I, the commutant test, effects summing to I
+IDENTITY_TOL = 1e-9  # a channel or POVM identity: E(I) = I, effects summing to I
 COMPOSED_TOL = 1e-8  # a product of checked inputs: E(E(x)) = E(x), the image = fix report, group closure
 BOUND_TOL = 1e-8     # the slack in "measured <= bound" (within_bound)
 TIGHT_TOL = 1e-4     # |upper - lower| of a tight entanglement sandwich

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import frameness as fr
 from frameness.groups import CollectiveSpinRep
+from channel_oracle import invariant_state_oracle, kraus_channel
 from su2_oracle import collective_rotation, dense_schur_basis
 
 
@@ -44,25 +45,25 @@ def schur_sector_data(n_qubits, psi):
 
 
 def test_twirl_examples():
-    assert_allclose(z2_twirl()(plus_state()).matrix, np.eye(2) / 2, atol=1e-12)
+    assert_allclose(z2_twirl().apply(plus_state()).matrix, np.eye(2) / 2, atol=1e-12)
 
     grading = fr.ChargeGrading([0, 1, 2])
     number_state = fr.DensityOperator(np.diag([0.0, 1.0, 0.0]))
     tw = fr.TwirlOperation.u1(grading)
-    assert_allclose(tw(number_state).matrix, number_state.matrix, atol=1e-15)
+    assert_allclose(tw.apply(number_state).matrix, number_state.matrix, atol=1e-15)
 
     rep = fr.build_collective_spin_rep(2)
     singlet = np.zeros(4)
     singlet[1], singlet[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
     rho = fr.PureState(singlet).projector()
-    assert_allclose(fr.TwirlOperation.su2(rep)(rho).matrix, rho.matrix, atol=1e-10)
+    assert_allclose(fr.TwirlOperation.su2(rep).apply(rho).matrix, rho.matrix, atol=1e-10)
 
 
 def test_u1_twirl_keeps_intra_sector_coherence():
     grading = fr.ChargeGrading([0, 1, 1])
     v = np.array([0.0, 1.0, 1.0]) / math.sqrt(2)
     rho = fr.PureState(v).projector()
-    out = fr.TwirlOperation.u1(grading)(rho)
+    out = fr.TwirlOperation.u1(grading).apply(rho)
     assert abs(out.matrix[1, 2]) == pytest.approx(0.5, abs=1e-12)  # same-charge coherence kept
     assert out.matrix[0, 1] == pytest.approx(0.0, abs=1e-15)
 
@@ -99,16 +100,16 @@ def test_asymmetry_equals_relative_entropy_to_twirl():
 
 def test_invariant_state_oracle_sandwich():
     tw = z2_twirl()
-    val = fr.invariant_state_oracle(tw, plus_state(), trials=100, seed=0)
+    val = invariant_state_oracle(tw, plus_state(), trials=100, seed=0)
     assert val == pytest.approx(1.0, abs=1e-8)
 
     invariant = fr.DensityOperator(np.diag([0.2, 0.8]))
-    assert fr.invariant_state_oracle(tw, invariant, trials=20, seed=0) == pytest.approx(0.0, abs=1e-9)
+    assert invariant_state_oracle(tw, invariant, trials=20, seed=0) == pytest.approx(0.0, abs=1e-9)
 
     grading = fr.ChargeGrading([0, 1, 2])
     uniform = fr.PureState(np.full(3, 1 / math.sqrt(3))).projector()
     tw_u1 = fr.TwirlOperation.u1(grading)
-    val = fr.invariant_state_oracle(tw_u1, uniform, trials=60, seed=1)
+    val = invariant_state_oracle(tw_u1, uniform, trials=60, seed=1)
     assert val == pytest.approx(math.log2(3), abs=1e-8)
     # never below the closed-form value
     assert val >= fr.g_asymmetry(tw_u1, uniform).asymmetry - 1e-8
@@ -213,19 +214,43 @@ def test_any_schmidt_pairing_gives_the_same_asymmetry():
     assert fr.g_asymmetry(tw, permuted.projector()).asymmetry == pytest.approx(reference, abs=1e-8)
 
 
+def q8_x_i3():
+    return fr.finite_group_from_unitaries([np.kron(u, np.eye(3)) for u in fr.quaternion_rep().unitaries])
+
+
+TWIRLS = {
+    "q8": lambda: fr.TwirlOperation.finite(fr.quaternion_rep()),
+    "q8-x-i3": lambda: fr.TwirlOperation.finite(q8_x_i3()),
+    "u1": lambda: fr.TwirlOperation.u1(fr.hamming_weight_grading(4)),
+    "su2": lambda: fr.TwirlOperation.su2(fr.build_collective_spin_rep(4)),
+}
+
+
+@pytest.mark.parametrize("name", TWIRLS)
+def test_a_twirl_is_a_block_projection_and_its_asymmetry_the_entropy_gap(name):
+    tw = TWIRLS[name]()
+    assert isinstance(tw, fr.BlockProjection) and not hasattr(tw, "__dict__")
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        rho = fr.random_density_operator(tw.dim, rng)
+        res = fr.g_asymmetry(tw, rho)
+        assert res.asymmetry == fr.relative_entropy_to_image(tw, rho)
+        assert res.twirled_state.matrix.tobytes() == tw.apply(rho).matrix.tobytes()
+
+
 def test_twirls_are_unital_idempotent_channels():
     grading = fr.ChargeGrading([0, 1, 1, 2])
     twirls = [z2_twirl(), fr.TwirlOperation.finite(fr.quaternion_rep()),
               fr.TwirlOperation.u1(grading),
               fr.TwirlOperation.su2(fr.build_collective_spin_rep(2))]
     for tw in twirls:
-        ch = tw.channel.kraus_channel()
+        ch = kraus_channel(tw)
         assert ch.is_unital()
         assert ch.is_idempotent()
         assert fr.image_fix_equivalence_check(ch, samples=20, seed=0).consistent
         # the Kraus form realizes the same map
         rho = fr.random_density_operator(tw.dim, np.random.default_rng(3))
-        assert_allclose(ch.apply(rho).matrix, tw(rho).matrix, atol=1e-10)
+        assert_allclose(ch.apply(rho).matrix, tw.apply(rho).matrix, atol=1e-10)
 
 
 def test_twirl_covariance():
@@ -236,7 +261,7 @@ def test_twirl_covariance():
     rho = fr.random_density_operator(2, rng)
     for u in rep.unitaries:
         rotated = fr.DensityOperator(u @ rho.matrix @ u.conj().T)
-        assert fr.trace_distance(tw(rotated), tw(rho)) < 1e-8
+        assert fr.trace_distance(tw.apply(rotated), tw.apply(rho)) < 1e-8
 
     grading = fr.ChargeGrading([0, 1, 2])
     tw_u1 = fr.TwirlOperation.u1(grading)
@@ -244,7 +269,7 @@ def test_twirl_covariance():
     for _ in range(5):
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi) * grading.charges)
         rotated = fr.DensityOperator((phase[:, None] * rho.matrix) * phase.conj()[None, :])
-        assert fr.trace_distance(tw_u1(rotated), tw_u1(rho)) < 1e-8
+        assert fr.trace_distance(tw_u1.apply(rotated), tw_u1.apply(rho)) < 1e-8
 
     rep4 = fr.build_collective_spin_rep(4)
     tw_su2 = fr.TwirlOperation.su2(rep4)
@@ -252,7 +277,7 @@ def test_twirl_covariance():
     for _ in range(3):
         u = collective_rotation(4, rng.uniform(-2, 2, size=3))
         rotated = fr.DensityOperator(u @ rho.matrix @ u.conj().T)
-        assert fr.trace_distance(tw_su2(rotated), tw_su2(rho)) < 1e-8
+        assert fr.trace_distance(tw_su2.apply(rotated), tw_su2.apply(rho)) < 1e-8
 
 
 def test_multiplicity_basis_independence():
@@ -273,7 +298,7 @@ def test_multiplicity_basis_independence():
     tw, tw_alt = fr.TwirlOperation.su2(rep), fr.TwirlOperation.su2(alt)
     for _ in range(5):
         rho = fr.random_density_operator(16, rng)
-        assert fr.trace_distance(tw(rho), tw_alt(rho)) < 1e-8
+        assert fr.trace_distance(tw.apply(rho), tw_alt.apply(rho)) < 1e-8
 
 
 def test_monotonicity_under_invariant_operations():

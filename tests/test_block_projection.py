@@ -1,4 +1,4 @@
-"""BlockProjection against its lazily built Kraus oracle, and its input checks.
+"""BlockProjection against its Kraus oracle, and its input checks.
 
 The oracle is the explicit Kraus form {U_{q,r} U_{q,s}^dag / sqrt(m_q)};
 every blockwise result (dense image, adjoint, image entropy) must agree with
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from channel_oracle import kraus_channel
 from numpy.testing import assert_allclose
 
 import frameness as fr
@@ -57,8 +58,7 @@ def test_blockwise_results_match_the_kraus_oracle(dim, kind, seed, pure):
     proj = fr.BlockProjection(basis, blocks)
     given_blocks = [(None, None, basis)] if isinstance(basis, np.ndarray) else basis
     assert all(p[2] is g[2] for p, g in zip(proj.basis, given_blocks))  # blocks kept uncopied, dtype and all
-    oracle = proj.kraus_channel()
-    assert proj.kraus_channel() is oracle
+    oracle = kraus_channel(proj)
 
     state = fr.random_pure_state(dim, rng) if pure else fr.random_density_operator(dim, rng)
     rho = state.projector() if pure else state
@@ -158,12 +158,12 @@ def test_entropy_gaps_build_no_kraus_channel(monkeypatch):
 
 def test_twirls_hold_their_bases_uncopied():
     rep = fr.build_collective_spin_rep(4)
-    su2 = fr.TwirlOperation.su2(rep).channel
+    su2 = fr.TwirlOperation.su2(rep)
     assert len(su2.basis) == rep.n_qubits + 1  # one block per Hamming weight
     for (rows, cols, u), (_, _, block) in zip(su2.basis, rep.weight_blocks):
         assert u is block and not np.iscomplexobj(u) and u.shape == (rows.size, cols.size)
     assert su2.blocks == tuple((2 * s.j + 1, s.multiplicity) for s in rep.sectors)
-    u1 = fr.TwirlOperation.u1(fr.ChargeGrading([2, 0, 1, 0])).channel
+    u1 = fr.TwirlOperation.u1(fr.ChargeGrading([2, 0, 1, 0]))
     assert [rows.tolist() for rows, _, _ in u1.basis] == [[1, 3], [2], [0]]  # one block per charge
     assert all(u is None for _, _, u in u1.basis)  # permutation-only: no identity matrices
     assert u1.blocks == ((1, 2), (1, 1), (1, 1))
@@ -175,11 +175,11 @@ def test_permutation_only_projection_makes_no_product(monkeypatch, build):
 
     rng = np.random.default_rng(9)
     if build == "u1":
-        proj = fr.TwirlOperation.u1(fr.hamming_weight_grading(4)).channel
+        proj = fr.TwirlOperation.u1(fr.hamming_weight_grading(4))
     else:
         proj = fr.conditional_expectation_channel([(2, 3), (1, 4), (3, 1)])
     rho, psi = fr.random_density_operator(proj.dim, rng), fr.random_pure_state(proj.dim, rng)
-    oracle = proj.kraus_channel()  # the Kraus oracle multiplies; the projection does not
+    oracle = kraus_channel(proj)  # the Kraus oracle multiplies; the projection does not
 
     def forbidden(*args):
         raise AssertionError("a permutation-only projection multiplied by a basis block")

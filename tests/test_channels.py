@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 import frameness as fr
 import frameness.channels
-from channel_oracle import (identity_channel, kraus_channel_from_json, kraus_channel_to_json, kraus_pinching,
-                            kraus_twirl, per_sample_image_fix_check)
+from channel_oracle import (commutant_fixed_point_check, identity_channel, kraus_channel, kraus_channel_from_json,
+                            kraus_channel_to_json, kraus_pinching, kraus_twirl, per_sample_image_fix_check)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -93,7 +93,7 @@ def test_superoperator_matches_kraus_action():
     rng = np.random.default_rng(2)
     ch = fr.random_unital_idempotent_channel(4, rng)
     rho = fr.random_density_operator(4, rng)
-    m = ch.kraus_channel().superoperator()
+    m = kraus_channel(ch).superoperator()
     direct = ch.apply_matrix(rho.matrix).ravel()
     assert np.abs(m @ rho.matrix.ravel() - direct).max() < 1e-9
 
@@ -128,7 +128,7 @@ def test_idempotence_is_decided_once_per_channel(monkeypatch):
     assert not half.is_idempotent() and not half.is_idempotent()
     assert builds == [ch, half]
     # four Kraus operators on d = 8 (n^2 + n < d^2): decided on the Choi side, once
-    pinch = random_pinching(8, 4, np.random.default_rng(9)).kraus_channel()
+    pinch = kraus_channel(random_pinching(8, 4, np.random.default_rng(9)))
     fr.relative_entropy_to_image(pinch, fr.random_density_operator(8, np.random.default_rng(10)))
     assert fr.image_fix_equivalence_check(pinch, samples=2).idempotent
     assert deviations == [ch, half, pinch]
@@ -150,21 +150,21 @@ def phase_twirl(dim, order, rng):
 
 def mixed_with_identity(ch, dev):
     """dev id + (1 - dev) E: not idempotent for 0 < dev < 1 unless E is the identity."""
-    return fr.KrausChannel([math.sqrt(1.0 - dev) * k for k in ch.kraus_channel().kraus]
+    return fr.KrausChannel([math.sqrt(1.0 - dev) * k for k in kraus_channel(ch).kraus]
                            + [math.sqrt(dev) * np.eye(ch.dim)])
 
 
 def deviation_cases(rng):
     """Channels on both sides of the n (n + 1) < d^2 split, idempotent or not."""
     d = int(rng.integers(8, 25))
-    yield random_pinching(d, int(rng.integers(2, 6)), rng).kraus_channel()
+    yield kraus_channel(random_pinching(d, int(rng.integers(2, 6)), rng))
     yield phase_twirl(d, int(rng.integers(2, 9)), rng)
     small = int(rng.integers(2, 11))
     m = int(rng.integers(1, small))  # sectors (m, 1) and (1, small - m): m^2 + 1 Kraus operators
-    yield fr.conditional_expectation_channel([(m, 1), (1, small - m)],
-                                             fr.haar_unitary(small, rng)).kraus_channel()
-    yield fr.dephasing_channel(fr.haar_unitary(small, rng)).kraus_channel()
-    yield fr.random_unital_idempotent_channel(2, rng).kraus_channel()
+    yield kraus_channel(fr.conditional_expectation_channel([(m, 1), (1, small - m)],
+                                                           fr.haar_unitary(small, rng)))
+    yield kraus_channel(fr.dephasing_channel(fr.haar_unitary(small, rng)))
+    yield kraus_channel(fr.random_unital_idempotent_channel(2, rng))
     yield phase_twirl(2, int(rng.integers(2, 5)), rng)
     yield mixed_with_identity(random_pinching(int(rng.integers(3, 9)), 2, rng), rng.uniform(0, 1))
     yield mixed_with_identity(random_pinching(2, 2, rng), rng.uniform(0, 1))
@@ -187,11 +187,11 @@ def test_idempotence_deviation_matches_the_superoperator(seed):
 
 def test_commutant_fixed_point_check():
     deph = fr.dephasing_channel(np.eye(2))
-    assert fr.commutant_fixed_point_check(deph, np.eye(2))
-    assert fr.commutant_fixed_point_check(deph, np.diag([1.0, 2.0]))
-    assert not fr.commutant_fixed_point_check(deph, np.array([[0, 1], [1, 0]], dtype=complex))
+    assert commutant_fixed_point_check(deph, np.eye(2))
+    assert commutant_fixed_point_check(deph, np.diag([1.0, 2.0]))
+    assert not commutant_fixed_point_check(deph, np.array([[0, 1], [1, 0]], dtype=complex))
     with pytest.raises(fr.ChannelPreconditionError):
-        fr.commutant_fixed_point_check(amplitude_damping(), np.eye(2))
+        commutant_fixed_point_check(amplitude_damping(), np.eye(2))
 
 
 def test_image_fix_equivalence():
@@ -284,8 +284,8 @@ def stack_cases():
     yield "pinching", random_pinching(7, 3, rng)
     yield "block", fr.conditional_expectation_channel([(2, 2), (1, 3)], fr.haar_unitary(7, rng))
     yield "identity-blocks", fr.conditional_expectation_channel([(2, 1), (1, 2), (3, 1)])
-    yield "u1", fr.TwirlOperation.u1(fr.hamming_weight_grading(4)).channel
-    yield "su2-weight-blocks", fr.TwirlOperation.su2(fr.build_collective_spin_rep(4)).channel
+    yield "u1", fr.TwirlOperation.u1(fr.hamming_weight_grading(4))
+    yield "su2-weight-blocks", fr.TwirlOperation.su2(fr.build_collective_spin_rep(4))
 
 
 STACK_CASES = list(stack_cases())
@@ -341,7 +341,7 @@ def test_pinching_matches_its_kraus_oracle():
         assert abs(pinch.image_entropy(rho) - oracle.image_entropy(rho)) <= 1e-12
         assert abs(fr.relative_entropy_to_image(pinch, rho)
                    - fr.relative_entropy(rho, oracle.apply(rho))) <= 1e-12
-        kraus = pinch.kraus_channel().kraus
+        kraus = kraus_channel(pinch).kraus
         assert max(np.abs(k - p).max() for k, p in zip(kraus, projectors)) <= 1e-12
 
 

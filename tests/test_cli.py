@@ -229,11 +229,20 @@ def test_bounds_finite_and_su2(tmp_path, plus_state_file, z2_rep_file):
 
 @pytest.mark.parametrize("copies", ["0", "-2"])
 def test_bounds_finite_needs_a_copy(capsys, copies):
-    # an empty table must not print "ok": true
+    # an empty table must not print "ok": true; the usage error names the option
     assert cli.run(["bounds", "--group", "finite", "--copies", copies]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: need at least one copy, got {copies}\n"
+    assert captured.err == ("frameness bounds: error: argument --copies: "
+                            f"must be a positive copy count, got '{copies}'\n")
+
+
+def test_extremal_n_max_is_a_nonnegative_count(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli.run(["extremal", "--group", "u1", "--n-max", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "frameness extremal: error: argument --n-max: must be a nonnegative count, got -1\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_scaling_rejects_a_state_and_grading_of_different_dimensions(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from channel_oracle import kraus_channel
 from stack_oracle import per_candidate_dephasing_search
 
 import frameness as fr
@@ -39,7 +40,7 @@ def test_bell_diagonal_state():
 
 def test_dephasing_channel_structure():
     ch = fr.dephasing_channel(np.eye(2))
-    kraus = ch.kraus_channel().kraus
+    kraus = kraus_channel(ch).kraus
     assert_allclose(kraus[0], np.diag([1.0, 0.0]), atol=1e-15)
     assert_allclose(kraus[1], np.diag([0.0, 1.0]), atol=1e-15)
     with pytest.raises(ValueError):

@@ -42,7 +42,7 @@ def test_orbit_average_equals_twirl():
     rep = fr.quaternion_rep()
     rho = fr.random_density_operator(2, rng)
     avg = fr.orbit_ensemble(rep, rho).average()
-    twirled = fr.TwirlOperation.finite(rep)(rho)
+    twirled = fr.TwirlOperation.finite(rep).apply(rho)
     assert fr.trace_distance(avg, twirled) < 1e-9
 
 

