@@ -198,8 +198,7 @@ class BlockProjection:
     rows and whose cols each partition range(d), each slab (q, r) n_q adjacent
     columns of one u.  Blocks keep their dtype and are checked unitary; a block
     u = None is the identity, U[rows, cols] = I, applied by index gathers alone
-    (no check, no product).  Unital and idempotent by this form; its Kraus form
-    is a test oracle and not built here.
+    (no check, no product).  Unital and idempotent by this form.
     """
 
     __slots__ = ("dim", "basis", "blocks", "_slabs")
