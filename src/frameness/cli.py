@@ -66,6 +66,7 @@ from .states import (
     BOUND_TOL,
     COMPOSED_TOL,
     IDENTITY_TOL,
+    INPUT_TOL,
     KLEIN_TOL,
     TIGHT_TOL,
     VERIFY_TOL,
@@ -611,6 +612,9 @@ def _per_copy_distribution(ns) -> ProbabilityDistribution:
         rho = _load_state(ns.state)
         if rho.dim != grading.dim:
             raise ShapeMismatchError(f"state dim {rho.dim} does not match grading dim {grading.dim}")
+        if rho.dim > 1 and rho.eigenvalues()[-2] > INPUT_TOL:  # the law's entropy is A for pure copies only
+            raise ValueError(f"--state must be a pure state: its density matrix has second-largest "
+                             f"eigenvalue {rho.eigenvalues()[-2]:.6g} > {INPUT_TOL:g}")
         diag = np.real(np.diagonal(rho.matrix))
         return ProbabilityDistribution(np.bincount(grading.charges, weights=diag))
     return ProbabilityDistribution([1.0 - ns.p, ns.p])
@@ -669,8 +673,11 @@ def _cmd_bounds(args) -> int:
                 "qubits 7.459 > 6.919 bits, ok: false).")
     _group_args(p)
     p.add_argument("--state", help="base state for the finite-group N-copy check")
-    p.add_argument("--copies", type=_copies, default=3, help="largest N checked by --group finite")
+    p.add_argument("--copies", type=_copies, help="largest N checked by --group finite (default 3)")
     ns = p.parse_args(args)
+    if ns.group == "su2" and ns.copies is not None:
+        p.error("--copies sets N for --group finite; --group su2 reads no copy count")
+    ns.copies = 3 if ns.copies is None and ns.group == "finite" else ns.copies
     meta = _meta("bounds", ns)
     if ns.group == "finite":
         rep = _load_finite_rep(ns.rep) if ns.rep else quaternion_rep()

@@ -13,32 +13,23 @@ convention is available as ``GAUSSIAN_CONSTANT_HALF``).  Dividing by N sends
 the asymmetry to zero; re-linearizing through L(x) = 2^(2x) instead recovers
 a quantity proportional to the single-copy charge variance.
 
-The N-fold convolution is computed by powering the law's spectrum over the
-window that holds its mass (:func:`convolve_copies`).  By Hoeffding's
-inequality all but ``WRAPPED_MASS_TOL`` (1e-20) of the N-fold law of a law on
-0..D lies within t = D sqrt(N ln(2 / 1e-20) / 2), about 4.8 D sqrt N, of its
-mean, so one real FFT of length L >= min(N D + 1, 2 t + 1), rounded up to a
-2^a 3^b 5^c length, holds the law folded modulo L: 1440 points for the 20001
-of N = 2*10^4 and 9720 for the 10^6 + 1 of N = 10^6 (D = 1).  The spectrum is
-raised to the N-th power in polar form, N log|F| + i N arg F.  Where
-|F|^N > (sum w)^N / N, rounding in F would grow N-fold, so there it is taken
-from the law's m nonzero levels in centred form, N arg(F e^(i theta c / N))
-from exactly reduced angles and N log|F| through log1p of a sum of
-nonnegative terms, which keeps relative precision near theta = 0: O(m) per
-frequency, for 17 of the 4861 frequencies at N = 10^6.  One inverse FFT and
-a read-back by index follow.  The transform is O(D sqrt N log N) work.  A
-table prepares the law once, and each row takes its entropy from the window
-alone, so a row also costs O(D sqrt N log N); :func:`convolve_copies` still
-returns all N D + 1 weights, which is O(N).  Square-and-multiply rounds
-N-fold instead: on the same window it reads 5.4e-10 bits off at N = 10^6
-for Bernoulli 0.3.  Against the exact binomial entropy (30-digit mpmath)
-with the weights at or below ``EIG_CUTOFF`` dropped, as every entropy drops
-them, a row agrees to 2.7e-14 bits for p = 0.3 and exactly for p = 0.5 at
-N = 10^6; the dropped weights carry 5.8e-9 and 7.8e-10 bits.  On a 2-vCPU
-x86 machine one convolution at N = 10^6 takes about 5-8 ms, against 80-100
-ms for square-and-multiply over the whole support; its table row takes
-0.5-0.6 ms, against 13-21 ms when the row read the whole support, and a
-12-row ladder to N = 2*10^4 takes 1.0-1.1 ms against 1.4-2.0 ms.
+The N-fold law comes from powering the law's spectrum over the window that
+holds its mass (:func:`convolve_copies`).  By Hoeffding's inequality all but
+``WRAPPED_MASS_TOL`` (1e-20) of the N-fold law of a law on 0..D lies within
+t = D sqrt(N ln(2 / 1e-20) / 2), about 4.8 D sqrt N, of its mean, so one real
+FFT of length L >= min(N D + 1, 2 t + 1), rounded up to a 2^a 3^b 5^c length,
+holds the law folded modulo L: 1440 points at N = 2*10^4 and 9720 at
+N = 10^6 (D = 1).  The spectrum is raised to the N-th power in polar form,
+from the law's levels in centred form where |F|^N > (sum w)^N / N
+(:func:`_centred_log_power`; 17 of 4861 frequencies at N = 10^6), and one
+inverse FFT and a read-back by index follow: O(D sqrt N log N) work.  A ladder
+of N goes through one pass (:func:`_power_rows`): only the transforms run row
+by row.  Against 30-digit mpmath with the weights at or below ``EIG_CUTOFF``
+dropped, as every entropy drops them, the N = 10^6 row is within 2.7e-14 bits
+for p = 0.3 and exact for p = 0.5.  On a shared 2-vCPU x86 machine (numpy
+2.4.6; medians of 41 interleaved in-process calls) the benchmark's 12-row
+ladder to N = 2*10^4 takes 0.47-0.53 ms per law against 1.03-1.06 ms row by
+row, and the default ladder to N = 10^6 0.73 ms against 1.29 ms.
 """
 
 from __future__ import annotations
@@ -58,6 +49,7 @@ from .groups import (ChargeGrading, CollectiveSpinRep, FiniteGroupRep, _distinct
 from .states import (
     BLOCK_SPECTRUM_CUTOFF,
     CONVOLVED_SUM_EPS,
+    EIG_CUTOFF,
     WRAPPED_MASS_TOL,
     ZERO_VARIANCE_CUTOFF,
     DensityOperator,
@@ -156,82 +148,112 @@ def _mass_window(law, n_copies: int) -> tuple[int, int, int]:
     return length, min(max(centre - length // 2, 0), size - min(length, size)), centre
 
 
-def _centred_log_power(weights, offsets, total: float, j, cycle: int, n_copies: int) -> np.ndarray:
-    """log(F^N e^(i theta c)) at theta = 2 pi j / L from the law's levels: N log|F| + i N phi.
+def _centred_log_power(weights, levels, total: float, j, n_copies, centre, length) -> np.ndarray:
+    """log F^N at theta = 2 pi j / L from the law's levels, centred on c: N log|F| + i (N phi - theta c).
 
-    ``weights`` are the nonzero w_x and ``offsets`` their x N - c, so each angle
-    a_x = theta (x - c / N) = 2 pi j (x N - c) / (N L) is reduced exactly in
-    integers modulo ``cycle`` = N L, and the heavy levels near c / N have small,
-    accurate angles.  phi = arg sum_x w_x e^(-i a_x), and
-    sum w - |F| = 2 sum_x w_x sin^2((a_x + phi) / 2) is a sum of nonnegative
-    terms, so N log|F| = N log(sum w) + N log1p(-(sum w - |F|) / sum w) keeps
-    its relative precision where |F| is near sum w, where a log of |F| would
-    lose it.  An error in phi moves that sum only in second order: phi is where
-    Re(F e^(i theta c / N) e^(-i phi)) peaks.  O(levels) per frequency.
+    ``n_copies``, ``centre`` and ``length`` are each frequency j's row's N, c and L, or numbers for one
+    row.  The angles a_x = theta (x - c / N) of the nonzero ``weights`` w_x at ``levels`` x, and
+    theta c, are reduced exactly in integers, so the heavy levels near c / N have small, accurate
+    angles.  phi = arg sum_x w_x e^(-i a_x), and sum w - |F| = 2 sum_x w_x sin^2((a_x + phi) / 2) is a
+    sum of nonnegative terms, so N log|F| = N log(sum w) + N log1p(-(sum w - |F|) / sum w) keeps its
+    relative precision where |F| is near sum w; an error in phi moves that sum only in second order.
+    The sums run level by level, so a frequency's value does not depend on the others in the call.
     """
-    half = ((j[:, None] * offsets + cycle // 2) % cycle - cycle // 2) * (np.pi / cycle)  # a_x / 2
-    phase = np.angle(np.exp(-2j * half) @ weights)
-    short = np.sin(half + 0.5 * phase[:, None]) ** 2 @ (2.0 * weights)  # sum w - |F| < sum w
-    return n_copies * (np.log1p(-short / total) + (math.log(total) + 1j * phase))
+    cycle = n_copies * length
+    mid = cycle // 2
+    half = ((j * (levels[:, None] * n_copies - centre) + mid) % cycle - mid) * (np.pi / cycle)  # a_x / 2
+    mean = (weights[:, None] * np.exp(-2j * half)).cumsum(0)[-1]
+    phase = np.arctan2(mean.imag, mean.real)
+    short = (2.0 * weights[:, None] * np.sin(half + 0.5 * phase) ** 2).cumsum(0)[-1]  # sum w - |F| < sum w
+    theta_c = 2j * (np.pi / length) * (j * centre % length)
+    return n_copies * (np.log1p(-short / total) + (math.log(total) + 1j * phase)) - theta_c
 
 
 def _prepare_law(per_copy) -> _Law:
     p = per_copy if isinstance(per_copy, ProbabilityDistribution) else ProbabilityDistribution(per_copy)
     # zero end weights only shift the result, and a law on a sublattice only spreads it:
     # power the law on the lattice's points between them
-    charges = np.flatnonzero(p.weights)
+    charges = p.weights.nonzero()[0]
     lo, spacing = int(charges[0]), max(int(np.gcd.reduce(charges - charges[0])), 1)
-    w, levels = p.weights[lo:charges[-1] + 1:spacing], (charges - lo) // spacing
-    return _Law(p, lo, spacing, w, math.fsum(p.weights[charges]), levels, w[levels],
-                float(w @ np.arange(w.size, dtype=float) / w.sum()))
+    levels, level_weights = (charges - lo) // spacing, p.weights[charges]
+    total = math.fsum(level_weights)
+    return _Law(p, lo, spacing, p.weights[lo:charges[-1] + 1:spacing], total, levels, level_weights,
+                float(levels @ level_weights) / total)
 
 
-def _check_support(law: _Law, n_copies: int):
-    """Raise ResourceLimitError when the N-fold law has more than 2^22 weights."""
-    support = n_copies * (len(law.p) - 1) + 1
+def _row_groups(law: _Law, ns) -> list[list[tuple]]:
+    """Rows (N, L, start, c, L // 2 + 1 bins, min(L, N D + 1) weights, first bin, first weight), grouped.
+
+    A group's L sum to at most 2^22; a count below 1 or a support above 2^22 is refused first.
+    """
+    if min(ns, default=0) < 1:
+        raise ValueError("need at least one copy")
+    support = max(ns) * (len(law.p) - 1) + 1
     if support > _MAX_CONVOLVED_SUPPORT:
         raise ResourceLimitError(f"convolved support {support} exceeds {_MAX_CONVOLVED_SUPPORT}")
+    groups, room = [], 0
+    for n in ns:
+        length, start, centre = _mass_window(law, n)
+        if length > room:
+            groups.append([])
+            room, bin_at, weight_at = _MAX_CONVOLVED_SUPPORT, 0, 0
+        bins, count = length // 2 + 1, min(length, n * (law.w.size - 1) + 1)
+        groups[-1].append((n, length, start, centre, bins, count, bin_at, weight_at))
+        room, bin_at, weight_at = room - length, bin_at + bins, weight_at + count
+    return groups
 
 
-def _power_window(law: _Law, n_copies: int) -> tuple[np.ndarray, int]:
-    """The normalized N-fold law of ``law.w`` on its mass window, and its start: see convolve_copies."""
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    _check_support(law, n_copies)
-    w, total, levels = law.w, law.total, law.levels
-    length, start, centre = _mass_window(law, n_copies)
-    factor = np.fft.rfft(w, length)
-    size = np.abs(factor)
-    near = np.flatnonzero(size > total * _EPS ** (1 / n_copies))
-    # F^N in polar form from the transform: at |F| = r sum w its error is about
-    # N eps r^N, so where r^N > 1 / N it is taken from the levels instead, except
-    # at theta = 0 (near[0]), where F^N = (sum w)^N
-    size = size[near]
-    log_power = n_copies * (np.log(size) + 1j * np.angle(factor[near]))
-    log_power[0] = n_copies * math.log(total)
-    fine = 1 + np.flatnonzero(size[1:] > total * n_copies ** (-1 / n_copies))
-    if fine.size * levels.size > length:
-        # a law with many levels that stays near a point mass: the ~L level terms
-        # go to the frequencies with the largest |F|
-        fine = fine[np.argsort(-size[fine], kind="stable")[:max(1, length // levels.size)]]
-    weights, offsets = law.level_weights, levels * n_copies - centre
+def _power_rows(law: _Law, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normalized N-fold laws on a :func:`_row_groups` group's windows (see convolve_copies).
+
+    Returns the windows concatenated, each row's first index in them and its start.
+    """
+    table, one = np.array(rows), len(rows) == 1  # one row's values broadcast, and are numbers to refine
+    n, length, start, _, bins, count, first, firsts = table.T
+    total, levels = law.total, law.levels
+    spread = (lambda values, counts: values) if one else (lambda values, counts: values.repeat(counts))
+    factor = np.concatenate([np.fft.rfft(law.w, r[1]) for r in rows])
+    factor[first] = total  # F = sum w at theta = 0, so F^N = (sum w)^N there
+    size = abs(factor)
+    inverse = 1 / n
+    near = (size > spread(total * _EPS**inverse, bins)).nonzero()[0]
+    row = first[1:].searchsorted(near, "right")
+    size, factor = size[near], factor[near]
+    # F^N in polar form: at |F| = r sum w its error is about N eps r^N, so where
+    # r^N > 1 / N it is taken from the levels instead, except at theta = 0
+    log_power = n[row] * (np.log(size) + 1j * np.arctan2(factor.imag, factor.real))
+    fine = size > (total * n**-inverse)[row]
+    fine[near.searchsorted(first)] = False
+    fine = fine.nonzero()[0]
+    if fine.size * levels.size > np.minimum.reduce(length) and (
+            np.bincount(row[fine], minlength=n.size) * levels.size > length).any():
+        # many levels near a point mass: a row's ~L level terms go to its largest |F|
+        fine = fine[np.lexsort((-size[fine], row[fine]))]
+        rank = np.arange(fine.size) - row[fine].searchsorted(row[fine])
+        fine = fine[rank < np.maximum(1, length // levels.size)[row[fine]]]
     step = max(1, _STACK_ENTRIES // levels.size)
     for k in (fine[i:i + step] for i in range(0, fine.size, step)):
-        j = near[k]
-        theta_c = (2j * np.pi / length) * (j * centre % length)  # reduced exactly
-        log_power[k] = _centred_log_power(weights, offsets, total, j, n_copies * length, n_copies) - theta_c
-    spectrum = np.zeros(factor.size, dtype=complex)
+        n_k, length_k, _, centre_k, _, _, first_k, _ = rows[0] if one else table[row[k]].T
+        j = near[k] - first_k
+        log_power[k] = _centred_log_power(law.level_weights, levels, total, j, n_k, centre_k, length_k)
+    spectrum = np.zeros(first[-1] + bins[-1], dtype=complex)
     spectrum[near] = np.exp(log_power)
-    # the transform holds the law folded modulo length
-    folded = np.fft.irfft(spectrum, length)
-    cut = start % length
-    acc = np.concatenate((folded[cut:], folded[:cut]))[:n_copies * (w.size - 1) + 1]
+    # each transform holds its row's law folded modulo L, read from start (0 if the window is shorter)
+    parts = []
+    for _, length_r, start_r, _, bins_r, count_r, first_r, _ in rows:
+        folded, cut = np.fft.irfft(spectrum[first_r:first_r + bins_r], length_r), start_r % length_r
+        parts += folded[cut:count_r], folded[:cut]
+    acc = np.concatenate(parts)
     # (sum p)^N is 1 - 1.3e-10 for the stored [0.7, 0.3] at N = 2^22 - 1, beyond INPUT_TOL
-    got, expected = float(acc.sum()), total**n_copies
-    if not abs(got - expected) <= CONVOLVED_SUM_EPS * n_copies * _EPS:  # a NaN or inf sum fails too
-        raise FramenessError(f"{n_copies}-fold convolution sums to {got!r}, expected {expected!r}")
-    acc[np.abs(acc) <= -acc.min()] = 0.0  # the most negative weight's size is the transform's noise
-    return acc / acc.sum(), start
+    got, expected = np.add.reduceat(acc, firsts), total**n
+    bad = ~(abs(got - expected) <= CONVOLVED_SUM_EPS * _EPS * n)  # a NaN or inf sum fails too
+    if bad.any():
+        r = bad.argmax()
+        raise FramenessError(f"{n[r]}-fold convolution sums to {float(got[r])!r}, "
+                             f"expected {float(expected[r])!r}")
+    acc[abs(acc) <= spread(-np.minimum.reduceat(acc, firsts), count)] = 0.0  # each row's noise
+    acc /= spread(np.add.reduceat(acc, firsts), count)
+    return acc, firsts, start
 
 
 def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
@@ -242,44 +264,39 @@ def convolve_copies(per_copy, n_copies: int) -> NumberDistributionProfile:
     the window by at most ``WRAPPED_MASS_TOL``, and the weights outside the
     window are zero.  F^N = e^(N log|F| + i N arg F) from the transform is
     off by about N eps r^N where |F| = r sum w, so where r^N > 1 / N it is
-    taken from the m nonzero levels in centred form instead
-    (:func:`_centred_log_power`), accurate to a few eps near theta = 0, at
-    O(m) per frequency and at most about L level terms in all.  Frequencies
-    where |F|^N is below eps (sum w)^N stay zero, which moves no weight by
-    more than eps.  Then one inverse FFT.  The transforms cost
-    O(L log L) with L <= N D + 1; the result still has all N D + 1 weights,
-    so the call is O(N).  Squaring the spectrum instead rounds N-fold: on the
-    same window at N = 10^6 it reads 5.4e-10 bits off for Bernoulli 0.3,
-    where the polar form reads 2.5e-14.
-
-    The raw result must sum to (sum p)^N within ``CONVOLVED_SUM_EPS`` N eps.
-    Its most negative weight measures the inverse transform's noise: every
-    weight no larger in magnitude is set to zero, and the rest is divided by
-    its sum.  Zero weights at either end of the law only shift the result,
-    and a law on a sublattice only spreads it, so a point mass comes out
-    exact at any N and a law on every k-th charge is powered on 0..D / k.
+    taken from the m nonzero levels in centred form instead, with at most
+    about L level terms in all; where |F|^N is below eps (sum w)^N it stays
+    zero, which moves no weight by more than eps.  The raw result must sum to
+    (sum p)^N within ``CONVOLVED_SUM_EPS`` N eps.  Its most negative weight
+    measures the inverse transform's noise: every weight no larger in
+    magnitude is set to zero, and the rest is divided by its sum.  Zero
+    weights at either end of the law only shift the result, and a law on a
+    sublattice only spreads it, so a point mass comes out exact at any N.
+    The transforms cost O(L log L); the result has all N D + 1 weights, so
+    the call is O(N).
     """
-    window, start = _power_window(law := _prepare_law(per_copy), n_copies)
+    law = _prepare_law(per_copy)
+    window, _, (start,) = _power_rows(law, _row_groups(law, [n_copies])[0])
     out = np.zeros(n_copies * (len(law.p) - 1) + 1)
     out[n_copies * law.lo + law.spacing * start::law.spacing][:window.size] = window
     return NumberDistributionProfile(law.p, n_copies, ProbabilityDistribution(out))
 
 
-def u1_ncopy_asymmetry(per_copy, n_copies: int) -> float:
-    """Asymmetry of N copies of a pure state, from its charge distribution (or prepared law) alone."""
-    law = per_copy if isinstance(per_copy, _Law) else _prepare_law(per_copy)
-    return _entropy_of_spectrum(_power_window(law, n_copies)[0])
+def u1_ncopy_asymmetry(per_copy, n_copies):
+    """Asymmetry of N copies of a pure state from its charge law (or prepared law); a list for a ladder."""
+    law, out = per_copy if isinstance(per_copy, _Law) else _prepare_law(per_copy), []
+    for rows in _row_groups(law, [int(n) for n in np.atleast_1d(n_copies)]):
+        acc, firsts, _ = _power_rows(law, rows)
+        safe = np.where(acc > EIG_CUTOFF, acc, 1.0)  # as _entropy_of_spectrum, row by row
+        out += (0.0 - np.add.reduceat(np.log2(safe) * safe, firsts)).tolist()
+    return out if np.ndim(n_copies) else out[0]
 
 
 def _u1_ladder(per_copy, n_list) -> tuple[float, list[tuple[int, float]]]:
     """The per-copy law's variance and (N, A(N)) for each distinct N in ``n_list``, ascending."""
     law = _prepare_law(per_copy)  # once for the whole ladder
     ns = sorted(set(int(n) for n in n_list))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_list must contain positive copy counts")
-    _check_support(law, ns[-1])  # before any row is powered
-    return NumberDistributionProfile(law.p, 1, law.p).variance(), [(n, u1_ncopy_asymmetry(law, n))
-                                                                     for n in ns]
+    return NumberDistributionProfile(law.p, 1, law.p).variance(), list(zip(ns, u1_ncopy_asymmetry(law, ns)))
 
 
 def gaussian_entropy_model(variance: float, n_copies: int,

@@ -179,14 +179,14 @@ class ProbabilityDistribution:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.size == 0:
             raise InvalidDistributionError("empty distribution")
-        if not np.isfinite(w).all():
+        total = float(w.sum())  # finite when every weight is, so the entries are checked only when it is not
+        if not math.isfinite(total) and not np.isfinite(w).all():
             raise InvalidDistributionError("non-finite weight (NaN or inf)")
         if float(w.min()) < -INPUT_TOL:
             raise InvalidDistributionError(f"negative weight {w.min():.3e}")
-        total = float(w.sum())
         if abs(total - 1.0) > INPUT_TOL:
             raise InvalidDistributionError(f"weights sum to {total:.12g}, expected 1")
-        w = np.clip(w, 0.0, None)
+        w = np.maximum(w, 0.0)
         w.setflags(write=False)
         self.weights = w
 

@@ -204,8 +204,8 @@ def test_scaling_ladder_past_the_support_cap_exits_3(tmp_path, capsys, monkeypat
     # the default ladder runs 1..1000 and then 2^22 copies, whose support is 2^22 + 1:
     # it fails before any row is powered
     powered = []
-    power_window = scaling._power_window
-    monkeypatch.setattr(scaling, "_power_window", lambda *a: powered.append(a) or power_window(*a))
+    power_rows = scaling._power_rows
+    monkeypatch.setattr(scaling, "_power_rows", lambda *a: powered.append(a) or power_rows(*a))
     out = tmp_path / "out.json"
     assert cli.run(["scaling", "--p", "0.3", "--copies", "4194304", "--out", str(out)]) == 3
     captured = capsys.readouterr()
@@ -227,6 +227,30 @@ def test_bounds_finite_and_su2(tmp_path, plus_state_file, z2_rep_file):
     assert res["ok"] is True
 
 
+def test_scaling_refuses_a_mixed_state(tmp_path, capsys):
+    # the table is the entropy of the N-fold charge law: the asymmetry of N copies only for a
+    # pure copy (this seeded qubit's diagonal law would read 0.988 bits at N = 1)
+    rho = fr.random_density_operator(2, np.random.default_rng(7))
+    second = float(np.sort(np.linalg.eigvalsh(rho.matrix))[-2])
+    charges = write_json(tmp_path / "c2.json", {"dim": 2, "charges": [0, 1]})
+    out = tmp_path / "out.json"
+    args = ["scaling", "--state", write_json(tmp_path / "mixed.json", fr.density_to_json(rho)),
+            "--charges", charges, "--out", str(out)]
+    assert cli.run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("error: --state must be a pure state: its density matrix has "
+                            f"second-largest eigenvalue {second:.6g} > 1e-10\n")
+    # a pure copy given as a density matrix reads as its amplitudes do
+    psi = fr.PureState([0.6, 0.8])
+    rows = [run_json(tmp_path, ["scaling", "--state", write_json(tmp_path / name, doc), "--charges", charges,
+                                "--copies", "20"])["result"]["rows"]
+            for name, doc in (("psi.json", fr.pure_state_to_json(psi)),
+                              ("rho.json", fr.density_to_json(psi.projector())))]
+    assert [r["N"] for r in rows[0]] == [r["N"] for r in rows[1]]
+    assert all(abs(a["A_bits"] - b["A_bits"]) <= 1e-12 for a, b in zip(*rows))
+
+
 @pytest.mark.parametrize("copies", ["0", "-2"])
 def test_bounds_finite_needs_a_copy(capsys, copies):
     # an empty table must not print "ok": true; the usage error names the option
@@ -235,6 +259,18 @@ def test_bounds_finite_needs_a_copy(capsys, copies):
     assert captured.out == ""
     assert captured.err == ("frameness bounds: error: argument --copies: "
                             f"must be a positive copy count, got '{copies}'\n")
+
+
+def test_bounds_su2_refuses_copies(tmp_path, capsys):
+    # --copies sets N for --group finite only; an su2 artifact records no copy count
+    out = tmp_path / "out.json"
+    assert cli.run(["bounds", "--group", "su2", "--qubits", "4", "--copies", "7", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("frameness bounds: error: --copies sets N for --group finite; "
+                            "--group su2 reads no copy count\n")
+    assert "copies" not in run_json(tmp_path, ["bounds", "--group", "su2", "--qubits", "4"])["meta"]["config"]
+    assert run_json(tmp_path, ["bounds", "--group", "finite"])["meta"]["config"]["copies"] == 3
 
 
 def test_extremal_n_max_is_a_nonnegative_count(tmp_path, capsys):

@@ -5,14 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frameness as fr
 from frameness.scaling import schur_weyl_weights, symmetric_powers
-from frameness.states import EIG_CUTOFF, WRAPPED_MASS_TOL
+from frameness.states import EIG_CUTOFF, WRAPPED_MASS_TOL, _entropy_of_spectrum
 from ncopy_oracle import kronecker_bound_asymmetries, mp_bound_asymmetries, tensor_power
+from power_window_oracle import power_window
 
 
 def binomial_entropy_oracle(n):
@@ -362,6 +363,75 @@ def test_table_rows_match_the_full_support_entropy(w):
         edge = np.count_nonzero(np.abs(oracle - EIG_CUTOFF) <= 1e-15)
         assert row.asymmetry == pytest.approx(
             fr.shannon_entropy(oracle), abs=1e-13 + edge * EIG_CUTOFF * math.log2(1 / EIG_CUTOFF))
+
+
+def batched_windows(law, ns):
+    """(window, start) of each N in ``ns`` from the batched kernel, group by group."""
+    out = []
+    for rows in fr.scaling._row_groups(law, ns):
+        acc, firsts, starts = fr.scaling._power_rows(law, rows)
+        out += zip(np.split(acc, firsts[1:]), starts.tolist())
+    return out
+
+
+def assert_rows_match_the_oracle(law, ns):
+    # each row within 4 N eps of the per-row powering, and its entropy within 1e-14 bits
+    entropies = fr.u1_ncopy_asymmetry(law, ns)
+    for n, (window, start), entropy in zip(ns, batched_windows(law, ns), entropies):
+        want, want_start = power_window(law, n)
+        assert start == want_start and window.shape == want.shape
+        assert_allclose(window, want, rtol=0, atol=4 * n * np.finfo(float).eps)
+        assert abs(entropy - _entropy_of_spectrum(want)) <= 1e-14
+
+
+def _lattice_law(levels, spacing, zeros, shape, seed):
+    """A ``_charge_law`` on every ``spacing``-th charge, with ``zeros`` zero weights at each end."""
+    w = _charge_law(levels, shape, seed)
+    out = np.zeros(2 * zeros + spacing * (levels - 1) + 1)
+    out[zeros::spacing][:levels] = w
+    return out
+
+
+@st.composite
+def _ladders(draw):
+    ns = draw(st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=20))
+    # a neighbour of a large N usually shares its transform length
+    ns += [n + 1 for n in ns[:draw(st.integers(0, len(ns)))]]
+    return sorted(set(ns))[:30]
+
+
+@given(st.builds(_lattice_law, st.integers(2, 8), st.integers(1, 3), st.integers(0, 2),
+                 st.sampled_from(["flat", "zero-ends", "skewed", "subnormal"]), st.integers(0, 10**6)),
+       _ladders())
+@settings(max_examples=40, deadline=None)
+def test_a_batched_ladder_matches_the_per_row_oracle(w, ns):
+    ns = [n for n in ns if n * (len(w) - 1) < 2**22]  # within the support cap
+    assume(ns)
+    assert_rows_match_the_oracle(fr.scaling._prepare_law(w), ns)
+
+
+def test_the_refinement_cap_holds_row_by_row_inside_a_batch(monkeypatch):
+    # the law of test_a_law_with_many_levels_near_a_point_mass_refines_a_few_frequencies: every
+    # frequency of both rows passes the refinement threshold, and each row keeps its own ~L terms
+    w = np.random.default_rng(3).dirichlet(np.ones(2001)) * 1e-6
+    w[1000] += 1.0 - w.sum()
+    law, ns = fr.scaling._prepare_law(w), [3, 8]
+    refine, copies = fr.scaling._centred_log_power, []
+    monkeypatch.setattr(fr.scaling, "_centred_log_power", lambda weights, levels, total, j, n, *rest:
+                        copies.append(np.broadcast_to(n, j.shape)) or refine(weights, levels, total, j, n, *rest))
+    fr.u1_ncopy_asymmetry(law, ns)
+    monkeypatch.undo()
+    counts = np.bincount(np.concatenate(copies))  # refined frequencies per row
+    assert [counts[n] for n in ns] == [fr.scaling._mass_window(law, n)[0] // law.levels.size for n in ns]
+    assert_rows_match_the_oracle(law, ns)
+
+
+def test_a_ladder_past_one_group_of_transforms_matches_the_oracle():
+    # 300 rows near the support cap hold about 5.8 * 10^6 transform points: two groups of at most 2^22
+    law, ns = fr.scaling._prepare_law([0.7, 0.3]), list(range(2**22 - 300, 2**22))
+    groups = fr.scaling._row_groups(law, ns)
+    assert len(groups) == 2 and all(sum(row[1] for row in rows) <= 2**22 for rows in groups)
+    assert_rows_match_the_oracle(law, ns)
 
 
 def test_a_table_past_the_support_cap_raises():
