@@ -94,19 +94,21 @@ class DiscretePOVM:
         ops = [np.asarray(e, dtype=complex) for e in effects]
         if not ops:
             raise FramenessError("a POVM needs at least one effect")
-        d = ops[0].shape[0]
+        d = len(ops[0]) if ops[0].ndim else 0  # a 0-d effect fails the shape check
         if any(e.shape != (d, d) for e in ops):
             raise ShapeMismatchError("effects must share one square shape")
         stack = np.array(ops)
+        if not np.isfinite(stack).all():
+            raise FramenessError("an effect has a non-finite entry (NaN or inf)")
         adj = stack.conj().swapaxes(1, 2)
         herm = np.abs(stack - adj).max(axis=(1, 2))
         low = np.linalg.eigvalsh(0.5 * (stack + adj))[:, 0]
-        bad = np.flatnonzero((herm > INPUT_TOL) | (low < -INPUT_TOL))
+        bad = np.flatnonzero(~(herm <= INPUT_TOL) | ~(low >= -INPUT_TOL))
         if bad.size:
             i = int(bad[0])
             raise FramenessError(f"effect {i} is not PSD (herm {herm[i]:.2e}, min eig {low[i]:.2e})")
         dev = float(np.abs(stack.sum(axis=0) - np.eye(d)).max())
-        if dev > IDENTITY_TOL:
+        if not dev <= IDENTITY_TOL:
             raise FramenessError(f"effects sum deviates from identity by {dev:.3e}")
         stack.setflags(write=False)
         self.dim = d

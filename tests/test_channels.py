@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import frameness as fr
 import frameness.channels
+from frameness.states import COMPOSED_TOL
 from channel_oracle import (commutant_fixed_point_check, identity_channel, kraus_channel, kraus_channel_from_json,
                             kraus_channel_to_json, kraus_pinching, kraus_twirl, per_sample_image_fix_check)
 
@@ -37,6 +38,43 @@ def amplitude_damping(gamma=0.4):
 def test_kraus_completeness_is_enforced():
     with pytest.raises(fr.FramenessError):
         fr.KrausChannel([np.eye(2) * 0.5])
+
+
+def with_entry(a, value):
+    """``a`` as a complex array with ``value`` written into entry (0, 1)."""
+    a = np.array(a, dtype=complex)
+    a[0, 1] = value
+    return a
+
+
+NON_FINITE_CONSTRUCTORS = {
+    "kraus": (fr.FramenessError, lambda v: fr.KrausChannel([with_entry(np.eye(2), v)])),
+    "block_projection": (ValueError, lambda v: fr.BlockProjection(
+        [(np.arange(2), np.arange(2), with_entry(np.eye(2), v))], [(1, 1), (1, 1)])),
+    "dephasing": (ValueError, lambda v: fr.dephasing_channel(with_entry(np.eye(2), v))),
+    "conditional_expectation": (ValueError, lambda v: fr.conditional_expectation_channel(
+        [(1, 1), (1, 1)], with_entry(np.eye(2), v))),
+    "lifted_dephasing": (ValueError, lambda v: fr.lifted_dephasing_channel(
+        fr.BipartiteState(2, 2, fr.DensityOperator(np.eye(4) / 4)), with_entry(np.eye(2), v))),
+    "povm": (fr.FramenessError, lambda v: fr.DiscretePOVM(
+        [with_entry(np.eye(2) / 2, v), np.eye(2) / 2])),
+    "pinching": (ValueError, lambda v: fr.pinching_channel(
+        [np.diag([1.0, 0.0]), with_entry(np.diag([0.0, 1.0]), v)])),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", NON_FINITE_CONSTRUCTORS)
+def test_constructors_refuse_a_non_finite_entry(name, value):
+    error, build = NON_FINITE_CONSTRUCTORS[name]
+    with pytest.raises(error, match="non-finite"):
+        build(value)
+
+
+@pytest.mark.parametrize("build", [fr.KrausChannel, fr.pinching_channel, fr.DiscretePOVM])
+def test_a_zero_dimensional_operator_is_a_shape_error(build):
+    with pytest.raises(fr.ShapeMismatchError):
+        build([1.0])
 
 
 def test_apply_examples():
@@ -102,6 +140,8 @@ def test_unitality_and_idempotence_verdicts():
     assert z2_twirl_channel().is_unital()
     assert z2_twirl_channel().is_idempotent()
     assert not amplitude_damping().is_unital()
+    reset = fr.KrausChannel([np.outer([1.0, 0.0], e) for e in np.eye(2)])  # rho -> Tr(rho) |0><0|
+    assert reset.is_idempotent() and not reset.is_unital()
 
     half = partial_dephasing()
     assert half.is_unital()
@@ -112,27 +152,22 @@ def test_unitality_and_idempotence_verdicts():
     assert_allclose(half.superoperator(), m, atol=1e-12)
 
 
-def test_idempotence_is_decided_once_per_channel(monkeypatch):
-    builds, deviations = [], []
-    superoperator = fr.KrausChannel.superoperator
-    deviation = fr.KrausChannel._idempotence_deviation
-    monkeypatch.setattr(fr.KrausChannel, "superoperator",
-                        lambda self: builds.append(self) or superoperator(self))
-    monkeypatch.setattr(fr.KrausChannel, "_idempotence_deviation",
-                        lambda self: deviations.append(self) or deviation(self))
-    ch = kraus_twirl([np.eye(2), Z])
-    fr.relative_entropy_to_image(ch, plus_state())
-    assert fr.image_fix_equivalence_check(ch, samples=2).idempotent
-    assert builds == [ch]
+def test_idempotence_is_decided_without_the_superoperator(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the superoperator was built")
+
+    monkeypatch.setattr(fr.KrausChannel, "superoperator", forbidden)
+    twirl = kraus_twirl([np.eye(2), Z])
+    pinch = kraus_channel(random_pinching(8, 4, np.random.default_rng(9)))  # four projectors on d = 8
+    for ch, rho in ((twirl, plus_state()), (pinch, fr.random_density_operator(8, np.random.default_rng(10)))):
+        assert ch.is_idempotent()
+        fr.relative_entropy_to_image(ch, rho)
+        assert fr.image_fix_equivalence_check(ch, samples=2).idempotent
     half = partial_dephasing()
-    assert not half.is_idempotent() and not half.is_idempotent()
-    assert builds == [ch, half]
-    # four Kraus operators on d = 8 (n^2 + n < d^2): decided on the Choi side, once
-    pinch = kraus_channel(random_pinching(8, 4, np.random.default_rng(9)))
-    fr.relative_entropy_to_image(pinch, fr.random_density_operator(8, np.random.default_rng(10)))
-    assert fr.image_fix_equivalence_check(pinch, samples=2).idempotent
-    assert deviations == [ch, half, pinch]
-    assert builds == [ch, half]
+    assert not half.is_idempotent()
+    with pytest.raises(fr.ChannelPreconditionError, match="idempotent"):
+        fr.relative_entropy_to_image(half, plus_state())
+    assert not fr.image_fix_equivalence_check(half, samples=2).idempotent
 
 
 def random_pinching(dim, parts, rng):
@@ -155,7 +190,7 @@ def mixed_with_identity(ch, dev):
 
 
 def deviation_cases(rng):
-    """Channels on both sides of the n (n + 1) < d^2 split, idempotent or not."""
+    """Channels with n (n + 1) < d^2 Kraus operators and with more, idempotent or not."""
     d = int(rng.integers(8, 25))
     yield kraus_channel(random_pinching(d, int(rng.integers(2, 6)), rng))
     yield phase_twirl(d, int(rng.integers(2, 9)), rng)
@@ -171,18 +206,34 @@ def deviation_cases(rng):
     yield amplitude_damping(rng.uniform(0, 1))
 
 
+def superoperator_deviation(ch):
+    """max |S @ S - S| on the superoperator S: the entrywise idempotence oracle."""
+    m = ch.superoperator()
+    return float(np.abs(m @ m - m).max())
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=8, deadline=None)
 def test_idempotence_deviation_matches_the_superoperator(seed):
     sides = set()
     for ch in deviation_cases(np.random.default_rng(seed)):
-        m = ch.superoperator()
-        oracle = float(np.abs(m @ m - m).max())
-        assert abs(ch._idempotence_deviation() - oracle) <= 1e-13
-        assert ch.is_idempotent() is (oracle <= 1e-8)
+        assert ch.is_idempotent() is (superoperator_deviation(ch) <= 1e-8)
         n = len(ch.kraus)
         sides.add(n * (n + 1) < ch.dim**2)
     assert sides == {True, False}
+
+
+def test_idempotence_verdict_near_the_tolerance_matches_the_superoperator():
+    # t id + (1 - t) P has E o E - E = (t^2 - t)(id - P): a log grid through the tolerance,
+    # where the probe and the entrywise superoperator rule may disagree only near COMPOSED_TOL
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pinch = random_pinching(int(rng.integers(2, 9)), 2, rng)
+        for t in np.geomspace(1e-12, 1e-5, 29):
+            ch = mixed_with_identity(pinch, t)
+            oracle = superoperator_deviation(ch)
+            if ch.is_idempotent() is not (oracle <= COMPOSED_TOL):
+                assert COMPOSED_TOL / 8 <= oracle <= 8 * COMPOSED_TOL, (seed, t, oracle)
 
 
 def test_commutant_fixed_point_check():
@@ -364,16 +415,16 @@ def test_pinching_rejects_families_that_are_not_complete_orthogonal_projectors()
         fr.pinching_channel([])
 
 
-def test_twirl_idempotence_check_workspace_is_row_blocked():
+def test_twirl_idempotence_probe_workspace_is_a_few_operators():
     ch = phase_twirl(32, 5, np.random.default_rng(24))
     tracemalloc.start()
     try:
-        deviation = ch._idempotence_deviation()
+        idempotent = ch.is_idempotent()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert deviation <= 1e-12
-    # the whole 1024 x 1024 complex Choi difference would be 16 MiB, and two of them 32 MiB
+    assert idempotent
+    # the probe holds a few 32 x 32 operators; the 1024 x 1024 superoperator alone is 16 MiB
     assert peak < 4 * 2**20
 
 

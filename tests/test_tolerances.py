@@ -109,8 +109,8 @@ def test_idempotence(dev, accepted):
 
 @half_and_twice(1e-8)
 def test_idempotence_of_a_factored_check(dev, accepted, monkeypatch):
-    # the same mixture on d = 4 with rank-2 blocks: 3 Kraus operators, n^2 + n < d^2,
-    # so the check is W W^dag - V V^dag with entries dev - dev^2, no superoperator
+    # the same mixture on d = 4 with rank-2 blocks: 3 Kraus operators, n^2 + n < d^2;
+    # the probe reads dev - dev^2 off the blocks, with no superoperator
     def forbidden(self):
         raise AssertionError("the superoperator was built")
 
