@@ -118,7 +118,6 @@ from .states import (
     binary_entropy,
     density_from_json,
     density_to_json,
-    max_dim,
     partial_trace,
     pure_state_from_json,
     pure_state_to_json,

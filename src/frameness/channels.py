@@ -66,8 +66,8 @@ class KrausChannel:
         if not ops:
             raise FramenessError("a channel needs at least one Kraus operator")
         d = len(ops[0]) if ops[0].ndim else 0  # a 0-d operator fails the shape check
-        if any(k.shape != (d, d) for k in ops):
-            raise ShapeMismatchError("Kraus operators must share one square shape")
+        if not d or any(k.shape != (d, d) for k in ops):
+            raise ShapeMismatchError("Kraus operators must share one nonempty square shape")
         if not all(np.isfinite(k).all() for k in ops):
             raise FramenessError("a Kraus operator has a non-finite entry (NaN or inf)")
         dev = float(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(d)).max())
@@ -145,8 +145,8 @@ def _slab_adjoint(u, xu: np.ndarray, c: int, n: int) -> np.ndarray:
 def _checked_unitary(u) -> np.ndarray:
     """``u`` as a square array, after checking u^dag u = I to INPUT_TOL."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ShapeMismatchError(f"basis matrix must be square, got {u.shape}")
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
+        raise ShapeMismatchError(f"basis matrix must be nonempty and square, got {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("basis matrix has a non-finite entry (NaN or inf)")
     dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
@@ -324,11 +324,11 @@ def pinching_channel(projectors) -> BlockProjection:
     ps = [np.asarray(p, dtype=complex) for p in projectors]
     if not ps:
         raise ValueError("a pinching needs at least one projector")
-    d = len(ps[0]) if ps[0].ndim else 0  # a 0-d projector fails the shape check
+    d = len(ps[0]) if ps[0].ndim else 0  # a 0-d or empty projector fails the shape check
     cols = []
     for k, p in enumerate(ps):
-        if p.shape != (d, d):
-            raise ShapeMismatchError(f"projector {k} has shape {p.shape}, expected {(d, d)}")
+        if not d or p.shape != (d, d):
+            raise ShapeMismatchError(f"projector {k} has shape {p.shape}, not a nonempty {(d, d)}")
         if not np.isfinite(p).all():
             raise ValueError(f"projector {k} has a non-finite entry (NaN or inf)")
         herm = float(np.abs(p - p.conj().T).max())
@@ -384,8 +384,10 @@ def twirl_channel(unitaries) -> BlockProjection:
     is neither a group nor a uniform multiset of one raises.
     """
     us = np.asarray(unitaries, dtype=complex)
-    if us.ndim != 3 or us.shape[1] != us.shape[2] or not len(us):
+    if us.ndim != 3 or us.shape[1] != us.shape[2] or not us.size:
         raise ShapeMismatchError(f"expected a nonempty stack of square unitaries, got shape {us.shape}")
+    if not np.isfinite(us).all():
+        raise FramenessError("a unitary has a non-finite entry (NaN or inf)")
     d = us.shape[1]
     for seed in (0, 1):
         g = np.random.default_rng(seed).standard_normal((3, 2, d, d))

@@ -76,6 +76,7 @@ from .states import (
     PureState,
     ResourceLimitError,
     ShapeMismatchError,
+    _check_workspace,
     binary_entropy,
     density_from_json,
     density_to_json,
@@ -585,6 +586,8 @@ def _cmd_extremal(args) -> int:
     if ns.group == "u1":
         if ns.n_max is None:
             raise ValueError("--group u1 needs --n-max")
+        # the state, the grading and the twirl's per-sector objects: 1018-1059 B a level (tracemalloc)
+        _check_workspace(1100 * (ns.n_max + 1), f"the u1 state on {ns.n_max + 1} levels")
         state = maximal_asymmetry_state("u1", n_max=ns.n_max)
         twirl = TwirlOperation.u1(ChargeGrading(list(range(ns.n_max + 1))))
         closed = max_u1_asymmetry_value(ns.n_max)
@@ -663,9 +666,9 @@ def _cmd_bounds(args) -> int:
     p = _parser("bounds", "finite-group / Lie-group bound reports. --group finite checks "
                 "A_G(rho^(x)N) <= log2|G| for N = 1..--copies and reports conjugation_bits, "
                 "log2 of the number of distinct maps U_g . U_g^dag, which no row exceeds.  On "
-                "a qubit the rows come from Schur-Weyl blocks, FRAMENESS_MAX_DIM caps |G| (N + 1) "
-                "and 2^35 caps |G| N^4; otherwise two d^N x d^N complex arrays must fit in one "
-                "cap x cap complex matrix.  --group su2 compares "
+                "a qubit the rows come from Schur-Weyl blocks and 2^35 caps the work |G| N^4; "
+                "otherwise two d^N x d^N complex arrays and one d^(N-1)-square power must fit "
+                "the 2^32-byte workspace budget.  --group su2 compares "
                 "2 log2(N+1), the symmetric-subspace design bound on the asymmetry of an "
                 "N-copy state rho^(x)N, with the measured asymmetry of the N-qubit "
                 "maximal-asymmetry state.  That state is not an N-copy state, so the bound "

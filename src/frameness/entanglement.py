@@ -116,12 +116,14 @@ def _dephasing_gaps(rho: BipartiteState, us: np.ndarray, side: str) -> np.ndarra
 
     Column k of U leaves the kept-side block sigma_k = sum_xy conj(U_xk) U_yk rho_xy, with
     rho_xy rho's kept-side block between measured indices x and y: one product forms every
-    block of every candidate, one stacked eigvalsh takes their spectra.  A candidate that
-    is not unitary to INPUT_TOL raises ValueError, the first one in stack order reported.
+    block of every candidate, one stacked eigvalsh takes their spectra.  A candidate with a NaN or
+    inf entry, or not unitary to INPUT_TOL (the first in stack order reported), raises ValueError.
     """
     d_kept, d_meas = _measured_dims(rho, side)
     if us.shape[1:] != (d_meas, d_meas):
         raise ShapeMismatchError(f"unitary shape {us.shape[1:]} vs {side} dim {d_meas}")
+    if not np.isfinite(us).all():
+        raise ValueError("basis matrix has a non-finite entry (NaN or inf)")
     dev = np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(d_meas)).max(axis=(1, 2))
     bad = np.flatnonzero(~(dev <= INPUT_TOL))
     if bad.size:

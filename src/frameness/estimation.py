@@ -95,8 +95,8 @@ class DiscretePOVM:
         if not ops:
             raise FramenessError("a POVM needs at least one effect")
         d = len(ops[0]) if ops[0].ndim else 0  # a 0-d effect fails the shape check
-        if any(e.shape != (d, d) for e in ops):
-            raise ShapeMismatchError("effects must share one square shape")
+        if not d or any(e.shape != (d, d) for e in ops):
+            raise ShapeMismatchError("effects must share one nonempty square shape")
         stack = np.array(ops)
         if not np.isfinite(stack).all():
             raise FramenessError("an effect has a non-finite entry (NaN or inf)")

@@ -12,8 +12,8 @@ Three families are supported:
   by coupling one qubit at a time with closed-form Clebsch-Gordan
   coefficients; no ladder operator and no d x d matrix is formed.
 
-Desk-scale caps: finite groups of order <= 64 (so the group axioms stay
-exhaustively checkable) and registers of at most 12 qubits.
+Desk-scale caps: finite groups of order <= 64 (so the group axioms stay exhaustively
+checkable), and registers whose 8 dense d x d operators fit the workspace budget (12 qubits).
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from .states import (
     _STACK_ENTRIES,
     FramenessError,
     ResourceLimitError,
+    _check_workspace,
     _declared_int,
     complex_matrix_from_json,
     complex_matrix_to_json,
 )
 
 MAX_GROUP_ORDER = 64
-MAX_QUBITS = 12
 
 
 class RepresentationError(FramenessError):
@@ -238,6 +238,10 @@ def quaternion_rep() -> FiniteGroupRep:
 
 def cyclic_phase_rep(charges, order: int) -> FiniteGroupRep:
     """The Z_M subgroup of U(1): T(k) = diag(exp(2 pi i k c / M)) for charges c."""
+    if order > MAX_GROUP_ORDER:  # before the O(M^2) table
+        raise ResourceLimitError(f"group order {order} exceeds cap {MAX_GROUP_ORDER}")
+    if order < 1:
+        raise RepresentationError(f"group order must be at least 1, got {order}")
     c = _integer_entries(charges, "charges")
     us = [np.diag(np.exp(2j * np.pi * k * c / order)) for k in range(order)]
     table = np.array([[(i + j) % order for j in range(order)] for i in range(order)])
@@ -346,8 +350,6 @@ def symmetric_subspace_dimension(n_copies: int, local_dim: int) -> int:
 def _check_even_qubits(n_qubits: int):
     if n_qubits % 2 != 0 or n_qubits < 2:
         raise ValueError(f"collective spin register needs an even qubit count >= 2, got {n_qubits}")
-    if n_qubits > MAX_QUBITS:
-        raise ResourceLimitError(f"{n_qubits} qubits exceeds cap {MAX_QUBITS}")
 
 
 @dataclass
@@ -415,6 +417,8 @@ def build_collective_spin_rep(n_qubits: int) -> CollectiveSpinRep:
     spin j' = j - 1/2 is slab a at n - 1 qubits and j' = j + 1/2 slab a - 1.
     """
     _check_even_qubits(n_qubits)
+    # a mixed state's su2 asymmetry holds 2.6 dense d x d operators, 4.6 with G(rho) (tracemalloc): 8 budgeted
+    _check_workspace(8 * 16 * 4**n_qubits if n_qubits <= 64 else math.inf, f"a {n_qubits}-qubit register")
     empty = (np.zeros(0, dtype=int), np.zeros((0, 0)))
     level = [(np.zeros(1, dtype=int), np.ones((1, 1)))]  # no qubits: the empty string, spin 0
     for n in range(1, n_qubits + 1):

@@ -58,8 +58,8 @@ from .states import (
     PureState,
     ResourceLimitError,
     _STACK_ENTRIES,
+    _check_workspace,
     _entropy_of_spectrum,
-    max_dim,
     trace_distance,
     von_neumann_entropy,
     within_bound,
@@ -474,26 +474,21 @@ def finite_group_bound_check(rep: FiniteGroupRep, rho: DensityOperator,
     p_j the weight of block j (:func:`schur_weyl_weights`) and A_j the
     entropy gap between B_2j = mean_g Sym^2j(U_g rho U_g^dag) and Sym^2j(rho),
     both normalized.  One (n + 1) x (n + 1) block per n <= n_max serves every
-    row: O(|G| n_max^4) time, capped at |G| n_max^4 <= 2^35, and the cap bounds
-    the workspace |G| (n_max + 1).  For d > 2, each row sums the class states'
-    Kronecker powers into one D x D mean, D = d^N, and eigensolves it: at most
-    two D x D arrays at once, which must fit in one complex cap x cap matrix.
-    All limits are checked before any allocation.  Neither builds an N-copy
-    representation or channel.  The bound does not depend on N.
+    row: O(|G| n_max^4) time, capped at |G| n_max^4 <= 2^35, which also bounds
+    the workspace.  For d > 2, each row sums the class states' Kronecker
+    powers into one D x D mean, D = d^N, and eigensolves it: at most two D x D
+    arrays and one (D/d)-square power at once, which must fit the workspace
+    budget.  All limits are checked before any allocation.  Neither builds an
+    N-copy representation or channel.  The bound does not depend on N.
     """
     if n_max < 1:
         raise ValueError(f"need at least one copy, got {n_max}")
-    if rho.dim == 2 and rep.order * (n_max + 1) > max_dim():
-        raise ResourceLimitError(f"workspace {rep.order * (n_max + 1)} for N <= {n_max} "
-                                 f"exceeds cap {max_dim()}")
     if rho.dim == 2 and rep.order * n_max**4 > _QUBIT_BOUND_WORK:
         raise ResourceLimitError(f"work |G| N^4 = {rep.order * n_max**4:.3g} for N <= {n_max} exceeds 2^35 "
                                  "(Q8 to N = 256, about 4 s)")
-    top = rho.dim**n_max  # the d > 2 peak: the top mean and one Kronecker power, or the solver's copy
-    peak = 16 * (2 * top**2 + (top // rho.dim)**2) if top <= max_dim() else math.inf
-    if rho.dim > 2 and peak > 16 * max_dim()**2:
-        raise ResourceLimitError(f"peak {peak:.3g} bytes for N <= {n_max}, D = {rho.dim}^{n_max}, exceeds "
-                                 f"{16 * max_dim()**2:.3g}, one complex {max_dim()}-square matrix")
+    if rho.dim > 2:  # the top mean and one Kronecker power, or the solver's copy; inf for D past 2^64
+        top = rho.dim**n_max if n_max * rho.dim.bit_length() <= 64 else math.inf
+        _check_workspace(16 * (2 * top**2 + (top / rho.dim)**2), f"{n_max} copies of a d = {rho.dim} state")
     firsts, shares = _distinct_conjugations(rep)
     states = orbit_ensemble(rep, rho).matrices[firsts]
     if rho.dim == 2:

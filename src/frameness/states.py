@@ -9,7 +9,6 @@ is defined once, in the table below, so that tolerances compose predictably.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -33,11 +32,12 @@ DEGENERATE_ANGLE_TOL = 1e-7   # |sin 2 theta| at which a qubit basis ignores gam
 COPY_SPLIT_EPS = 64           # twirl build: eigenvalues of T(H) within 64 d eps ||H||_F are one irrep copy
 INTERTWINER_TOL = 1e-6        # twirl build: a block of V^dag T(R) V below 1e-6 ||R||_F is zero (Schur)
 
-_DEFAULT_MAX_DIM = 2**14
 # Workspace bound of one stacked computation, in complex entries (1 MiB), a constant
 # rather than an option: sampled states mapped at once, dephasing candidates scored at
 # once, group products matched at once.
 _STACK_ENTRIES = 2**16
+# The one memory budget, in bytes (4 GiB, one complex 2^14-square matrix): see _check_workspace.
+MAX_WORKSPACE_BYTES = 2**32
 
 
 class FramenessError(Exception):
@@ -57,24 +57,15 @@ class ShapeMismatchError(FramenessError):
 
 
 class ResourceLimitError(FramenessError):
-    """A requested workspace exceeds the configured dimension cap."""
+    """A request's estimated workspace exceeds MAX_WORKSPACE_BYTES, or its work or group order a cap."""
 
 
-def max_dim() -> int:
-    """Dimension cap for tensor powers; env var FRAMENESS_MAX_DIM overrides 2**14.
-
-    A cap, not a working size: one complex 2**14 x 2**14 matrix is 4.3 GB.
-    """
-    text = os.environ.get("FRAMENESS_MAX_DIM")
-    if text is None:
-        return _DEFAULT_MAX_DIM
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"FRAMENESS_MAX_DIM must be a positive integer, got {text!r}")
-    return cap
+def _check_workspace(nbytes: float, what: str):
+    """Raise ResourceLimitError, naming ``what``, if its estimate ``nbytes`` exceeds the budget."""
+    if nbytes > MAX_WORKSPACE_BYTES:
+        nbytes = nbytes if nbytes < 1e300 else math.inf  # an integer past float range reads inf
+        raise ResourceLimitError(f"{what}: estimated {nbytes:.3g} bytes exceed the "
+                                 f"{MAX_WORKSPACE_BYTES:.3g}-byte workspace budget")
 
 
 class DensityOperator:
@@ -156,7 +147,8 @@ class PureState:
             raise InvalidStateError("empty amplitude vector")
         if not np.isfinite(v).all():
             raise InvalidStateError("amplitude vector has a non-finite entry (NaN or inf)")
-        norm = float(np.linalg.norm(v))
+        # numpy's pairwise sum: BLAS's norm reads an exact uniform vector 1.2e-12 short at d = 10^6 + 1
+        norm = math.sqrt(float((v.real**2 + v.imag**2).sum()))
         if abs(norm - 1.0) > PURE_NORM_TOL:
             raise InvalidStateError(f"norm {norm:.15f} differs from 1 beyond {PURE_NORM_TOL:g}")
         v.setflags(write=False)

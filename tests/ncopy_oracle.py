@@ -14,16 +14,15 @@ import math
 import numpy as np
 
 import frameness as fr
+from frameness.states import _check_workspace
 from channel_oracle import kraus_twirl
 
 
 def tensor_power(psi, n):
-    """n-fold tensor power of a pure state, capped by the dense dimension budget."""
+    """n-fold tensor power of a pure state, refused when its dense projector exceeds the workspace budget."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
-    total = psi.dim**n
-    if total > fr.max_dim():
-        raise fr.ResourceLimitError(f"dim {psi.dim}**{n} = {total} exceeds cap {fr.max_dim()}")
+    _check_workspace(16 * psi.dim**(2 * n), f"the projector of {psi.dim}^{n} amplitudes")
     out = psi.amplitudes
     for _ in range(n - 1):
         out = np.kron(out, psi.amplitudes)

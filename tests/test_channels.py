@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,34 @@ def test_constructors_refuse_a_non_finite_entry(name, value):
 def test_a_zero_dimensional_operator_is_a_shape_error(build):
     with pytest.raises(fr.ShapeMismatchError):
         build([1.0])
+
+
+EMPTY = np.zeros((0, 0))
+BAD_BASIS = np.eye(2, dtype=complex)
+BAD_BASIS[0, 1] = math.inf
+MIXED_PAIR = fr.BipartiteState(2, 2, fr.DensityOperator(np.eye(4) / 4))
+EMPTY_OR_NON_FINITE = {
+    "kraus-empty": (fr.ShapeMismatchError, lambda: fr.KrausChannel([EMPTY])),
+    "povm-empty": (fr.ShapeMismatchError, lambda: fr.DiscretePOVM([EMPTY])),
+    "pinching-empty": (fr.ShapeMismatchError, lambda: fr.pinching_channel([EMPTY])),
+    "block-projection-empty": (fr.ShapeMismatchError, lambda: fr.BlockProjection(EMPTY, [(1, 1)])),
+    "dephasing-empty": (fr.ShapeMismatchError, lambda: fr.dephasing_channel(EMPTY)),
+    "twirl-empty": (fr.ShapeMismatchError, lambda: fr.twirl_channel(np.zeros((1, 0, 0)))),
+    "twirl-nan": (fr.FramenessError, lambda: fr.twirl_channel([np.eye(2), np.diag([1.0, math.nan])])),
+    "twirl-inf": (fr.FramenessError, lambda: fr.twirl_channel([np.eye(2), np.diag([1.0, math.inf])])),
+    "dephasing-bound-inf": (ValueError, lambda: fr.dephasing_upper_bound(MIXED_PAIR, BAD_BASIS)),
+    "optimize-inf": (ValueError, lambda: fr.optimize_dephasing_bound(MIXED_PAIR, [BAD_BASIS])),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_OR_NON_FINITE)
+def test_an_empty_or_non_finite_operator_is_refused_before_any_product(name):
+    # each raises the toolkit's own error, not numpy's reduction error, LinAlgError or RuntimeWarning
+    error, build = EMPTY_OR_NON_FINITE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match="nonempty" if error is fr.ShapeMismatchError else "non-finite"):
+            build()
 
 
 def test_apply_examples():

@@ -140,6 +140,19 @@ def test_cyclic_phase_rep_rejects_non_integer_charges(charges):
         fr.cyclic_phase_rep(charges, 2)
 
 
+def test_cyclic_phase_rep_checks_its_order_before_the_table():
+    tracemalloc.start()
+    try:
+        with pytest.raises(fr.ResourceLimitError, match="^group order 10000000 exceeds cap 64$"):
+            fr.cyclic_phase_rep([0, 1, 2], 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(fr.RepresentationError, match="^group order must be at least 1, got 0$"):
+        fr.cyclic_phase_rep([0, 1, 2], 0)
+
+
 def test_cyclic_phase_rep_accepts_integer_valued_floats():
     for u, v in zip(fr.cyclic_phase_rep([0.0, 3.0], 4).unitaries, fr.cyclic_phase_rep([0, 3], 4).unitaries):
         np.testing.assert_array_equal(u, v)
@@ -203,8 +216,16 @@ def test_symmetric_subspace_dimension():
 def test_collective_rep_caps():
     with pytest.raises(ValueError):
         fr.build_collective_spin_rep(3)
-    with pytest.raises(fr.ResourceLimitError):
-        fr.build_collective_spin_rep(14)
+    tracemalloc.start()
+    try:  # refused from the estimate, 8 dense complex d x d operators, before any block is built
+        with pytest.raises(fr.ResourceLimitError, match="^a 14-qubit register: estimated 3.44e"):
+            fr.build_collective_spin_rep(14)
+        with pytest.raises(fr.ResourceLimitError, match="^a 1000000-qubit register: estimated inf"):
+            fr.build_collective_spin_rep(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_two_qubit_schur_sectors():

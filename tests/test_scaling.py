@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frameness as fr
+import frameness.scaling
+import frameness.states
 from frameness.scaling import schur_weyl_weights, symmetric_powers
 from frameness.states import EIG_CUTOFF, WRAPPED_MASS_TOL, _entropy_of_spectrum
 from ncopy_oracle import kronecker_bound_asymmetries, mp_bound_asymmetries, tensor_power
@@ -472,10 +474,39 @@ def test_q8_bound_rows_hold_their_bits(dim, n_max, seed, rows, last_ulps):
 
 
 def test_finite_group_bound_respects_dimension_cap(monkeypatch):
-    monkeypatch.setenv("FRAMENESS_MAX_DIM", "8")
-    plus = fr.PureState(np.array([1, 1]) / math.sqrt(2)).projector()
-    with pytest.raises(fr.ResourceLimitError):
-        fr.finite_group_bound_check(fr.z2_phase_flip_rep(), plus, 4)
+    # a budget of exactly the N = 4 qutrit peak, the 81-square mean and power and one 27-square power
+    rep, rho = fr.cyclic_phase_rep([0, 1, 2], 3), fr.DensityOperator(np.eye(3) / 3)
+    monkeypatch.setattr(frameness.states, "MAX_WORKSPACE_BYTES", 16 * (2 * 81**2 + 27**2))
+    assert len(fr.finite_group_bound_check(rep, rho, 4).rows) == 4
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the estimate")
+
+    monkeypatch.setattr(np, "zeros", forbidden)
+    monkeypatch.setattr(np, "kron", forbidden)
+    with pytest.raises(fr.ResourceLimitError, match=r"^5 copies of a d = 3 state: estimated 1\.99e\+06 bytes "
+                       r"exceed the 2\.22e\+05-byte workspace budget$"):
+        fr.finite_group_bound_check(rep, rho, 5)
+
+
+@pytest.mark.parametrize("dim, last", [(3, 8), (4, 6), (128, 1)])
+def test_finite_group_bound_budget_admits_the_same_rows_as_the_old_cap(monkeypatch, dim, last):
+    # the 2^32-byte budget: a qutrit to N = 8, d = 4 to N = 6, d = 128 at N = 1; the rows are stubbed
+    monkeypatch.setattr(frameness.scaling, "_orbit_mean_asymmetries", lambda states, shares, rho, n: [0.0] * n)
+    rep, rho = fr.cyclic_phase_rep(np.arange(dim) % 2, 2), fr.DensityOperator(np.eye(dim) / dim)
+    assert len(fr.finite_group_bound_check(rep, rho, last).rows) == last
+    with pytest.raises(fr.ResourceLimitError, match=f"^{last + 1} copies of a d = {dim} state"):
+        fr.finite_group_bound_check(rep, rho, last + 1)
+
+
+@pytest.mark.parametrize("dim, copies", [(3, 10**9), (300, 64)])
+def test_finite_group_bound_refuses_an_astronomical_peak_without_forming_it(dim, copies):
+    # d^N is neither formed as a huge integer (3^(10^9)) nor squared past float range (300^64)
+    rep, rho = fr.cyclic_phase_rep(np.arange(dim) % 2, 2), fr.DensityOperator(np.eye(dim) / dim)
+    start = time.perf_counter()
+    with pytest.raises(fr.ResourceLimitError, match=f"^{copies} copies of a d = {dim} state: estimated inf bytes"):
+        fr.finite_group_bound_check(rep, rho, copies)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("rep", [fr.z2_phase_flip_rep(), fr.quaternion_rep(),

@@ -40,6 +40,13 @@ def test_pure_state_norm_is_enforced():
     assert psi.projector().dim == 2
 
 
+def test_pure_state_norm_reads_a_long_uniform_vector_exactly():
+    # BLAS's norm reads this exact state 1.2e-12 short of 1, past PURE_NORM_TOL; the pairwise sum does not
+    assert fr.maximal_asymmetry_state("u1", n_max=10**6).dim == 10**6 + 1
+    with pytest.raises(fr.InvalidStateError, match="norm 1.0000000000100"):
+        fr.PureState(np.full(4, 0.5) * (1 + 1e-11))
+
+
 @pytest.mark.parametrize("dim, count", [(3, 10), (4, 40)])
 def test_stacked_draws_are_the_repeated_draws(dim, count):
     stacked_rng, loop_rng = np.random.default_rng(14), np.random.default_rng(14)
@@ -219,7 +226,7 @@ def test_tensor_power():
     plus = fr.PureState(np.array([1, 1]) / math.sqrt(2))
     assert_allclose(tensor_power(plus, 2).amplitudes, np.full(4, 0.5), atol=1e-15)
     with pytest.raises(fr.ResourceLimitError):
-        tensor_power(plus, 15)  # 2**15 > default cap 2**14
+        tensor_power(plus, 15)  # a 2^15-square complex projector is 16 GiB, over the 4 GiB budget
 
 
 @given(st.integers(0, 10**6))
