@@ -36,6 +36,7 @@ from .states import (
     FramenessError,
     PureState,
     ShapeMismatchError,
+    _eigh,
     _entropy_of_spectrum,
     _validated_density,
     von_neumann_entropy,
@@ -228,8 +229,13 @@ class BlockProjection:
             sigmas = [c @ c.conj().T if c.shape[0] <= c.shape[1] else c.T @ c.conj() for c in cs]
         else:
             sigmas = self._sector_blocks(state.matrix)
-        return float(sum(m * _entropy_of_spectrum(np.linalg.eigvalsh(sigma) / m)
-                         for (m, _), sigma in zip(self.blocks, sigmas)))
+        # one stacked eigvalsh and entropy per sector shape and dtype, summed back in sector order
+        ms, by_kind, h = np.array([m for m, _ in self.blocks], dtype=float), {}, np.empty(len(sigmas))
+        for q, sigma in enumerate(sigmas):
+            by_kind.setdefault((sigma.shape, sigma.dtype), []).append(q)
+        for qs in by_kind.values():
+            h[qs] = _entropy_of_spectrum(np.linalg.eigvalsh(np.array([sigmas[q] for q in qs])) / ms[qs, None])
+        return float(sum(m * hq for (m, _), hq in zip(self.blocks, h.tolist())))
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         """The dense E(x) of one operator or a (..., d, d) stack; block diagonal over the basis rows."""
@@ -334,13 +340,13 @@ def pinching_channel(projectors) -> BlockProjection:
         herm = float(np.abs(p - p.conj().T).max())
         if not herm <= INPUT_TOL:
             raise ValueError(f"projector {k} is not Hermitian (deviation {herm:.3e})")
-        lams, vecs = np.linalg.eigh(p)
+        lams = np.linalg.eigvalsh(p)  # not _eigh's values: its SVD would read an eigenvalue -1 as +1
         ones = lams > 0.5
         off = float(np.abs(lams - ones).max())
         if not off <= INPUT_TOL:
             raise ValueError(f"projector {k} has an eigenvalue {off:.3e} away from 0 and 1")
         if ones.any():
-            cols.append(vecs[:, ones])
+            cols.append(_eigh(p, INPUT_TOL)[1][:, ones])
     rank = sum(c.shape[1] for c in cols)
     if rank != d:
         raise ValueError(f"projectors of total rank {rank} do not complete dimension {d}")
@@ -394,9 +400,8 @@ def twirl_channel(unitaries) -> BlockProjection:
         h, r, x = g[:, 0] + 1j * g[:, 1]
         h += h.conj().T
         norm = np.linalg.norm(h)
-        # T(h) + ||h||_F I is PSD: its SVD is its eigendecomposition, descending.  Not eigh, whose
-        # divide-and-conquer merge stalls ~16 ms a call under two OpenBLAS threads at 26 <= d <= 40
-        v, lams = np.linalg.svd(_orbit_mean(us, h) + norm * np.eye(d))[:2]
+        lams, v = _eigh(_orbit_mean(us, h), norm)  # T(h) + ||h||_F I is PSD
+        lams, v = lams[::-1], v[:, ::-1]  # descending
         starts = np.flatnonzero(np.diff(lams, prepend=np.inf) < -COPY_SPLIT_EPS * d * _EPS * norm)
         sizes, k = np.diff(starts, append=d), v.conj().T @ _orbit_mean(us, r) @ v
         norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(k)**2, starts, axis=0), starts, axis=1))

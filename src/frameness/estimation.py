@@ -29,6 +29,7 @@ from .states import (
     DensityOperator,
     FramenessError,
     ShapeMismatchError,
+    _eigh,
     _entropy_of_spectrum,
     von_neumann_entropy,
     within_bound,
@@ -136,7 +137,7 @@ def square_root_measurement(ens: OrbitEnsemble) -> DiscretePOVM:
     null projector, so completeness holds exactly.
     """
     s = ens.average().matrix
-    lams, vecs = np.linalg.eigh(s)
+    lams, vecs = _eigh(s, INPUT_TOL)
     keep = lams > EIG_CUTOFF
     inv_sqrt = (vecs[:, keep] / np.sqrt(lams[keep])) @ vecs[:, keep].conj().T
     null = vecs[:, ~keep] @ vecs[:, ~keep].conj().T
@@ -148,7 +149,7 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Discrete
     """Wishart effects normalized by the inverse square root of their sum."""
     z = _ginibre_stack(dim, rng, n_outcomes)
     raw = z @ z.conj().swapaxes(1, 2)
-    lams, vecs = np.linalg.eigh(raw.sum(axis=0))
+    lams, vecs = _eigh(raw.sum(axis=0), 0.0)
     inv_sqrt = (vecs / np.sqrt(lams)) @ vecs.conj().T
     return DiscretePOVM(inv_sqrt @ raw @ inv_sqrt)
 

@@ -50,6 +50,7 @@ from .states import (
     BLOCK_SPECTRUM_CUTOFF,
     CONVOLVED_SUM_EPS,
     EIG_CUTOFF,
+    INPUT_TOL,
     WRAPPED_MASS_TOL,
     ZERO_VARIANCE_CUTOFF,
     DensityOperator,
@@ -59,6 +60,7 @@ from .states import (
     ResourceLimitError,
     _STACK_ENTRIES,
     _check_workspace,
+    _eigh,
     _entropy_of_spectrum,
     trace_distance,
     von_neumann_entropy,
@@ -401,6 +403,7 @@ def symmetric_powers(us, n: int) -> np.ndarray:
     alpha, gamma = np.angle(b) - np.angle(a), -np.angle(a) - np.angle(b)
     beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
     m = 0.5 * n - np.arange(n + 1)  # J_z, descending
+    # not _eigh: by SVD this cost wall time and saved no CPU, as the z @ z^dag GEMM below threads anyway
     p = np.linalg.eigh(_dicke_jx(n))[1]  # columns: J_x = m[::-1], ascending
     rx = (p * np.exp(-1j * np.outer(beta, m[::-1]))[:, None, :]) @ p.T
     # e^(-i beta J_y) = e^(-i pi/2 J_z) e^(-i beta J_x) e^(i pi/2 J_z)
@@ -442,7 +445,7 @@ def _qubit_block_gaps(states: np.ndarray, shares, eigenvalues, n_max: int) -> np
     stacks them, (C, 2, 2).
     """
     lo, hi = np.clip(eigenvalues, 0.0, None)
-    ws = np.linalg.eigh(states)[1][:, :, ::-1]  # larger first
+    ws = _eigh(states, INPUT_TOL)[1][:, :, ::-1]  # larger first
     gaps, roots = np.zeros(n_max + 1), np.sqrt(np.asarray(shares, dtype=float))[:, None, None]
     for n in range(1, n_max + 1):
         q = (lo / hi) ** np.arange(n + 1)

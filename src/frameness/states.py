@@ -1,7 +1,9 @@
 """Dense state objects, the entropic functionals, and the tolerance table.
 
 All entropies are in bits.  The single spectral primitive is the Hermitian
-eigendecomposition (``numpy.linalg.eigvalsh``/``eigh``); every entropy routes
+eigendecomposition: spectra come from numpy's ``eigvalsh``, and every eigenvector
+solve goes through :func:`_eigh`, which takes the eigenpairs of a PSD matrix from
+an SVD in the band 26 <= d < 64 and from ``eigh`` elsewhere; every entropy routes
 through :func:`_entropy_of_spectrum`.  Every numerical threshold of the toolkit
 is defined once, in the table below, so that tolerances compose predictably.
 """
@@ -38,6 +40,12 @@ INTERTWINER_TOL = 1e-6        # twirl build: a block of V^dag T(R) V below 1e-6 
 _STACK_ENTRIES = 2**16
 # The one memory budget, in bytes (4 GiB, one complex 2^14-square matrix): see _check_workspace.
 MAX_WORKSPACE_BYTES = 2**32
+# The band where _eigh takes an SVD.  Measured on OpenBLAS 0.3.31 with two threads: from
+# d = 26 (past SMLSIZ = 25, ?heevd divides and conquers) eigh leaves the pool's idle worker
+# spinning for ~134 ms of CPU per call; a complex SVD or eigvalsh leaves 0.1 ms below d = 64.
+_EIGH_DC_DIM = 26
+# From d = 64 eigh, eigvalsh and the SVD all thread, and the pool does real work.
+_BLAS_THREAD_DIM = 64
 
 
 class FramenessError(Exception):
@@ -134,6 +142,23 @@ def _validated_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if lowest < -INPUT_TOL:
         raise InvalidStateError(f"not PSD: smallest eigenvalue {lowest:.3e}")
     return m, spectrum
+
+
+def _eigh(a: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of a Hermitian (..., d, d) stack.
+
+    The caller guarantees that ``a + shift I`` is PSD.  For _EIGH_DC_DIM <= d <
+    _BLAS_THREAD_DIM the pairs come from the SVD of ``a + shift I``, taken complex
+    (a real SVD threads from d = 48): the singular values of a PSD matrix are its
+    eigenvalues and its left singular vectors its eigenvectors, but an eigenvalue
+    -x below -shift would read as +x, so the precondition is what makes them one.
+    Elsewhere this is ``numpy.linalg.eigh(a)``.
+    """
+    d = a.shape[-1]
+    if not _EIGH_DC_DIM <= d < _BLAS_THREAD_DIM:
+        return np.linalg.eigh(a)
+    u, s, _ = np.linalg.svd(a + shift * np.eye(d, dtype=complex))
+    return s[..., ::-1] - shift, u[..., ::-1]
 
 
 class PureState:
@@ -239,9 +264,9 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """
     if rho.dim != sigma.dim:
         raise ShapeMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    s, vecs = np.linalg.eigh(sigma.matrix)
-    # diagonal of V^dag rho V: weight of rho along each eigenvector of sigma
-    w = np.einsum("ij,jk,ki->i", vecs.conj().T, rho.matrix, vecs).real
+    s, vecs = _eigh(sigma.matrix, INPUT_TOL)
+    # diagonal of V^dag rho V, one GEMM: weight of rho along each eigenvector of sigma
+    w = (vecs.conj() * (rho.matrix @ vecs)).sum(axis=0).real
     null = s <= EIG_CUTOFF
     if float(w[null].sum()) > NULL_WEIGHT_TOL:
         return math.inf
