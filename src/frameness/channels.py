@@ -229,12 +229,14 @@ class BlockProjection:
             sigmas = [c @ c.conj().T if c.shape[0] <= c.shape[1] else c.T @ c.conj() for c in cs]
         else:
             sigmas = self._sector_blocks(state.matrix)
-        # one stacked eigvalsh and entropy per sector shape and dtype, summed back in sector order
-        ms, by_kind, h = np.array([m for m, _ in self.blocks], dtype=float), {}, np.empty(len(sigmas))
+        # one stacked eigvalsh and entropy per sector shape and dtype (a real block keeps its real
+        # solver), summed in sector order
+        ms, kinds, h = np.array([m for m, _ in self.blocks], dtype=float), {}, np.empty(len(sigmas))
         for q, sigma in enumerate(sigmas):
-            by_kind.setdefault((sigma.shape, sigma.dtype), []).append(q)
-        for qs in by_kind.values():
-            h[qs] = _entropy_of_spectrum(np.linalg.eigvalsh(np.array([sigmas[q] for q in qs])) / ms[qs, None])
+            kinds.setdefault((sigma.shape, sigma.dtype), []).append(q)
+        for qs in kinds.values():
+            spectra = np.linalg.eigvalsh(np.array([sigmas[q] for q in qs])) / ms[qs, None]
+            h[qs] = _entropy_of_spectrum(spectra)
         return float(sum(m * hq for (m, _), hq in zip(self.blocks, h.tolist())))
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
