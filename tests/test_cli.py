@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -639,3 +640,117 @@ def test_ree_reports_the_gamma_free_optimum_as_zero_angles(tmp_path, p):
     res = json.loads(texts[0])["result"]
     assert (res["theta"], res["gamma"]) == (0.0, 0.0)
     assert res["tight"] is True
+
+
+_FRESH_RUNS = """
+import json, sys
+import frameness.cli
+for argv in json.loads(sys.argv[1]):
+    assert frameness.cli.run(argv) == 0, argv
+"""
+
+
+def _run_in_fresh_interpreter(argvs):
+    """Run each argv in one new interpreter, where each is the first call of its subcommand."""
+    assert len({argv[0] for argv in argvs}) == len(argvs)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUNS, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_reused_parsers_leak_no_state(tmp_path, capsys, uniform4_state, charges4,
+                                      plus_state_file, z2_rep_file):
+    # each second run drops --seed and --format and changes --out and a command option
+    # the first run set, so a value left over on a reused parser would show in its artifact
+    z2, plus = ["--rep", z2_rep_file], ["--state", plus_state_file]
+    pairs = {
+        "asymmetry": (["--group", "u1", "--charges", charges4, "--state", uniform4_state],
+                      ["--group", "finite", *z2, *plus]),
+        "twirl": (["--group", "finite", *z2, *plus], ["--group", "u1", "--state", uniform4_state]),
+        "extremal": (["--group", "u1", "--n-max", "3"], ["--group", "su2", "--qubits", "2"]),
+        "scaling": (["--p", "0.3", "--copies", "30"], ["--copies", "20"]),
+        "bounds": (["--group", "finite", *z2, *plus, "--copies", "2"], ["--group", "finite"]),
+        "ree": (["--p", "0.75"], ["--sweep", "0.6,0.9"]),
+        "estimate": ([*plus, "--povms", "2"], plus),
+        "verify": ([], []),
+    }
+    assert set(pairs) == set(cli.COMMANDS)
+    runs = [[[name, *first, "--seed", "3", "--format", "csv", "--out", str(tmp_path / f"{name}-1.csv")]
+             for name, (first, _) in pairs.items()],
+            [[name, *second, "--out", str(tmp_path / f"{name}-2.json")]
+             for name, (_, second) in pairs.items()]]
+    fresh = {}
+    for argvs in runs:
+        _run_in_fresh_interpreter(argvs)
+        fresh.update({argv[-1]: open(argv[-1], "rb").read() for argv in argvs})
+    for first, second in zip(*runs):
+        for argv in (first, second, first, second):
+            assert cli.run(argv) == 0, argv
+            assert open(argv[-1], "rb").read() == fresh[argv[-1]], argv
+    capsys.readouterr()
+    scaling_second = runs[1][list(pairs).index("scaling")]
+    assert cli.run(["scaling", "--help"]) == 0
+    assert "--n-list" in capsys.readouterr().out
+    assert cli.run(["scaling", "--p", "1.5"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert cli.run(scaling_second) == 0
+    assert open(scaling_second[-1], "rb").read() == fresh[scaling_second[-1]]
+
+
+_PARSER_COUNT = """
+import argparse, os
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs["prog"])
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import frameness.cli
+assert built == [], ("import", built)
+for seed in ("0", "1", "2"):
+    assert frameness.cli.run(["scaling", "--copies", "5", "--seed", seed, "--out", os.devnull]) == 0
+assert frameness.cli.run(["scaling", "--help"]) == 0
+assert built == ["frameness scaling"], built
+"""
+
+
+def test_import_builds_no_parser_and_a_command_builds_one():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _PARSER_COUNT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_out_is_overwritten_in_place_without_a_stale_tail(tmp_path, capsys):
+    argv = ["scaling", "--p", "0.3", "--copies", "50"]
+    assert cli.run(argv) == 0
+    text = capsys.readouterr().out
+    want = tmp_path / "want.json"
+    with open(want, "w") as fh:
+        fh.write(text)
+    out = tmp_path / "out.json"
+    out.write_bytes(b"x" * (3 * len(text)))
+    assert cli.run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert cli.run(argv + ["--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("text", ["a\nb\n", "# config={\"state\": \"café.json\"}\r\nN\n1\n", ""])
+def test_out_bytes_equal_a_text_mode_write(tmp_path, text):
+    want, out = tmp_path / "want.txt", tmp_path / "out.txt"
+    with open(want, "w") as fh:
+        fh.write(text)
+    out.write_bytes(b"stale " * 20)
+    cli._write(text, str(out))
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_a_new_out_file_gets_the_umask_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        cli._write("x\n", str(tmp_path / "new.txt"))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "new.txt").st_mode) == 0o666 & ~umask
