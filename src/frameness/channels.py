@@ -148,12 +148,19 @@ def _checked_unitary(u) -> np.ndarray:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
         raise ShapeMismatchError(f"basis matrix must be nonempty and square, got {u.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("basis matrix has a non-finite entry (NaN or inf)")
-    dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-    if not dev <= INPUT_TOL:
-        raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
+    _check_unitaries(u)
     return u
+
+
+def _check_unitaries(us: np.ndarray):
+    """Raise ValueError unless the d x d matrix, or each matrix of a (C, d, d) stack, is finite
+    and unitary to INPUT_TOL; the first failure in stack order is the one reported."""
+    if not np.isfinite(us).all():
+        raise ValueError("basis matrix has a non-finite entry (NaN or inf)")
+    dev = np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1])).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(dev <= INPUT_TOL))
+    if bad.size:
+        raise ValueError(f"basis matrix is not unitary (deviation {dev.flat[bad[0]]:.3e})")
 
 
 def _identity_blocks(rows: np.ndarray, sizes) -> list:

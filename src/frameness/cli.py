@@ -91,22 +91,6 @@ from .states import (
     relative_entropy,
 )
 
-_USAGE = """\
-usage: frameness <command> [options]
-
-commands:
-  asymmetry   asymmetry of a state under a group twirl
-  twirl       dump the twirled state
-  extremal    maximal-asymmetry state and its value
-  scaling     N-copy asymmetry table against the Gaussian-entropy model
-  bounds      finite-group / Lie-group bound reports
-  ree         dephasing bound sandwich on the relative entropy of entanglement
-  estimate    Holevo-bound estimation report for a group orbit
-  verify      run the seeded invariant suite
-
-run `frameness <command> --help` for the options of each command.
-"""
-
 COMMANDS = {}  # name -> (description, options, body)
 
 
@@ -728,22 +712,23 @@ def _ree_options(p):
                    help="comma-separated p values in [0, 1]; emits one row per value")
     p.add_argument("--state", help="bipartite state JSON (overrides the family)")
     p.add_argument("--dims", type=_dims, default="2,2", help="dA,dB for --state")
-    p.add_argument("--grid", type=int, default=64,
-                   help="angle spacing pi/grid x 2 pi/grid of the two-qubit scan over theta in [0, pi/4]")
     p.add_argument("--side", choices=("A", "B"), default="B",
-                   help="subsystem to dephase for non-qubit inputs")
+                   help="subsystem to dephase, for two-qubit pairs and --sweep as for larger pairs")
     p.add_argument("--random-trials", type=_count, default=0,
                    help="Haar basis draws searched beside the computational basis (non-qubit pairs)")
 
 
 @_command("ree", "dephasing bound sandwich on the relative entropy of entanglement", _ree_options)
 def _cmd_ree(p, ns) -> int:
+    if ns.sweep and (ns.p is not None or ns.state):
+        p.error("--sweep runs the bell-diagonal family at its own weights; it takes no --p or --state")
+    if ns.random_trials and (not ns.state or ns.dims == (2, 2)):  # --sweep has no --state
+        p.error("--random-trials searches bases of larger pairs; a two-qubit pair is scanned by angle")
     meta = _meta("ree", ns)
 
     if ns.sweep:
         ps = [float(x) for x in ns.sweep.split(",")]
-        reports = optimize_two_qubit_bounds([bell_diagonal_state(pv) for pv in ps],
-                                            grid=ns.grid, side=ns.side)
+        reports = optimize_two_qubit_bounds([bell_diagonal_state(pv) for pv in ps], side=ns.side)
         rows = [(pv, rep.upper, rep.lower, rep.theta, rep.gamma, rep.tight)
                 for pv, rep in zip(ps, reports)]
         header = ("p", "upper", "lower", "theta", "gamma", "tight")
@@ -757,7 +742,7 @@ def _cmd_ree(p, ns) -> int:
             raise ValueError("ree needs --p, --sweep or --state")
         bip = bell_diagonal_state(ns.p)
     if bip.dim_a == 2 and bip.dim_b == 2:
-        report = optimize_two_qubit_bound(bip, grid=ns.grid, side=ns.side)
+        report = optimize_two_qubit_bound(bip, side=ns.side)
     else:
         report = optimize_dephasing_bound(bip, random_trials=ns.random_trials,
                                           seed=ns.seed, side=ns.side)
@@ -914,6 +899,12 @@ def _cmd_verify(p, ns) -> int:
         _emit(ns, _meta("verify", ns), result, ("check", "ok", "detail"),
               [(r["check"], r["ok"], r["detail"]) for r in results])
     return 0 if result["all_ok"] else 2
+
+
+# the command list, each command with the first sentence of its description
+_USAGE = "usage: frameness <command> [options]\n\ncommands:\n" + "".join(
+    f"  {name:<12}{description.split('. ')[0]}\n" for name, (description, _, _) in COMMANDS.items()
+) + "\nrun `frameness <command> --help` for the options of each command.\n"
 
 
 def run(argv=None) -> int:

@@ -16,14 +16,14 @@ sigma_+- = (rho_kept +- sum_i n_i R_i) / 2, with R_i the partial trace of rho
 against sigma_i on the measured qubit.  :func:`_bloch_coefficients` tabulates
 that affine map once per state; :func:`_dephased_entropy` evaluates it
 elementwise and takes each 2 x 2 block's eigenvalues in closed form.  The
-search scans the bases on a grid, theta in [0, pi/4] at spacing pi / grid and
-gamma at 2 pi / grid, one point per basis and in blocks of rows so its workspace
-stays bounded.  A compass search (:func:`_compass_search`) then refines the three
-best grid points: each step scores the 8 neighbours of every start of every state
-in one kernel call, moves to a strictly lower one or halves the step, and stops at
-a step of 1e-7 radians or after 200 iterations: 20 to 50 kernel calls per state.
-Its result is never above the best grid value, and since the kernel is elementwise
-a state's result does not depend on the batch it is optimized in.
+search scans one fixed table of bases, theta in [0, pi/4] at spacing pi / 64
+and gamma at 2 pi / 64, one point per basis, a state at a time.  A compass
+search (:func:`_compass_search`) then refines the three best grid points: each
+step scores the 8 neighbours of every start of every state in one kernel call,
+moves to a strictly lower one or halves the step, and stops at a step of 1e-7
+radians or after 200 iterations: 20 to 50 kernel calls per state.  Its result
+is never above the best grid value, and since the kernel is elementwise a
+state's result does not depend on the batch it is optimized in.
 
 Beyond two qubits :func:`optimize_dephasing_bound` scores stacks of candidate
 bases: the identity, the caller's unitaries and seeded Haar draws.  Dephasing
@@ -43,11 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BlockProjection
+from .channels import BlockProjection, _check_unitaries
 from .sampling import _haar_stack
 from .states import (
     DEGENERATE_ANGLE_TOL,
-    INPUT_TOL,
     TIGHT_TOL,
     _STACK_ENTRIES,
     DensityOperator,
@@ -122,12 +121,7 @@ def _dephasing_gaps(rho: BipartiteState, us: np.ndarray, side: str) -> np.ndarra
     d_kept, d_meas = _measured_dims(rho, side)
     if us.shape[1:] != (d_meas, d_meas):
         raise ShapeMismatchError(f"unitary shape {us.shape[1:]} vs {side} dim {d_meas}")
-    if not np.isfinite(us).all():
-        raise ValueError("basis matrix has a non-finite entry (NaN or inf)")
-    dev = np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(d_meas)).max(axis=(1, 2))
-    bad = np.flatnonzero(~(dev <= INPUT_TOL))
-    if bad.size:
-        raise ValueError(f"basis matrix is not unitary (deviation {dev[bad[0]]:.3e})")
+    _check_unitaries(us)
     r4 = rho.state.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
     m = r4.transpose(1, 3, 0, 2) if side == "B" else r4.transpose(0, 2, 1, 3)  # m[x, y] = rho_xy
     w = np.einsum("cxk,cyk->ckxy", us.conj(), us).reshape(-1, d_meas * d_meas)
@@ -239,8 +233,9 @@ def _reduced_angles(theta: float, gamma: float) -> tuple[float, float]:
 # spacings; a row stops when its step falls to _STEP_TOL radians or after _MAX_ITER iterations
 _STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b], dtype=float)
 _STEP_TOL, _MAX_ITER = 1e-7, 200
-# angle pairs per block of the grid scan: bounds its workspace to a few MB
-_GRID_BLOCK_PAIRS = 1 << 14
+# the scan's resolution: theta at spacing pi / _SCAN and gamma at 2 pi / _SCAN, which are also
+# the compass search's first steps
+_SCAN = 64
 
 
 def _compass_search(objective, x0: np.ndarray, f0: np.ndarray, spacing):
@@ -270,40 +265,35 @@ def _compass_search(objective, x0: np.ndarray, f0: np.ndarray, spacing):
     return x, f
 
 
-def _grid_starts(coef: np.ndarray, s_rho: float, grid: int, block_pairs: int = _GRID_BLOCK_PAIRS):
-    """The (up to) three best bases of the grid scan, best first, as (theta, gamma) rows.
+def _scan_angles() -> np.ndarray:
+    """The scan's bases as (theta, gamma) rows, one per basis, in the range of :func:`_reduced_angles`.
 
-    The scan takes theta = k pi / grid for 0 <= k <= grid / 4 and gamma = j 2 pi / grid, the
-    range :func:`_reduced_angles` reports, with one pair per basis: gamma = 0 only at theta = 0,
-    and gamma < pi at theta = pi / 4.  It runs over blocks of theta rows and keeps each block's
-    three best, so the workspace is O(max(grid, block_pairs)); merging the blocks with a stable
-    sort gives the same three points, in the same order, as a stable argsort of the whole scan.
+    The table is theta = k pi / _SCAN for 0 <= k <= _SCAN / 4 by gamma = j 2 pi / _SCAN, in row
+    order, less its twins: gamma > 0 at theta = 0, where the basis does not depend on gamma, and
+    gamma >= pi at theta = pi / 4, where gamma + pi gives the same basis.
     """
-    thetas = np.arange(grid // 4 + 1) * math.pi / grid
-    gammas = np.arange(grid) * 2.0 * math.pi / grid
-    rows = max(1, block_pairs // grid)
-    values, flat = [], []
-    for r0 in range(0, len(thetas), rows):
-        block = _dephased_entropy(coef, thetas[r0:r0 + rows, None], gammas[None, :]) - s_rho
-        if r0 == 0:
-            block[0, 1:] = np.inf  # theta = 0: one basis for every gamma
-        if 4 * (r0 + len(block) - 1) == grid:
-            block[-1, grid // 2:] = np.inf  # theta = pi / 4: gamma and gamma + pi are twins
-        block = block.ravel()
-        best = np.argsort(block, kind="stable")[:3]
-        values.append(block[best])
-        flat.append(best + r0 * grid)
-    values, flat = np.concatenate(values), np.concatenate(flat)
-    keep = np.argsort(values, kind="stable")[:3]
-    keep = keep[np.isfinite(values[keep])]  # grid < 4 scans the one basis at theta = 0
-    flat = flat[keep]
-    return np.stack([thetas[flat // grid], gammas[flat % grid]], axis=1), values[keep]
+    thetas = np.arange(_SCAN // 4 + 1) * math.pi / _SCAN
+    gammas = np.arange(_SCAN) * 2.0 * math.pi / _SCAN
+    twin = np.zeros((len(thetas), _SCAN), dtype=bool)
+    twin[0, 1:] = twin[-1, _SCAN // 2:] = True
+    return np.stack(np.meshgrid(thetas, gammas, indexing="ij"), axis=-1)[~twin]
 
 
-def optimize_two_qubit_bounds(states, grid: int = 64, side: str = "B") -> list[BoundReport]:
+_SCAN_ANGLES = _scan_angles()
+
+
+def _grid_starts(coef: np.ndarray, s_rho: float):
+    """The three best bases of the scan, best first by a stable sort, as (theta, gamma) rows,
+    and their bounds."""
+    values = _dephased_entropy(coef, _SCAN_ANGLES[:, 0], _SCAN_ANGLES[:, 1]) - s_rho
+    best = np.argsort(values, kind="stable")[:3]
+    return _SCAN_ANGLES[best], values[best]
+
+
+def optimize_two_qubit_bounds(states, side: str = "B") -> list[BoundReport]:
     """Minimize the dephasing bound over the two-angle family, for each two-qubit state.
 
-    Deterministic: for each state a scan of the bases at spacing pi / grid x 2 pi / grid
+    Deterministic: for each state a scan of the bases at spacing pi / 64 x 2 pi / 64
     (:func:`_grid_starts`), then a compass search (:func:`_compass_search`) from its three best
     points at the same spacing; the searches of all states run as one lockstep batch, and a
     state's result does not depend on its batch.  The upper bound is never above the best
@@ -315,15 +305,12 @@ def optimize_two_qubit_bounds(states, grid: int = 64, side: str = "B") -> list[B
             raise ShapeMismatchError("two-angle optimization needs a 2 x 2 qubit pair")
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if grid < 1:
-        raise ValueError(f"grid must be a positive number of angles per axis, got {grid}")
     if not states:
         return []
     coef = np.stack([_bloch_coefficients(rho.state.matrix, side) for rho in states])
     s_rho = np.array([von_neumann_entropy(rho.state) for rho in states])
-    scans = [_grid_starts(c, s, grid) for c, s in zip(coef, s_rho)]
-    per_state = len(scans[0][1])
-    owner = np.repeat(np.arange(len(states)), per_state)
+    scans = [_grid_starts(c, s) for c, s in zip(coef, s_rho)]
+    owner = np.repeat(np.arange(len(states)), 3)
 
     def objective(rows, points):
         o = owner[rows]
@@ -331,10 +318,10 @@ def optimize_two_qubit_bounds(states, grid: int = 64, side: str = "B") -> list[B
 
     xs, funs = _compass_search(objective, np.concatenate([starts for starts, _ in scans]),
                                np.concatenate([values for _, values in scans]),
-                               (math.pi / grid, 2.0 * math.pi / grid))
+                               (math.pi / _SCAN, 2.0 * math.pi / _SCAN))
     reports = []
     for i, rho in enumerate(states):
-        k = i * per_state + int(np.argmin(funs[i * per_state:(i + 1) * per_state]))
+        k = 3 * i + int(np.argmin(funs[3 * i:3 * i + 3]))
         theta, gamma = _reduced_angles(float(xs[k, 0]), float(xs[k, 1]))
         reports.append(BoundReport(
             upper=float(funs[k]),
@@ -346,12 +333,12 @@ def optimize_two_qubit_bounds(states, grid: int = 64, side: str = "B") -> list[B
     return reports
 
 
-def optimize_two_qubit_bound(rho: BipartiteState, grid: int = 64, side: str = "B") -> BoundReport:
+def optimize_two_qubit_bound(rho: BipartiteState, side: str = "B") -> BoundReport:
     """Minimize the dephasing bound over the two-angle family on two qubits.
 
     The one-state case of :func:`optimize_two_qubit_bounds`.
     """
-    return optimize_two_qubit_bounds([rho], grid, side)[0]
+    return optimize_two_qubit_bounds([rho], side)[0]
 
 
 def optimize_dephasing_bound(rho: BipartiteState, unitaries=None, random_trials: int = 0,

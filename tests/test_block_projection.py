@@ -152,7 +152,7 @@ def test_entropy_gaps_build_no_kraus_channel(monkeypatch):
     monkeypatch.setattr(fr.KrausChannel, "is_idempotent", forbidden)
     assert fr.dephasing_upper_bound(bip, fr.haar_unitary(2, rng)) >= -1e-12
     assert fr.relative_entropy_to_image(proj, bip.state) >= -1e-12
-    assert fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.75), grid=8).upper == pytest.approx(
+    assert fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.75)).upper == pytest.approx(
         1.0 - fr.binary_entropy(0.75), abs=1e-8)
 
 

@@ -51,7 +51,12 @@ def run_json(tmp_path, args):
 
 def test_usage_and_unknown_command(capsys):
     assert cli.run([]) == 0
-    assert "commands" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    listed = [line.split()[0] for line in out.split("commands:\n")[1].split("\n\n")[0].splitlines()]
+    assert listed == list(cli.COMMANDS)
+    # each command's line is the first sentence of its --help description
+    assert "  scaling     N-copy asymmetry against the Gaussian-entropy model\n" in out
+    assert "  bounds      finite-group / Lie-group bound reports\n" in out
     assert cli.run(["frobnicate"]) == 64
     assert "unknown command" in capsys.readouterr().err
 
@@ -305,7 +310,7 @@ def test_ree_family(tmp_path):
 
 def test_ree_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert cli.run(["ree", "--sweep", "0.5,0.75", "--grid", "32",
+    assert cli.run(["ree", "--sweep", "0.5,0.75",
                     "--format", "csv", "--out", str(out)]) == 0
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert rows[0] == "p,upper,lower,theta,gamma,tight"
@@ -315,7 +320,7 @@ def test_ree_sweep_csv(tmp_path):
 def test_ree_state_file(tmp_path):
     bip = fr.bell_diagonal_state(0.9)
     state = write_json(tmp_path / "bell.json", fr.density_to_json(bip.state))
-    payload = run_json(tmp_path, ["ree", "--state", state, "--dims", "2,2", "--grid", "32"])
+    payload = run_json(tmp_path, ["ree", "--state", state, "--dims", "2,2"])
     assert payload["result"]["upper"] == pytest.approx(1 - fr.binary_entropy(0.9), abs=1e-4)
 
 
@@ -435,10 +440,26 @@ def test_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_ree_rejects_an_empty_grid(capsys, grid):
+    # the scan's resolution is fixed: --grid is an unknown option, not a bad value
     assert cli.run(["ree", "--p", "0.8", "--grid", grid]) == 2
     err = capsys.readouterr().err
-    assert f"grid must be a positive number of angles per axis, got {grid}" in err
-    assert "Traceback" not in err
+    assert err == f"frameness ree: error: unrecognized arguments: --grid {grid}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--p", "0.8", "--random-trials", "3"], "--random-trials searches bases of larger pairs"),
+    (["--state", "RHO4", "--dims", "2,2", "--random-trials", "1"], "--random-trials searches bases of larger pairs"),
+    (["--sweep", "0.5,0.7", "--random-trials", "2"], "--random-trials searches bases of larger pairs"),
+    (["--sweep", "0.5,0.7", "--p", "0.8"], "--sweep runs the bell-diagonal family at its own weights"),
+    (["--sweep", "0.5", "--state", "RHO4"], "--sweep runs the bell-diagonal family at its own weights"),
+])
+def test_ree_options_that_would_be_dropped_are_usage_errors(tmp_path, capsys, args, message):
+    rho4 = write_json(tmp_path / "rho4.json", fr.density_to_json(fr.DensityOperator(np.eye(4) / 4)))
+    out = tmp_path / "out.json"
+    assert cli.run(["ree", *(rho4 if a == "RHO4" else a for a in args), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("frameness ree: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("args, option", [
@@ -509,7 +530,7 @@ def test_scaling_records_its_values_as_written(tmp_path):
 
 
 def test_ree_records_the_sweep_as_written(tmp_path):
-    payload = run_json(tmp_path, ["ree", "--sweep", "0.50,1e-0", "--grid", "8"])
+    payload = run_json(tmp_path, ["ree", "--sweep", "0.50,1e-0"])
     assert payload["meta"]["config"]["sweep"] == "0.50,1e-0"
     assert [row["p"] for row in payload["result"]] == [0.5, 1.0]
 

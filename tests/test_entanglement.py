@@ -137,7 +137,7 @@ def test_twin_angles_reduce_to_one_pair_with_the_same_bound():
         bounds = [fr.dephasing_upper_bound(bip, fr.two_qubit_parameterized_unitary(t, g))
                   for t, g in twins + reduced]
         assert_allclose(bounds, bounds[0], atol=1e-12)
-    report = fr.optimize_two_qubit_bound(random_two_qubit_state(rng), grid=16)
+    report = fr.optimize_two_qubit_bound(random_two_qubit_state(rng))
     assert (report.theta, report.gamma) == _reduced_angles(report.theta, report.gamma)
 
 
@@ -193,15 +193,15 @@ def test_lower_bound_never_exceeds_optimized_upper():
     rng = np.random.default_rng(6)
     for _ in range(6):
         bip = random_two_qubit_state(rng)
-        report = fr.optimize_two_qubit_bound(bip, grid=32)
+        report = fr.optimize_two_qubit_bound(bip)
         assert report.lower <= report.upper + 1e-6
         assert report.upper >= -1e-9
 
 
 def test_dephasing_either_side():
     bip = fr.bell_diagonal_state(0.75)
-    b_side = fr.optimize_two_qubit_bound(bip, grid=32, side="B")
-    a_side = fr.optimize_two_qubit_bound(bip, grid=32, side="A")
+    b_side = fr.optimize_two_qubit_bound(bip, side="B")
+    a_side = fr.optimize_two_qubit_bound(bip, side="A")
     # the family is symmetric under swapping the qubits
     assert a_side.upper == pytest.approx(b_side.upper, abs=1e-8)
 
@@ -218,7 +218,7 @@ def test_general_basis_search_mode():
 
 
 def test_bound_report_json_dict():
-    report = fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.9), grid=32)
+    report = fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.9))
     payload = report.to_json_dict()
     assert set(payload) == {"upper", "lower", "tight", "theta", "gamma"}
     assert payload["tight"] is True
@@ -254,7 +254,7 @@ def test_kernel_at_single_angles_matches_the_lifted_bound(side):
 def test_reported_upper_is_the_bound_at_the_reported_angles(side):
     rng = np.random.default_rng(11)
     for bip in [random_two_qubit_state(rng) for _ in range(4)] + [fr.bell_diagonal_state(0.8)]:
-        report = fr.optimize_two_qubit_bound(bip, grid=16, side=side)
+        report = fr.optimize_two_qubit_bound(bip, side=side)
         u = fr.two_qubit_parameterized_unitary(report.theta, report.gamma)
         assert_allclose(report.unitary, u, atol=0)
         assert report.upper == pytest.approx(fr.dephasing_upper_bound(bip, u, side), abs=1e-12)
@@ -265,14 +265,8 @@ def test_two_qubit_optimizer_builds_no_block_projection(monkeypatch):
         raise AssertionError("a BlockProjection was built")
 
     monkeypatch.setattr(fr.BlockProjection, "__init__", forbidden)
-    report = fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.75), grid=16)
+    report = fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.75))
     assert report.upper == pytest.approx(1.0 - fr.binary_entropy(0.75), abs=1e-9)
-
-
-@pytest.mark.parametrize("grid", [0, -3])
-def test_optimizer_grid_must_be_positive(grid):
-    with pytest.raises(ValueError, match=f"grid .*got {grid}"):
-        fr.optimize_two_qubit_bound(fr.bell_diagonal_state(0.8), grid=grid)
 
 
 def _scipy_nelder_mead_min(fun, x0):
@@ -304,10 +298,10 @@ def seeded_two_qubit_states(rng, count):
 @pytest.mark.parametrize("side, seed", [("A", 16), ("B", 17)])
 def test_compass_search_is_no_worse_than_scipys_nelder_mead(side, seed):
     states = seeded_two_qubit_states(np.random.default_rng(seed), 150)
-    reports = fr.optimize_two_qubit_bounds(states, grid=64, side=side)
+    reports = fr.optimize_two_qubit_bounds(states, side=side)
     for bip, report in zip(states, reports):
         coef, s_rho = _bloch_coefficients(bip.state.matrix, side), fr.von_neumann_entropy(bip.state)
-        starts, values = _grid_starts(coef, s_rho, 64)
+        starts, values = _grid_starts(coef, s_rho)
         assert report.upper <= values[0]  # never above the best grid value
         scipy_best = min(_scipy_nelder_mead_min(lambda x: _dephased_entropy(coef, x[0], x[1]) - s_rho, x0)
                          for x0 in starts)
@@ -320,20 +314,16 @@ def test_grid_starts_are_three_distinct_bases():
     states = seeded_two_qubit_states(rng, 30) + [
         fr.bell_diagonal_state(0.8), fr.BipartiteState(2, 2, fr.DensityOperator(np.diag([0.4, 0.1, 0.3, 0.2])))]
     for bip in states:
-        for grid in (4, 5, 16, 64):
-            starts, _ = _grid_starts(_bloch_coefficients(bip.state.matrix, "B"),
-                                     fr.von_neumann_entropy(bip.state), grid)
-            theta, gamma = starts[:, 0], starts[:, 1]
-            # the basis of (theta, gamma) is fixed by the Bloch axis +-n of its first column
-            n = np.stack([np.sin(2 * theta) * np.cos(gamma), -np.sin(2 * theta) * np.sin(gamma),
-                          np.cos(2 * theta)], axis=1)
-            overlap = np.abs(n @ n.T)
-            assert len(starts) == 3
-            assert overlap[np.triu_indices(3, 1)].max() < 1 - 1e-9
-            assert (theta >= 0).all() and (theta <= math.pi / 4 + 1e-15).all()
-    for grid in (1, 2, 3):  # the scan holds only the basis at theta = 0
-        starts, values = _grid_starts(_bloch_coefficients(states[0].state.matrix, "B"), 0.0, grid)
-        assert starts.tolist() == [[0.0, 0.0]] and len(values) == 1
+        starts, _ = _grid_starts(_bloch_coefficients(bip.state.matrix, "B"),
+                                 fr.von_neumann_entropy(bip.state))
+        theta, gamma = starts[:, 0], starts[:, 1]
+        # the basis of (theta, gamma) is fixed by the Bloch axis +-n of its first column
+        n = np.stack([np.sin(2 * theta) * np.cos(gamma), -np.sin(2 * theta) * np.sin(gamma),
+                      np.cos(2 * theta)], axis=1)
+        overlap = np.abs(n @ n.T)
+        assert len(starts) == 3
+        assert overlap[np.triu_indices(3, 1)].max() < 1 - 1e-9
+        assert (theta >= 0).all() and (theta <= math.pi / 4 + 1e-15).all()
 
 
 def test_compass_search_stops_rows_at_the_step_tolerance_or_the_iteration_cap():
@@ -381,49 +371,32 @@ def test_kernel_value_is_the_same_in_any_batch(side):
 def test_batched_optimizer_equals_the_one_state_calls(side):
     rng = np.random.default_rng(14)
     states = seeded_two_qubit_states(rng, 24)
-    batch = fr.optimize_two_qubit_bounds(states, grid=64, side=side)
+    batch = fr.optimize_two_qubit_bounds(states, side=side)
     for bip, report in zip(states, batch):
-        single = fr.optimize_two_qubit_bound(bip, grid=64, side=side)
+        single = fr.optimize_two_qubit_bound(bip, side=side)
         assert (report.upper, report.lower, report.theta, report.gamma) == \
             (single.upper, single.lower, single.theta, single.gamma)
         assert np.array_equal(report.unitary, single.unitary)
-    assert fr.optimize_two_qubit_bounds([], grid=16) == []
+    assert fr.optimize_two_qubit_bounds([]) == []
 
 
-@pytest.mark.parametrize("grid", [16, 64])
-def test_blockwise_grid_scan_keeps_the_full_scans_starts(grid):
+def test_grid_scan_keeps_the_full_scans_starts():
     rng = np.random.default_rng(15)
-    thetas = np.arange(grid // 4 + 1) * math.pi / grid
-    gammas = np.arange(grid) * 2.0 * math.pi / grid
+    thetas = np.arange(17) * math.pi / 64
+    gammas = np.arange(64) * 2.0 * math.pi / 64
     # a product state and a Bell-diagonal one tie on many grid points
     states = [random_two_qubit_state(rng), fr.bell_diagonal_state(0.8),
               fr.BipartiteState(2, 2, fr.DensityOperator(np.diag([0.4, 0.1, 0.3, 0.2])))]
     for bip in states:
         coef, s_rho = _bloch_coefficients(bip.state.matrix, "B"), fr.von_neumann_entropy(bip.state)
         full = _dephased_entropy(coef, thetas[:, None], gammas[None, :]) - s_rho
-        full[0, 1:] = full[-1, grid // 2:] = np.inf  # the twins at theta = 0 and theta = pi / 4
+        full[0, 1:] = full[-1, 32:] = np.inf  # the twins at theta = 0 and theta = pi / 4
         full = full.ravel()
         order = np.argsort(full, kind="stable")[:3]
-        for block_pairs in (1, 3 * grid, 5 * grid, grid * grid):
-            starts, values = _grid_starts(coef, s_rho, grid, block_pairs)
-            assert np.array_equal(values, full[order])
-            assert np.array_equal(starts[:, 0], thetas[order // grid])
-            assert np.array_equal(starts[:, 1], gammas[order % grid])
-
-
-def test_grid_scan_workspace_is_bounded():
-    import tracemalloc
-
-    bip = fr.bell_diagonal_state(0.8)
-    fr.optimize_two_qubit_bound(bip, grid=4)  # first-call allocations outside the trace
-    tracemalloc.start()
-    try:
-        report = fr.optimize_two_qubit_bound(bip, grid=2048)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, peak  # the whole 2048 x 2048 scan at once is about 1.3 GB
-    assert report.upper == pytest.approx(1.0 - fr.binary_entropy(0.8), abs=1e-9)
+        starts, values = _grid_starts(coef, s_rho)
+        assert np.array_equal(values, full[order])
+        assert np.array_equal(starts[:, 0], thetas[order // 64])
+        assert np.array_equal(starts[:, 1], gammas[order % 64])
 
 
 def test_angles_at_a_gamma_free_basis_are_reported_as_zero():

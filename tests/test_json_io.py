@@ -428,8 +428,20 @@ def test_parallel_reader_matches_json_load_bitwise(tmp_path, monkeypatch, parall
 
 
 def test_parallel_reader_rejects_what_json_rejects(tmp_path, monkeypatch, parallel):
-    # 1-byte chunks: a chunk edge at every comma, a part edge at two of them
+    # 1-byte chunks: a chunk edge at every comma, a part edge at two of them.  Every document is
+    # split into parts; one fork in seven starts a real child (alternating between a document's
+    # two later parts), and the rest fail as a fork can, so the parent scans that part itself
+    real_fork, forks = os.fork, []
+
+    def sampled_fork():
+        forks.append(len(forks) % 7 == 0)
+        if not forks[-1]:
+            raise OSError("no child for this part")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", sampled_fork)
     test_reader_rejects_what_json_rejects_and_only_shape_errors_besides(tmp_path, monkeypatch, 1)
+    assert 300 < sum(forks) < len(forks) / 5
 
 
 def test_parallel_reader_rejects_and_names_the_same_faults(tmp_path, capsys, monkeypatch, parallel):
