@@ -14,7 +14,7 @@ in O(n d^3) time for n Kraus operators.  A nonzero E o E - E is missed only on
 a null set of phases; against the entrywise rule on the superoperator the
 verdicts differed only where that rule read 5e-9 to 1e-8.  Both types apply to
 one operator or to a (..., d, d) stack, and :func:`image_fix_equivalence_check`
-validates and maps its sampled states in stacks of bounded size.  The
+certifies its sampled states PSD by Cholesky and maps them in bounded stacks.  The
 generators at the bottom produce test channels going beyond group twirls.
 """
 
@@ -294,12 +294,15 @@ def image_fix_equivalence_check(ch: KrausChannel | BlockProjection, samples: int
     For ``samples`` random states rho the report records whether E(E(rho))
     equals E(rho); by the idempotence criterion both verdicts must agree.  The
     states are those of ``samples`` random_density_operator calls on one rng,
-    drawn, validated and mapped in stacks of at most 2^16 complex entries.
+    drawn, certified PSD and mapped in stacks of at most 2^16 complex entries.
     """
+    if samples < 1:
+        raise ValueError(f"the image = fix check needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     worst, per_stack = 0.0, max(1, _STACK_ENTRIES // ch.dim**2)
     for start in range(0, samples, per_stack):
-        rhos, _ = _validated_density(_density_stack(ch.dim, rng, min(per_stack, samples - start)))
+        stack = _density_stack(ch.dim, rng, min(per_stack, samples - start))
+        rhos, _ = _validated_density(stack, spectra=False)
         image = ch.apply_matrix(rhos)
         worst = max(worst, float(np.abs(ch.apply_matrix(image) - image).max()))
     return ImageFixReport(

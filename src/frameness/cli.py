@@ -711,7 +711,7 @@ def _ree_options(p):
     p.add_argument("--sweep", type=_weights,
                    help="comma-separated p values in [0, 1]; emits one row per value")
     p.add_argument("--state", help="bipartite state JSON (overrides the family)")
-    p.add_argument("--dims", type=_dims, default="2,2", help="dA,dB for --state")
+    p.add_argument("--dims", type=_dims, help="dA,dB for --state (default 2,2)")
     p.add_argument("--side", choices=("A", "B"), default="B",
                    help="subsystem to dephase, for two-qubit pairs and --sweep as for larger pairs")
     p.add_argument("--random-trials", type=_count, default=0,
@@ -722,6 +722,11 @@ def _ree_options(p):
 def _cmd_ree(p, ns) -> int:
     if ns.sweep and (ns.p is not None or ns.state):
         p.error("--sweep runs the bell-diagonal family at its own weights; it takes no --p or --state")
+    if ns.p is not None and ns.state:
+        p.error("--p sets the bell-diagonal weight, which --state replaces")
+    if ns.dims is not None and not ns.state:
+        p.error("--dims gives the factors of --state; the bell-diagonal family is a two-qubit pair")
+    ns.dims = ns.dims or (2, 2)  # resolved before _meta, so meta.config records dims as before
     if ns.random_trials and (not ns.state or ns.dims == (2, 2)):  # --sweep has no --state
         p.error("--random-trials searches bases of larger pairs; a two-qubit pair is scanned by angle")
     meta = _meta("ree", ns)

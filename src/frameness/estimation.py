@@ -8,7 +8,8 @@ root measurement supplies a strong parameter-free witness for how much of
 that cap is achievable.
 
 The statistics are computed on stacks: a POVM holds its effects as one
-(n, d, d) array, checked PSD by one stacked eigvalsh; the conditional
+(n, d, d) array, certified PSD by one stacked Cholesky factorization
+(an eigvalsh runs only to name a failing effect); the conditional
 probabilities Tr(rho_g E_e) of every orbit state and effect come from one
 einsum; the square-root measurement maps the whole orbit at once, and
 :func:`random_povm` draws all its Wishart factors in one rng call.
@@ -29,6 +30,7 @@ from .states import (
     DensityOperator,
     FramenessError,
     ShapeMismatchError,
+    _certify_psd,
     _eigh,
     _entropy_of_spectrum,
     von_neumann_entropy,
@@ -103,11 +105,13 @@ class DiscretePOVM:
             raise FramenessError("an effect has a non-finite entry (NaN or inf)")
         adj = stack.conj().swapaxes(1, 2)
         herm = np.abs(stack - adj).max(axis=(1, 2))
-        low = np.linalg.eigvalsh(0.5 * (stack + adj))[:, 0]
-        bad = np.flatnonzero(~(herm <= INPUT_TOL) | ~(low >= -INPUT_TOL))
-        if bad.size:
-            i = int(bad[0])
-            raise FramenessError(f"effect {i} is not PSD (herm {herm[i]:.2e}, min eig {low[i]:.2e})")
+        sym = 0.5 * (stack + adj)
+        if not (herm <= INPUT_TOL).all() or not _certify_psd(sym):  # the spectrum names the bad effect
+            low = np.linalg.eigvalsh(sym)[:, 0]
+            bad = np.flatnonzero(~(herm <= INPUT_TOL) | ~(low >= -INPUT_TOL))
+            if bad.size:
+                i = int(bad[0])
+                raise FramenessError(f"effect {i} is not PSD (herm {herm[i]:.2e}, min eig {low[i]:.2e})")
         dev = float(np.abs(stack.sum(axis=0) - np.eye(d)).max())
         if not dev <= IDENTITY_TOL:
             raise FramenessError(f"effects sum deviates from identity by {dev:.3e}")

@@ -45,11 +45,11 @@ def _density_stack(dim: int, rng: np.random.Generator, count: int) -> np.ndarray
     """A (count, d, d) stack of unvalidated density matrices, from the rng draws of
     ``count`` :func:`random_density_operator` calls, in their order."""
     lams = np.empty((count, dim))
-    z = np.empty((count, dim, dim), dtype=complex)
+    g = np.empty((count, 2, dim, dim))
     for k in range(count):
         lams[k] = rng.dirichlet(np.ones(dim))
-        z[k] = _ginibre_stack(dim, rng, 1)[0]
-    u = _haar_from_ginibre(z / np.sqrt(2))
+        rng.standard_normal(out=g[k])  # sample k's Ginibre pair (A, then B), drawn in place
+    u = _haar_from_ginibre((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
     return (u * lams[:, None, :]) @ u.conj().swapaxes(-1, -2)
 
 

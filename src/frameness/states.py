@@ -4,8 +4,10 @@ All entropies are in bits.  The single spectral primitive is the Hermitian
 eigendecomposition: spectra come from numpy's ``eigvalsh``, and every eigenvector
 solve goes through :func:`_eigh`, which takes the eigenpairs of a PSD matrix from
 an SVD in the band 26 <= d < 64 and from ``eigh`` elsewhere; every entropy routes
-through :func:`_entropy_of_spectrum`.  Every numerical threshold of the toolkit
-is defined once, in the table below, so that tolerances compose predictably.
+through :func:`_entropy_of_spectrum`.  A PSD check that keeps no spectrum (sampled
+states, POVM effects) is one Cholesky certificate, :func:`_certify_psd`, with an
+eigvalsh only when it fails.  Every numerical threshold of the toolkit is defined
+once, in the table below, so that tolerances compose predictably.
 """
 
 from __future__ import annotations
@@ -119,11 +121,12 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim})"
 
 
-def _validated_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _validated_density(m: np.ndarray, spectra: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The DensityOperator checks on a complex (..., d, d) stack: (symmetrized stack, spectra).
 
     Finite, Hermitian and unit trace to INPUT_TOL entrywise, then PSD through one
-    stacked eigvalsh; the worst matrix of the stack is the one reported.
+    stacked eigvalsh; the worst matrix of the stack is the one reported.  With
+    ``spectra=False`` the spectra are None when :func:`_certify_psd` passes the stack.
     """
     if not np.isfinite(m).all():
         raise InvalidStateError("matrix has a non-finite entry (NaN or inf)")
@@ -137,11 +140,24 @@ def _validated_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         worst = complex(np.ravel(tr)[trace_dev.argmax()])
         raise InvalidStateError(f"trace {worst:.12g} differs from 1 beyond tolerance")
     m = 0.5 * (m + mh)
+    if not spectra and _certify_psd(m):
+        return m, None
     spectrum = np.linalg.eigvalsh(m)
     lowest = float(spectrum[..., 0].min())
     if lowest < -INPUT_TOL:
         raise InvalidStateError(f"not PSD: smallest eigenvalue {lowest:.3e}")
     return m, spectrum
+
+
+def _certify_psd(stack: np.ndarray) -> bool:
+    """True when one Cholesky factorization of the Hermitian stack + INPUT_TOL I succeeds: every
+    matrix has lambda_min >= -INPUT_TOL, up to a backward error ~ d eps ||stack|| (Higham, ch. 10).
+    False means "take the spectrum", not "not PSD": a matrix that near -INPUT_TOL reads either way."""
+    try:
+        np.linalg.cholesky(stack + INPUT_TOL * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _eigh(a: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Per-element references for the stacked searches, statistics and tables.
 
 The package scores dephasing bases, POVM statistics and group products on
-whole stacks.  These are the loops they replaced, one candidate,
-(state, effect) pair or product at a time, kept as their oracles.
+whole stacks, and draws sampled density matrices into one buffer.  These are
+the loops they replaced, one candidate, (state, effect) pair, product or
+sample at a time, kept as their oracles.
 """
 
 import math
@@ -49,6 +50,21 @@ def per_outcome_random_povm_effects(dim, n_outcomes, rng):
     lams, vecs = np.linalg.eigh(sum(raw))
     inv_sqrt = (vecs / np.sqrt(lams)) @ vecs.conj().T
     return [inv_sqrt @ r @ inv_sqrt for r in raw]
+
+
+def per_sample_density_draws(dim, rng, count):
+    """``count`` random density matrices drawn one at a time: a Dirichlet spectrum, then the
+    Ginibre pair A, B of the Haar unitary, each its own (d, d) array, and its own QR."""
+    out = []
+    for _ in range(count):
+        lams = rng.dirichlet(np.ones(dim))
+        a = rng.standard_normal((dim, dim))
+        b = rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr((a + 1j * b) / np.sqrt(2))
+        diag = np.diagonal(r)
+        u = q * (diag / np.abs(diag)).conj()[None, :]
+        out.append((u * lams[None, :]) @ u.conj().T)
+    return np.array(out)
 
 
 def per_product_group_table(unitaries):

@@ -406,6 +406,23 @@ def test_image_fix_check_validates_the_sampled_stack(monkeypatch):
         fr.image_fix_equivalence_check(z2_twirl_channel(), samples=3)
 
 
+def test_image_fix_check_reports_the_worst_sample_of_a_stack(monkeypatch):
+    # only the last sample is bad: the certificate fails and eigvalsh names its eigenvalue
+    good = fr.random_density_operator(2, np.random.default_rng(0)).matrix
+    stack = np.array([good, good, np.diag([1.0 + 2e-7, -2e-7])])
+    monkeypatch.setattr(frameness.channels, "_density_stack", lambda d, rng, count: stack[:count])
+    with pytest.raises(fr.InvalidStateError, match="^not PSD: smallest eigenvalue -2.000e-07$"):
+        fr.image_fix_equivalence_check(z2_twirl_channel(), samples=3)
+    assert fr.image_fix_equivalence_check(z2_twirl_channel(), samples=2).consistent
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_image_fix_check_needs_a_sample(samples):
+    # no sampled state would be checked, yet the report would read all_image_states_fixed
+    with pytest.raises(ValueError, match=f"at least one sample, got {samples}"):
+        fr.image_fix_equivalence_check(z2_twirl_channel(), samples=samples)
+
+
 def test_pinching_matches_its_kraus_oracle():
     rng = np.random.default_rng(23)
     for dim, parts in [(2, 2), (5, 2), (8, 4), (9, 9), (12, 3)]:

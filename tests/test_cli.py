@@ -308,6 +308,13 @@ def test_ree_family(tmp_path):
     assert "theta" in res and "gamma" in res
 
 
+def test_ree_records_the_default_dims_of_a_two_qubit_run(tmp_path):
+    # --dims defaults to None so that an explicit one can be refused without --state;
+    # an accepted run still records the pair it ran on
+    for args in (["--p", "0.75"], ["--sweep", "0.6"]):
+        assert run_json(tmp_path, ["ree", *args])["meta"]["config"]["dims"] == "2,2"
+
+
 def test_ree_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.run(["ree", "--sweep", "0.5,0.75",
@@ -452,6 +459,9 @@ def test_ree_rejects_an_empty_grid(capsys, grid):
     (["--sweep", "0.5,0.7", "--random-trials", "2"], "--random-trials searches bases of larger pairs"),
     (["--sweep", "0.5,0.7", "--p", "0.8"], "--sweep runs the bell-diagonal family at its own weights"),
     (["--sweep", "0.5", "--state", "RHO4"], "--sweep runs the bell-diagonal family at its own weights"),
+    (["--p", "0.8", "--state", "RHO4"], "--p sets the bell-diagonal weight, which --state replaces"),
+    (["--p", "0.8", "--dims", "2,3"], "--dims gives the factors of --state"),
+    (["--sweep", "0.5", "--dims", "2,2"], "--dims gives the factors of --state"),
 ])
 def test_ree_options_that_would_be_dropped_are_usage_errors(tmp_path, capsys, args, message):
     rho4 = write_json(tmp_path / "rho4.json", fr.density_to_json(fr.DensityOperator(np.eye(4) / 4)))

@@ -86,6 +86,19 @@ def test_povm_validation():
         fr.DiscretePOVM([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # not PSD
 
 
+@pytest.mark.parametrize("dim, n", [(2, 3), (8, 5), (32, 4)])
+def test_povm_names_a_bad_last_effect_as_its_spectrum_does(dim, n):
+    # the Cholesky certificate fails on the stack; eigvalsh then names the effect and its eigenvalue
+    effects = list(fr.random_povm(dim, n, np.random.default_rng(dim)).effects)
+    u = fr.haar_unitary(dim, np.random.default_rng(dim + 1))
+    effects[-1] = (u * np.linspace(-2e-6, 0.5, dim)) @ u.conj().T
+    effects[-1] = 0.5 * (effects[-1] + effects[-1].conj().T)
+    low = np.linalg.eigvalsh(effects[-1])[0]
+    with pytest.raises(fr.FramenessError) as info:
+        fr.DiscretePOVM(effects)
+    assert str(info.value) == f"effect {n - 1} is not PSD (herm 0.00e+00, min eig {low:.2e})"
+
+
 def test_povm_checks_its_effects_as_one_stack():
     skew = np.array([[0.2, 0.1], [0.0, 0.2]])  # not Hermitian
     negative = np.diag([-0.1, 0.3])  # not PSD

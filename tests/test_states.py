@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frameness as fr
-from frameness.sampling import _density_operators
+from frameness.sampling import _density_operators, _density_stack, _haar_stack
+from frameness.states import INPUT_TOL, _certify_psd, _validated_density
 from ncopy_oracle import tensor_power
+from stack_oracle import per_sample_density_draws
 
 # Frozen oracle values (computed by direct formula / inner-product evaluation).
 H2_011 = 0.499915958164528
@@ -57,6 +59,65 @@ def test_stacked_draws_are_the_repeated_draws(dim, count):
         np.testing.assert_array_equal(state.eigenvalues(), one.eigenvalues())
         assert not state.matrix.flags.writeable and not state.eigenvalues().flags.writeable
     assert stacked_rng.random() == loop_rng.random()
+
+
+@pytest.mark.parametrize("dim, count", [(1, 3), (2, 1), (3, 7), (8, 20), (32, 20), (32, 1)])
+def test_density_stack_is_the_per_sample_draws(dim, count):
+    # the Ginibre pairs go straight into one buffer: the same rng calls in the same order
+    rngs = [np.random.default_rng(dim * 100 + count) for _ in range(3)]
+    stack = _density_stack(dim, rngs[0], count)
+    np.testing.assert_array_equal(stack, per_sample_density_draws(dim, rngs[1], count))
+    checked, _ = _validated_density(stack)  # as DensityOperator symmetrizes each draw
+    for k in range(count):
+        np.testing.assert_array_equal(checked[k], fr.random_density_operator(dim, rngs[2]).matrix)
+    assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+def _stack_with_lowest(dim, count, lowest, seed):
+    """A Hermitian unit-trace (count, d, d) stack, each matrix with smallest eigenvalue ``lowest``."""
+    rng = np.random.default_rng(seed)
+    u = _haar_stack(dim, rng, count)
+    lams = np.empty((count, dim))
+    lams[:, 0] = lowest
+    lams[:, 1:] = (1.0 - lowest) * rng.dirichlet(np.ones(dim - 1), size=count)
+    m = (u * lams[:, None, :]) @ u.conj().swapaxes(1, 2)
+    return 0.5 * (m + m.conj().swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("dim", [2, 8, 32])
+@pytest.mark.parametrize("lowest, psd", [(0.0, True), (-INPUT_TOL * (1 - 1e-3), True),
+                                         (-INPUT_TOL * (1 + 1e-3), False)])
+def test_cholesky_certificate_is_the_eigvalsh_rule(dim, lowest, psd):
+    # the same verdict as lambda_min >= -INPUT_TOL, matrix by matrix and for the whole stack,
+    # 1e-3 INPUT_TOL on either side of the boundary
+    for seed in range(5):
+        stack = _stack_with_lowest(dim, 6, lowest, seed)
+        rule = np.linalg.eigvalsh(stack)[:, 0] >= -INPUT_TOL
+        assert rule.tolist() == [psd] * 6
+        assert [_certify_psd(m) for m in stack] == rule.tolist()
+        assert _certify_psd(stack) == psd
+
+
+@pytest.mark.parametrize("dim", [2, 8, 32])
+def test_a_bad_last_matrix_fails_the_certificate_with_the_spectral_message(dim):
+    stack = _stack_with_lowest(dim, 5, 0.0, dim)
+    stack[-1] = _stack_with_lowest(dim, 1, -3e-4, dim + 1)[0]
+    assert not _certify_psd(stack) and _certify_psd(stack[:-1])
+    lowest = np.linalg.eigvalsh(stack[-1])[0]
+    for spectra in (True, False):
+        with pytest.raises(fr.InvalidStateError) as info:
+            _validated_density(stack, spectra=spectra)
+        assert str(info.value) == f"not PSD: smallest eigenvalue {lowest:.3e}"
+    with pytest.raises(fr.InvalidStateError, match=f"^not PSD: smallest eigenvalue {lowest:.3e}$"):
+        fr.DensityOperator(stack[-1])
+
+
+def test_a_certified_stack_is_the_checked_stack_without_spectra():
+    stack = _density_stack(8, np.random.default_rng(2), 6)
+    certified, none = _validated_density(stack, spectra=False)
+    checked, spectra = _validated_density(stack)
+    assert none is None and spectra.shape == (6, 8)
+    np.testing.assert_array_equal(certified, checked)
 
 
 def test_eigenvalues_are_the_read_only_validation_spectrum():
